@@ -5,7 +5,13 @@ of the sets of complex and real density matrices, exact volumes of the
 classical compact groups and their flag/projective quotients in three
 metric conventions, and Monte Carlo machinery that verifies the underlying
 measures by sampling random density matrices.
+
+The exact layer is imported eagerly; the sampling and verification names
+(and the ``sampling`` and ``verify`` submodules) load numpy on first use,
+so exact queries never pay for it.
 """
+
+import importlib
 
 from .exactnum import ExactValue, ONE, PI, ZERO, exact_sqrt, from_rational, gamma_exact, parse
 from .constants import EnsembleParams, c_norm, laguerre_integral, log_c_norm
@@ -28,24 +34,85 @@ from .mixedstates import (
     vol_edge,
     vol_mixed,
 )
-from .sampling import (
-    bloch_vector,
-    density_from_bloch,
-    eigvals_hermitian,
-    gell_mann_basis,
-    is_positive,
-    make_rng,
-    sample_hs_batch,
-    sample_hs_density,
-    sample_pure_partial_trace,
-)
-from .verify import (
-    MCEstimate,
-    mc_hit_or_miss_fraction,
-    mc_norm_constant,
-    mc_purity,
-    run_suite,
-    spectral_fit_test,
-)
 
 __version__ = "0.1.0"
+
+# name -> submodule that defines it, imported on first attribute access
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "bloch_vector",
+            "density_from_bloch",
+            "eigvals_hermitian",
+            "gell_mann_basis",
+            "is_positive",
+            "make_rng",
+            "sample_hs_batch",
+            "sample_hs_density",
+            "sample_pure_partial_trace",
+        ),
+        "sampling",
+    ),
+    **dict.fromkeys(
+        (
+            "MCEstimate",
+            "mc_hit_or_miss_fraction",
+            "mc_norm_constant",
+            "mc_purity",
+            "run_suite",
+            "spectral_fit_test",
+        ),
+        "verify",
+    ),
+}
+_LAZY_MODULES = ("sampling", "verify")
+
+__all__ = [
+    "ExactValue",
+    "ONE",
+    "PI",
+    "ZERO",
+    "exact_sqrt",
+    "from_rational",
+    "gamma_exact",
+    "parse",
+    "EnsembleParams",
+    "c_norm",
+    "laguerre_integral",
+    "log_c_norm",
+    "Convention",
+    "CosetSpec",
+    "Family",
+    "ball_volume",
+    "sphere_volume",
+    "vol_coset",
+    "vol_group",
+    "GeometrySummary",
+    "ReferenceBody",
+    "ReferenceKind",
+    "StateSpace",
+    "geometry",
+    "reference_body",
+    "vol_edge",
+    "vol_mixed",
+    *_LAZY,
+    "exactnum",
+    "constants",
+    "groups",
+    "mixedstates",
+    *_LAZY_MODULES,
+]
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

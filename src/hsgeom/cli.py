@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import constants, groups, mixedstates, sampling, verify
+from . import constants, groups, mixedstates
 
 COLUMNS = (
     "quantity",
@@ -100,12 +100,7 @@ def _cmd_group(args):
     family = groups.Family(args.family)
     spec = groups.CosetSpec(family, args.n)
     conv = groups.Convention(args.convention)
-    if family in (
-        groups.Family.UNITARY,
-        groups.Family.SPECIAL_UNITARY,
-        groups.Family.ORTHOGONAL,
-        groups.Family.SPECIAL_ORTHOGONAL,
-    ):
+    if family in groups._GROUP_FAMILIES:
         value = groups.vol_group(spec, conv)
     else:
         value = groups.vol_coset(spec, conv)
@@ -136,6 +131,8 @@ def _cmd_constants(args):
 
 
 def _cmd_sample(args, out):
+    from . import sampling  # numpy loads only for the sampling subcommands
+
     rng = sampling.make_rng(args.seed)
     batch = sampling.sample_hs_batch(args.n, args.field, rng, args.samples)
     spectra = sampling.eigvals_hermitian(batch)
@@ -149,7 +146,9 @@ def _cmd_sample(args, out):
     return 0
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args) -> tuple[str, int]:
+    from . import verify
+
     checks = verify.run_suite(
         args.suite,
         n=args.n,
@@ -161,8 +160,7 @@ def _cmd_verify(args, out):
         chunks=args.chunks,
         workers=args.workers,
     )
-    out.write(json.dumps(checks, indent=2) + "\n")
-    return 0 if all(c["pass"] for c in checks) else 1
+    return json.dumps(checks, indent=2) + "\n", 0 if all(c["pass"] for c in checks) else 1
 
 
 # -- output formatting ---------------------------------------------------------
@@ -250,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", default=None)
 
     p = sub.add_parser("verify", help="Monte Carlo checks against the exact formulas")
-    p.add_argument("--suite", choices=verify.SUITES, required=True)
+    # checked by run_suite, so that parsing needs no numpy
+    p.add_argument("--suite", required=True, help="norm, purity, spectral, hitmiss or all")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--field", choices=("complex", "real"), default=None)
     p.add_argument("--alpha", default=None)
@@ -278,21 +277,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in _HANDLERS:
-            records = _HANDLERS[args.command](args)
-            text = _format_records(records, args.format)
+        if args.command == "sample":
             if args.out:
                 with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0
+                    return _cmd_sample(args, fh)
+            return _cmd_sample(args, sys.stdout)
+        if args.command == "verify":
+            text, code = _cmd_verify(args)
+        else:
+            text, code = _format_records(_HANDLERS[args.command](args), args.format), 0
         if args.out:
             with open(args.out, "w") as fh:
-                return _cmd_sample(args, fh) if args.command == "sample" else _cmd_verify(args, fh)
-        if args.command == "sample":
-            return _cmd_sample(args, sys.stdout)
-        return _cmd_verify(args, sys.stdout)
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,10 @@
 """CLI surface: golden output, formats, round trips, JSONL samples, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,7 +190,7 @@ def test_verify_all_suite_composition(capsys):
 
 def test_verify_exit_one_on_failed_check(capsys, monkeypatch):
     # Corrupt the oracle so the (passing) estimator no longer matches it.
-    monkeypatch.setitem(verify.PURITY_ORACLE, (2, "complex"), 0.9)
+    monkeypatch.setattr(verify, "purity_oracle", lambda n, field: 0.9)
     code, out = run_cli(
         capsys,
         "verify", "--suite", "purity", "--n", "2", "--field", "complex",
@@ -194,6 +198,73 @@ def test_verify_exit_one_on_failed_check(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)[0]["pass"] is False
+
+
+def test_verify_exit_one_on_vacuous_norm_check(capsys):
+    # expected and estimate both underflow to 0.0; that must not count as a pass
+    code, out = run_cli(
+        capsys, "verify", "--suite", "norm", "--n", "16", "--alpha", "1", "--beta", "2",
+        "--samples", "1000",
+    )
+    assert code == 1
+    assert json.loads(out)[0]["pass"] is False
+
+
+def test_verify_unknown_suite_exits_two(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("kept")
+    code = cli.main(["verify", "--suite", "bogus", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: unknown suite 'bogus'")
+    assert len(captured.err.splitlines()) == 1
+    assert target.read_text() == "kept"
+
+
+def _fresh_python(script: str) -> str:
+    """Run ``script`` in a new interpreter that imports this checkout; return its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_exact_subcommands_import_no_numpy():
+    out = _fresh_python(
+        "import sys, hsgeom.cli\n"
+        "for argv in (['volume', '--n', '3'], ['edge', '--n', '4'], ['geometry', '--n', '3'],\n"
+        "             ['reference', '--body', 'ball', '--dim', '3'], ['group', '--family', 'SU', '--n', '3'],\n"
+        "             ['constants', '--n', '3', '--alpha', '1/3', '--beta', '1.5'],\n"
+        "             ['constants', '--n', '3', '--format', 'csv']):\n"
+        "    assert hsgeom.cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_lazy_package_names_resolve():
+    out = _fresh_python(
+        "import sys, hsgeom\n"
+        "assert 'numpy' not in sys.modules\n"
+        "verify = hsgeom.verify\n"
+        "import hsgeom.sampling as sampling\n"
+        "assert verify is sys.modules['hsgeom.verify'] and hsgeom.sampling is sampling\n"
+        "assert hsgeom.run_suite is verify.run_suite\n"
+        "assert hsgeom.sample_hs_batch is sampling.sample_hs_batch\n"
+        "ns = {}\n"
+        "exec('from hsgeom import *', ns)\n"
+        "assert ns['mc_purity'] is verify.mc_purity and ns['vol_mixed'] is hsgeom.vol_mixed\n"
+        "assert {'sampling', 'verify', 'exactnum'} <= set(ns) and set(hsgeom.__all__) <= set(dir(hsgeom))\n"
+        "try:\n"
+        "    hsgeom.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('ok')\n"
+    )
+    assert out.splitlines()[-1] == "ok"
 
 
 def test_verify_byte_identical_across_workers(tmp_path, capsys):

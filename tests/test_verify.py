@@ -6,10 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import chi2
 
 from hsgeom.constants import EnsembleParams, c_norm, log_c_norm
 from hsgeom.verify import (
     MCEstimate,
+    _chi2_sf,
+    _max_eigenvalue_cdf_n3,
     check_hit_or_miss,
     check_norm_constant,
     check_purity,
@@ -17,6 +20,7 @@ from hsgeom.verify import (
     mc_hit_or_miss_fraction,
     mc_norm_constant,
     mc_purity,
+    purity_oracle,
     run_suite,
     spectral_fit_test,
 )
@@ -65,6 +69,21 @@ def test_purity_n3_quadrature_oracle():
     assert value == pytest.approx(0.6, abs=1e-9)
     est = mc_purity(3, "complex", 50_000, seed=7)
     assert abs(est.mean - value) <= 3 * est.stderr
+
+
+def test_purity_oracle_closed_forms():
+    # the values the suite used before the closed forms, bit for bit
+    assert float(purity_oracle(2, "complex")) == 0.8
+    assert float(purity_oracle(2, "real")) == 0.75
+    assert float(purity_oracle(3, "complex")) == 0.6
+    assert purity_oracle(1, "complex") == purity_oracle(1, "real") == 1
+    for n, field, seed in ((3, "real", 21), (4, "complex", 22), (4, "real", 23), (5, "complex", 24)):
+        report = check_purity(n, field, 50_000, seed=seed)
+        assert report["pass"], report
+    with pytest.raises(ValueError):
+        purity_oracle(0, "complex")
+    with pytest.raises(ValueError):
+        purity_oracle(3, "quaternion")
 
 
 def test_hit_or_miss_n2_is_certain():
@@ -131,6 +150,35 @@ def test_spectral_fit_n3_by_quadrature_reference():
     assert p_value > 0.001
 
 
+def test_max_eigenvalue_cdf_n3_matches_quadrature():
+    c3 = c_norm(EnsembleParams(3, Fraction(1), 2)).to_float()
+
+    def density(y, x):
+        z = 1.0 - x - y
+        return c3 * ((x - y) * (y - z) * (x - z)) ** 2
+
+    def cdf(t):
+        # the part of the simplex where all three eigenvalues are <= t
+        value, _ = integrate.dblquad(
+            density, max(0.0, 1.0 - 2.0 * t), t,
+            lambda x: max(0.0, 1.0 - t - x), lambda x: min(t, 1.0 - x),
+            epsabs=1e-11, epsrel=1e-10,
+        )
+        return value
+
+    ts = np.linspace(1 / 3, 1.0, 321)[1:-1:4]
+    reference = np.array([cdf(t) for t in ts])
+    assert np.abs(_max_eigenvalue_cdf_n3(ts) - reference).max() <= 1e-7
+    assert _max_eigenvalue_cdf_n3(0.5) == 1 / 256
+    assert _max_eigenvalue_cdf_n3(1 / 3) == 0.0
+    assert _max_eigenvalue_cdf_n3(1.0) == 1.0
+
+
+def test_chi2_sf_matches_scipy():
+    for statistic in (0.5, 5.0, 12.3, 19.0, 30.1, 45.0, 80.0, 150.0):
+        assert _chi2_sf(statistic, 19) == pytest.approx(chi2.sf(statistic, 19), rel=1e-12)
+
+
 def test_spectral_fit_rejects_corrupted_sampler():
     # Negative control: square real Ginibre gives the wrong Wishart exponent
     # and a visibly different top-eigenvalue marginal.
@@ -163,7 +211,19 @@ def test_check_reports_shape():
     report = check_spectral(2, "real", 20_000, seed=18)
     assert report["stderr"] is None and isinstance(report["pass"], bool)
     with pytest.raises(ValueError):
-        check_purity(5, "complex", 1000, seed=0)
+        check_purity(2, "quaternion", 1000, seed=0)
+
+
+def test_verdict_refuses_vacuous_pass():
+    # 1/C_16^(1,2) underflows to 0.0, and so does every importance weight
+    report = check_norm_constant(16, 1, 2, 1000, seed=0)
+    assert report["expected"] == 0.0 and report["stderr"] == 0.0
+    assert report["pass"] is False and report["sigmas"] is None
+    # exact zero-variance cases with a meaningful expectation still pass
+    report = check_norm_constant(1, 1, 2, 1000, seed=0)
+    assert report["expected"] == 1.0 and report["stderr"] == 0.0 and report["pass"] is True
+    report = check_hit_or_miss(2, 1000, seed=0)
+    assert report["expected"] == 1.0 and report["stderr"] == 0.0 and report["pass"] is True
 
 
 def test_run_suite_composition():
