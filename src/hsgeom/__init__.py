@@ -13,7 +13,17 @@ so exact queries never pay for it.
 
 import importlib
 
-from .exactnum import ExactValue, ONE, PI, ZERO, exact_sqrt, from_rational, gamma_exact, parse
+from .exactnum import (
+    ExactValue,
+    ONE,
+    PI,
+    ZERO,
+    exact_sqrt,
+    from_rational,
+    gamma_exact,
+    gamma_product,
+    parse,
+)
 from .constants import EnsembleParams, c_norm, laguerre_integral, log_c_norm
 from .groups import (
     Convention,
@@ -75,6 +85,7 @@ __all__ = [
     "exact_sqrt",
     "from_rational",
     "gamma_exact",
+    "gamma_product",
     "parse",
     "EnsembleParams",
     "c_norm",

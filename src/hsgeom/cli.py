@@ -130,12 +130,15 @@ def _cmd_constants(args):
     return [_record("c_norm", value=math.exp(log_c), log10=log_c / _LN10, **base)]
 
 
-def _cmd_sample(args, out):
+def _draw_samples(args):
     from . import sampling  # numpy loads only for the sampling subcommands
 
     rng = sampling.make_rng(args.seed)
     batch = sampling.sample_hs_batch(args.n, args.field, rng, args.samples)
-    spectra = sampling.eigvals_hermitian(batch)
+    return batch, sampling.eigvals_hermitian(batch)
+
+
+def _write_samples(args, batch, spectra, out):
     for rho, spectrum in zip(batch, spectra):
         obj = {"n": args.n, "field": args.field, "spectrum": [float(x) for x in spectrum]}
         if not args.spectra_only:
@@ -143,7 +146,6 @@ def _cmd_sample(args, out):
             if args.field == "complex":
                 obj["matrix_im"] = [float(x) for x in rho.imag.reshape(-1)]
         out.write(json.dumps(obj) + "\n")
-    return 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -278,10 +280,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "sample":
+            # draw first: the sampler rejects bad arguments before --out is truncated
+            drawn = _draw_samples(args)
             if args.out:
                 with open(args.out, "w") as fh:
-                    return _cmd_sample(args, fh)
-            return _cmd_sample(args, sys.stdout)
+                    _write_samples(args, *drawn, fh)
+            else:
+                _write_samples(args, *drawn, sys.stdout)
+            return 0
         if args.command == "verify":
             text, code = _cmd_verify(args)
         else:

@@ -14,10 +14,11 @@ positive (alpha, beta) for Monte Carlo work.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactValue, ONE, gamma_exact
+from .exactnum import ExactValue, gamma_product
 
 __all__ = ["EnsembleParams", "laguerre_integral", "c_norm", "log_c_norm"]
 
@@ -40,23 +41,44 @@ class EnsembleParams:
             raise ValueError(f"beta must be 1 or 2 in exact mode, got {self.beta}")
 
 
+def _laguerre_powers(params: EnsembleParams) -> Counter:
+    """Gamma powers of the Laguerre-ensemble integral, keyed on doubled arguments."""
+    n, twice_alpha, beta = params.n, int(2 * params.alpha), params.beta
+    powers = Counter()
+    for j in range(1, n + 1):
+        powers[2 + j * beta] += 1  # Gamma(1 + j*beta/2)
+        powers[twice_alpha + (j - 1) * beta] += 1  # Gamma(alpha + (j-1)*beta/2)
+    powers[2 + beta] -= n  # Gamma(1 + beta/2)^n
+    return powers
+
+
 def laguerre_integral(params: EnsembleParams) -> ExactValue:
     """Exact value of the Laguerre-ensemble integral.
 
     prod_{j=1}^{n} Gamma(1 + j*beta/2) * Gamma(alpha + (j-1)*beta/2)
     divided by Gamma(1 + beta/2)^n.
     """
-    n, alpha, beta = params.n, params.alpha, Fraction(params.beta)
-    out = ONE
-    for j in range(1, n + 1):
-        out = out * gamma_exact(1 + j * beta / 2) * gamma_exact(alpha + (j - 1) * beta / 2)
-    return out / gamma_exact(1 + beta / 2).pow_int(n)
+    return gamma_product(_laguerre_powers(params))
+
+
+def c_norm_powers(params: EnsembleParams) -> Counter:
+    """Gamma powers of C_n^(alpha, beta) in the form ``gamma_product`` takes.
+
+    Callers that multiply C_n by other Gamma products merge these powers
+    into theirs and evaluate the whole product once.
+    """
+    n, beta = params.n, params.beta
+    powers = Counter({int(2 * params.alpha) * n + beta * n * (n - 1): 1})
+    powers.subtract(_laguerre_powers(params))
+    return powers
 
 
 def c_norm(params: EnsembleParams) -> ExactValue:
-    """Normalization constant C_n^(alpha, beta) of the simplex eigenvalue density."""
-    n, alpha, beta = params.n, params.alpha, Fraction(params.beta)
-    return gamma_exact(alpha * n + beta * n * (n - 1) / 2) / laguerre_integral(params)
+    """Normalization constant C_n^(alpha, beta) of the simplex eigenvalue density.
+
+    Gamma(alpha*n + beta*n*(n-1)/2) divided by the Laguerre integral.
+    """
+    return gamma_product(c_norm_powers(params))
 
 
 def log_c_norm(n: int, alpha: float, beta: float) -> float:

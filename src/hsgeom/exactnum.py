@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from mpmath import mp
 
@@ -30,6 +32,7 @@ __all__ = [
     "from_rational",
     "exact_sqrt",
     "gamma_exact",
+    "gamma_product",
     "parse",
 ]
 
@@ -41,13 +44,18 @@ _CONVERT_PREC = 96
 def _squarefree(n: int) -> tuple[int, int]:
     """Split n > 0 as s^2 * r with r squarefree; returns (s, r).
 
-    Trial division only: radicands reachable from the formulas here stay in
-    the low thousands, far below any size where factoring matters.
+    The power of two comes off by bit arithmetic, so radicands such as
+    2^(N(N-1)/2) (orthogonal groups, convention A) or 2^dim (regular
+    simplices) cost nothing however large they are.  The odd part that
+    remains is a small integer like N, N - 1 or dim + 1, and trial division
+    by odd d handles it.
     """
     if n <= 0:
         raise ValueError(f"radicand must be positive, got {n}")
-    s, r = 1, 1
-    d = 2
+    twos = (n & -n).bit_length() - 1
+    n >>= twos
+    s, r = 1 << (twos // 2), 1 << (twos % 2)
+    d = 3
     while d * d <= n:
         while n % (d * d) == 0:
             n //= d * d
@@ -55,7 +63,7 @@ def _squarefree(n: int) -> tuple[int, int]:
         if n % d == 0:
             n //= d
             r *= d
-        d += 1
+        d += 2
     return s, r * n
 
 
@@ -248,10 +256,94 @@ def gamma_exact(x) -> ExactValue:
         raise ValueError(f"gamma_exact needs a positive integer or half-integer, got {x}")
     if x.denominator == 1:
         return from_rational(math.factorial(x.numerator - 1))
-    k = (x.numerator - 1) // 2
-    return ExactValue(
-        1, Fraction(math.factorial(2 * k), 4**k * math.factorial(k)), 1, 1
-    )
+    return gamma_product({x.numerator: 1})
+
+
+def _tree_product(xs: list[int]) -> int:
+    """Product of the integers in xs, multiplying neighbours pairwise so operands stay balanced."""
+    while len(xs) > 1:
+        tail = [xs[-1]] if len(xs) % 2 else []
+        xs = [a * b for a, b in zip(xs[0::2], xs[1::2])] + tail
+    return xs[0] if xs else 1
+
+
+def _power_product(bases: list[tuple[int, int]]) -> int:
+    """prod x^e over the pairs (x, e > 0), by binary powering.
+
+    Bit b of every exponent selects the bases multiplied in at step b, so
+    each step is one squaring plus one balanced product.
+    """
+    out = 1
+    for b in reversed(range(max((e for _, e in bases), default=0).bit_length())):
+        out = out * out * _tree_product([x for x, e in bases if e >> b & 1])
+    return out
+
+
+def _prime_exponents(fact: dict[int, int], twos: int) -> dict[int, list[int]]:
+    """Primes of 2^twos * prod j!^fact[j], grouped by their nonzero exponent."""
+    top = max(fact, default=0)
+    # ints[i] is the exponent of the integer i: the sum of fact[j] over j >= i,
+    # constant between consecutive keys of fact
+    ints = array("q", [0]) * (top + 1)
+    running, end = 0, top + 1
+    for j in sorted(fact, reverse=True):
+        ints[j + 1 : end] = array("q", [running]) * (end - j - 1)
+        running += fact[j]
+        end = j + 1
+    ints[:end] = array("q", [running]) * end
+    sieve = bytearray(2) + bytearray([1]) * (top - 1)
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    # Legendre: the exponent of p is the sum of ints over the multiples of
+    # p, plus that over the multiples of p^2, and so on
+    by_exponent: dict[int, list[int]] = {}
+    with memoryview(ints) as view:
+        for p in compress(range(top + 1), sieve):
+            e, q = (twos if p == 2 else 0), p
+            while q <= top:
+                e += sum(view[q::q])
+                q *= p
+            if e:
+                by_exponent.setdefault(e, []).append(p)
+    return by_exponent
+
+
+def gamma_product(powers) -> ExactValue:
+    """prod Gamma(m/2)^k over the items m: k of ``powers``, exactly.
+
+    Keys are twice the Gamma arguments, so every key is a positive integer
+    and half-integer arguments need no Fraction: ``{5: 2, 8: -1}`` is
+    Gamma(5/2)^2 / Gamma(4).  Powers may be any integers; zero powers are
+    ignored and the empty map gives ONE.
+
+    Gamma(k + 1/2) = (2k)!/(4^k k!) sqrt(pi) turns the product into factorial
+    powers times 2^e pi^(h/2).  A suffix sum over the factorial
+    multiplicities gives the exponent of every integer factor, Legendre's
+    formula collects those onto primes, and numerator and denominator are
+    each built once by binary powering over balanced products (Borwein, "On
+    the complexity of calculating factorials", J. Algorithms 6, 1985).  Only
+    the final Fraction is reduced, and its two sides are already coprime.
+    """
+    fact: dict[int, int] = {}  # j -> power of j!
+    twos = half_pi = 0
+    for m, k in powers.items():
+        if not isinstance(m, int) or m < 1 or not isinstance(k, int):
+            raise ValueError(f"gamma_product needs positive integer keys and integer powers, got {m}: {k}")
+        if not k:
+            continue
+        if m % 2 == 0:
+            fact[m // 2 - 1] = fact.get(m // 2 - 1, 0) + k
+        else:
+            j = m // 2
+            fact[2 * j] = fact.get(2 * j, 0) + k
+            fact[j] = fact.get(j, 0) - k
+            twos -= 2 * j * k
+            half_pi += k
+    bases = [(_tree_product(primes), e) for e, primes in _prime_exponents(fact, twos).items()]
+    num = _power_product([(x, e) for x, e in bases if e > 0])
+    den = _power_product([(x, -e) for x, e in bases if e < 0])
+    return ExactValue(1, Fraction(num, den), 1, half_pi)
 
 
 _GRAMMAR = re.compile(

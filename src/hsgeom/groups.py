@@ -15,10 +15,13 @@ B and C coincide.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactValue, ONE, exact_sqrt, from_rational, gamma_exact
+from mpmath import mp
+
+from .exactnum import _CONVERT_PREC, ExactValue, ONE, exact_sqrt, gamma_exact, gamma_product
 
 __all__ = [
     "Convention",
@@ -82,64 +85,98 @@ def ball_volume(k: int) -> ExactValue:
     return ExactValue(1, Fraction(1), 1, k) / gamma_exact(Fraction(k, 2) + 1)
 
 
-def _vol_unitary(n: int, conv: Convention) -> ExactValue:
-    # a_X * 2^n * pi^(n(n+1)/2) / (0! 1! ... (n-1)!)
-    if n == 0:
-        return ONE
-    if conv is Convention.A:
-        scale = from_rational(Fraction(2) ** (n * (n - 1) // 2))
-    elif conv is Convention.B:
-        scale = ONE
-    else:
-        scale = exact_sqrt(Fraction(1, 2**n))
-    out = scale * (2**n) * ExactValue(1, Fraction(1), 1, n * (n + 1))
-    for k in range(n):
-        out = out / gamma_exact(k + 1)
-    return out
+def ball_volume_log10(k: int) -> float:
+    """log10 of ``ball_volume(k)``, from loggamma instead of the exact value.
+
+    It works at the precision of ``ExactValue.log10``, far below a double's
+    rounding, so both give the same double; at large k it skips building
+    Gamma(k/2 + 1) exactly.
+    """
+    if k < 0:
+        raise ValueError(f"ball dimension must be >= 0, got {k}")
+    with mp.workprec(_CONVERT_PREC):
+        half = mp.mpf(k) / 2
+        return float(half * mp.log10(mp.pi) - mp.loggamma(half + 1) / mp.ln(10))
 
 
-def _vol_orthogonal(n: int, conv: Convention) -> ExactValue:
-    # B (= C): product of unit-sphere volumes S^0 ... S^(n-1);
-    # A: extra sqrt(2) per off-diagonal entry, 2^(n(n-1)/4) in total.
-    if n == 0:
-        return ONE
-    out = ONE
-    for k in range(1, n + 1):
-        out = out * sphere_volume(k - 1)
+# Integer powers of two go into the Gamma powers as Gamma(3) = 2, keyed 6,
+# so that they join the one big product instead of multiplying it afterwards.
+
+
+def _unitary(n: int, conv: Convention) -> tuple[ExactValue, Counter]:
+    # a_X * 2^n * pi^(n(n+1)/2) / (Gamma(1) Gamma(2) ... Gamma(n))
+    powers = Counter({2 * k: -1 for k in range(1, n + 1)})
+    powers[6] += n + (n * (n - 1) // 2 if conv is Convention.A else 0)
+    scale = exact_sqrt(Fraction(1, 2**n)) if conv is Convention.C else ONE
+    return scale * ExactValue(1, Fraction(1), 1, n * (n + 1)), powers
+
+
+def _orthogonal(n: int, conv: Convention) -> tuple[ExactValue, Counter]:
+    # B (= C): product of unit-sphere volumes S^0 ... S^(n-1), each
+    # 2 pi^(k/2) / Gamma(k/2); A: extra sqrt(2) per off-diagonal entry,
+    # 2^(n(n-1)/4) in total.
+    powers = Counter({k: -1 for k in range(1, n + 1)})
+    powers[6] += n
+    prefactor = ExactValue(1, Fraction(1), 1, n * (n + 1) // 2)
     if conv is Convention.A:
-        out = out * exact_sqrt(Fraction(2) ** (n * (n - 1) // 2))
-    return out
+        prefactor = prefactor * exact_sqrt(Fraction(2) ** (n * (n - 1) // 2))
+    return prefactor, powers
+
+
+def _divide(top, bottom, times: int = 1) -> tuple[ExactValue, Counter]:
+    """(prefactor, powers) of top / bottom^times, for pairs of that form."""
+    (prefactor, powers), (low, low_powers) = top, bottom
+    powers.subtract({m: times * k for m, k in low_powers.items()})
+    return prefactor / low.pow_int(times), powers
+
+
+def volume_factors(spec: CosetSpec, conv: Convention = Convention.A) -> tuple[ExactValue, Counter]:
+    """Volume of any group or coset family as ``(prefactor, powers)``.
+
+    The volume is ``prefactor * gamma_product(powers)``.  Callers that
+    multiply or divide volumes by other Gamma products merge the powers
+    first, so the big factorial products are evaluated once.
+    """
+    n, family = spec.n, spec.family
+    if family is Family.UNITARY:
+        return _unitary(n, conv)
+    if family is Family.SPECIAL_UNITARY:
+        # SU(N) is not U(N)/U(1): the determinant constraint stretches the
+        # quotient by sqrt(N).
+        prefactor, powers = _divide(_unitary(n, conv), _unitary(1, conv))
+        return exact_sqrt(n) * prefactor, powers
+    if family is Family.ORTHOGONAL:
+        return _orthogonal(n, conv)
+    if family is Family.SPECIAL_ORTHOGONAL:
+        prefactor, powers = _orthogonal(n, conv)
+        return prefactor / 2, powers
+    if family is Family.COMPLEX_PROJECTIVE:
+        powers = Counter({2 * n + 2: -1})
+        if conv is Convention.A:
+            powers[6] += n
+        return ExactValue(1, Fraction(1), 1, 2 * n), powers
+    if family is Family.REAL_PROJECTIVE:
+        # O(k+1) / (O(1) x O(k)); under B this is Vol(S^k)/2.
+        prefactor, powers = _divide(_orthogonal(n + 1, conv), _orthogonal(n, conv))
+        return prefactor / 2, powers
+    if family is Family.COMPLEX_FLAG:
+        # U(N) / U(1)^N; sizes 0 and 1 both give volume 1.
+        return _divide(_unitary(n, conv), _unitary(1, conv), n)
+    # REAL_FLAG: O(N) / O(1)^N with Vol[O(1)] = 2.
+    return _divide(_orthogonal(n, conv), _orthogonal(1, conv), n)
 
 
 def vol_group(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
     """Exact volume of U(N), SU(N), O(N) or SO(N) under the given convention."""
-    n = spec.n
-    if spec.family is Family.UNITARY:
-        return _vol_unitary(n, conv)
-    if spec.family is Family.SPECIAL_UNITARY:
-        # SU(N) is not U(N)/U(1): the determinant constraint stretches the
-        # quotient by sqrt(N).
-        return exact_sqrt(n) * _vol_unitary(n, conv) / _vol_unitary(1, conv)
-    if spec.family is Family.ORTHOGONAL:
-        return _vol_orthogonal(n, conv)
-    if spec.family is Family.SPECIAL_ORTHOGONAL:
-        return _vol_orthogonal(n, conv) / 2
-    raise ValueError(f"{spec.family.value} is not a group family; use vol_coset")
+    if spec.family not in _GROUP_FAMILIES:
+        raise ValueError(f"{spec.family.value} is not a group family; use vol_coset")
+    prefactor, powers = volume_factors(spec, conv)
+    return prefactor * gamma_product(powers)
 
 
 def vol_coset(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
     """Exact volume of CP^k, RP^k, or a complex/real flag manifold."""
-    n = spec.n
-    if spec.family is Family.COMPLEX_PROJECTIVE:
-        scale = from_rational(2**n) if conv is Convention.A else ONE
-        return scale * ExactValue(1, Fraction(1), 1, 2 * n) / gamma_exact(n + 1)
-    if spec.family is Family.REAL_PROJECTIVE:
-        # O(k+1) / (O(1) x O(k)); under B this is Vol(S^k)/2.
-        return _vol_orthogonal(n + 1, conv) / (2 * _vol_orthogonal(n, conv))
-    if spec.family is Family.COMPLEX_FLAG:
-        # U(N) / U(1)^N; sizes 0 and 1 both give volume 1.
-        return _vol_unitary(n, conv) / _vol_unitary(1, conv).pow_int(n)
-    if spec.family is Family.REAL_FLAG:
-        # O(N) / O(1)^N with Vol[O(1)] = 2.
-        return _vol_orthogonal(n, conv) / from_rational(2**n)
-    raise ValueError(f"{spec.family.value} is a group family; use vol_group")
+    if spec.family in _GROUP_FAMILIES:
+        raise ValueError(f"{spec.family.value} is a group family; use vol_group")
+    prefactor, powers = volume_factors(spec, conv)
+    return prefactor * gamma_product(powers)

@@ -17,13 +17,22 @@ simplices, diamonds and spheres.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .constants import EnsembleParams, c_norm
-from .exactnum import ExactValue, PI, exact_sqrt, from_rational, gamma_exact
-from .groups import Convention, CosetSpec, Family, ball_volume, sphere_volume, vol_coset
+from .constants import EnsembleParams, c_norm_powers
+from .exactnum import ExactValue, PI, exact_sqrt, from_rational, gamma_product
+from .groups import (
+    Convention,
+    CosetSpec,
+    Family,
+    ball_volume,
+    ball_volume_log10,
+    sphere_volume,
+    volume_factors,
+)
 
 __all__ = [
     "StateSpace",
@@ -65,14 +74,15 @@ def vol_mixed(space: StateSpace) -> ExactValue:
     """Exact HS volume of the state space."""
     n = space.n
     if space.field == COMPLEX:
-        # sqrt(N) (2 pi)^(N(N-1)/2) Gamma(1)...Gamma(N) / Gamma(N^2)
-        out = exact_sqrt(n) * (2 * PI).pow_int(n * (n - 1) // 2)
-        for j in range(1, n + 1):
-            out = out * gamma_exact(j)
-        return out / gamma_exact(n * n)
-    # sqrt(N)/N! * Vol_A[real flag] / C_N^(1,1)
-    flag = vol_coset(CosetSpec(Family.REAL_FLAG, n), Convention.A)
-    return exact_sqrt(n) * flag / (factorial(n) * c_norm(EnsembleParams(n, Fraction(1), 1)))
+        # sqrt(N) (2 pi)^(N(N-1)/2) Gamma(1)...Gamma(N) / Gamma(N^2), with the
+        # power of two taken in as Gamma(3) = 2
+        half = n * (n - 1) // 2
+        powers = Counter({2 * j: 1 for j in range(1, n + 1)})
+        powers[2 * n * n] -= 1
+        powers[6] += half
+        return exact_sqrt(n) * PI.pow_int(half) * gamma_product(powers)
+    # sqrt(N)/N! * Vol_A[real flag] / C_N^(1,1): the order-0 edge
+    return vol_edge(space, 0)
 
 
 def vol_edge(space: StateSpace, k: int) -> ExactValue:
@@ -88,11 +98,14 @@ def vol_edge(space: StateSpace, k: int) -> ExactValue:
         flag_family, alpha, beta = Family.COMPLEX_FLAG, Fraction(1 + 2 * k), 2
     else:
         flag_family, alpha, beta = Family.REAL_FLAG, Fraction(1 + k), 1
-    flag_ratio = vol_coset(CosetSpec(flag_family, n), Convention.A) / vol_coset(
-        CosetSpec(flag_family, k), Convention.A
-    )
-    norm = c_norm(EnsembleParams(n - k, alpha, beta))
-    return exact_sqrt(n - k) * flag_ratio / (factorial(n - k) * norm)
+    # sqrt(N-k)/(N-k)! * Vol_A[Fl(N)]/Vol_A[Fl(k)] / C_(N-k)^(alpha, beta),
+    # with every Gamma factor merged into one product
+    top, powers = volume_factors(CosetSpec(flag_family, n), Convention.A)
+    bottom, bottom_powers = volume_factors(CosetSpec(flag_family, k), Convention.A)
+    powers.subtract(bottom_powers)
+    powers.subtract(c_norm_powers(EnsembleParams(n - k, alpha, beta)))
+    powers[2 * (n - k) + 2] -= 1  # (N-k)! = Gamma(N-k+1)
+    return exact_sqrt(n - k) * top / bottom * gamma_product(powers)
 
 
 @dataclass(frozen=True)
@@ -133,8 +146,10 @@ def geometry(space: StateSpace) -> GeometrySummary:
     n, d = space.n, space.dim
     circum = exact_sqrt(Fraction(n - 1, n))
     inscribed = circum / (n - 1)
-    log_rho = (vol_mixed(space).log10() - ball_volume(d).log10()) / d
-    gamma = vol_edge(space, 1) / vol_mixed(space)
+    log_rho = (vol_mixed(space).log10() - ball_volume_log10(d)) / d
+    # Every boundary point lies on a hyperplane tangent to the insphere, so
+    # the boundary area is D/r times the volume (Zyczkowski & Sommers 2003).
+    gamma = d / inscribed
     chi1_log10 = d * (inscribed.log10() - log_rho)
     chi2_log10 = d * (log_rho - circum.log10())
     return GeometrySummary(

@@ -118,6 +118,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().startswith(",".join(cli.COLUMNS))
 
 
+def test_rejected_sample_keeps_out_file(tmp_path, capsys):
+    target = tmp_path / "samples.jsonl"
+    target.write_text("earlier samples\n")
+    code, out = run_cli(capsys, "sample", "--n", "1", "--out", str(target))
+    assert code == 2
+    assert target.read_text() == "earlier samples\n"
+
+
 def test_sample_jsonl_schema(capsys):
     code, out = run_cli(capsys, "sample", "--n", "3", "--samples", "4", "--seed", "5")
     assert code == 0

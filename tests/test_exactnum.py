@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsgeom.exactnum import (
+    _squarefree,
     ExactValue,
     ONE,
     PI,
@@ -94,6 +95,27 @@ def test_gamma_domain_errors():
     for bad in (0, -1, Fraction(-1, 2), Fraction(1, 3)):
         with pytest.raises(ValueError):
             gamma_exact(bad)
+
+
+def _squarefree_by_trial_division(n):
+    s, r = 1, 1
+    d = 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            s *= d
+        if n % d == 0:
+            n //= d
+            r *= d
+        d += 1
+    return s, r * n
+
+
+def test_squarefree_strips_powers_of_two_like_trial_division():
+    for k in range(301):
+        for m in (1, 3, 9, 15, 45, 49, 105, 36481, 2 * 3 * 5 * 7 * 11):
+            assert _squarefree(2**k * m) == _squarefree_by_trial_division(2**k * m), (k, m)
+    assert exact_sqrt(Fraction(36481, 2**36480)) == ExactValue(1, Fraction(191, 2**18240), 1, 0)
 
 
 def test_to_float_linear():

@@ -1,0 +1,173 @@
+"""One-shot Gamma products against the per-factor loops they replaced.
+
+The reference functions below multiply one exact Gamma value at a time into
+the result, as the closed forms are written, with their own factorial-based
+Gamma.  The library evaluates each closed form as a single ``gamma_product``
+over merged prime exponents; both routes must agree field by field.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hsgeom.constants import EnsembleParams, c_norm, laguerre_integral
+from hsgeom.exactnum import ONE, PI, ExactValue, exact_sqrt, from_rational, gamma_product
+from hsgeom.groups import _GROUP_FAMILIES, Convention, CosetSpec, Family, vol_coset, vol_group
+from hsgeom.mixedstates import StateSpace, vol_edge, vol_mixed
+
+# -- reference: one Gamma factor at a time --------------------------------------
+
+
+def _gamma(x) -> ExactValue:
+    """Gamma(n) = (n-1)!;  Gamma(k + 1/2) = (2k)!/(4^k k!) * sqrt(pi)."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return from_rational(math.factorial(x.numerator - 1))
+    k = (x.numerator - 1) // 2
+    return ExactValue(1, Fraction(math.factorial(2 * k), 4**k * math.factorial(k)), 1, 1)
+
+
+def _laguerre(n, alpha, beta):
+    beta = Fraction(beta)
+    out = ONE
+    for j in range(1, n + 1):
+        out = out * _gamma(1 + j * beta / 2) * _gamma(alpha + (j - 1) * beta / 2)
+    return out / _gamma(1 + beta / 2).pow_int(n)
+
+
+def _c_norm(n, alpha, beta):
+    return _gamma(alpha * n + Fraction(beta * n * (n - 1), 2)) / _laguerre(n, alpha, beta)
+
+
+def _sphere(k):
+    return 2 * ExactValue(1, Fraction(1), 1, k + 1) / _gamma(Fraction(k + 1, 2))
+
+
+def _unitary(n, conv):
+    if n == 0:
+        return ONE
+    if conv is Convention.A:
+        scale = from_rational(Fraction(2) ** (n * (n - 1) // 2))
+    elif conv is Convention.B:
+        scale = ONE
+    else:
+        scale = exact_sqrt(Fraction(1, 2**n))
+    out = scale * (2**n) * ExactValue(1, Fraction(1), 1, n * (n + 1))
+    for k in range(n):
+        out = out / _gamma(k + 1)
+    return out
+
+
+def _orthogonal(n, conv):
+    out = ONE
+    for k in range(1, n + 1):
+        out = out * _sphere(k - 1)
+    if conv is Convention.A:
+        out = out * exact_sqrt(Fraction(2) ** (n * (n - 1) // 2))
+    return out
+
+
+def _group(family, n, conv):
+    if family is Family.UNITARY:
+        return _unitary(n, conv)
+    if family is Family.SPECIAL_UNITARY:
+        return exact_sqrt(n) * _unitary(n, conv) / _unitary(1, conv)
+    if family is Family.ORTHOGONAL:
+        return _orthogonal(n, conv)
+    if family is Family.SPECIAL_ORTHOGONAL:
+        return _orthogonal(n, conv) / 2
+    if family is Family.COMPLEX_PROJECTIVE:
+        scale = from_rational(2**n) if conv is Convention.A else ONE
+        return scale * ExactValue(1, Fraction(1), 1, 2 * n) / _gamma(n + 1)
+    if family is Family.REAL_PROJECTIVE:
+        return _orthogonal(n + 1, conv) / (2 * _orthogonal(n, conv))
+    if family is Family.COMPLEX_FLAG:
+        return _unitary(n, conv) / _unitary(1, conv).pow_int(n)
+    return _orthogonal(n, conv) / from_rational(2**n)
+
+
+def _vol_mixed(n, field):
+    if field == "complex":
+        out = exact_sqrt(n) * (2 * PI).pow_int(n * (n - 1) // 2)
+        for j in range(1, n + 1):
+            out = out * _gamma(j)
+        return out / _gamma(n * n)
+    flag = _group(Family.REAL_FLAG, n, Convention.A)
+    return exact_sqrt(n) * flag / (math.factorial(n) * _c_norm(n, Fraction(1), 1))
+
+
+def _vol_edge(n, field, k):
+    if field == "complex":
+        family, alpha, beta = Family.COMPLEX_FLAG, Fraction(1 + 2 * k), 2
+    else:
+        family, alpha, beta = Family.REAL_FLAG, Fraction(1 + k), 1
+    flag_ratio = _group(family, n, Convention.A) / _group(family, k, Convention.A)
+    return exact_sqrt(n - k) * flag_ratio / (math.factorial(n - k) * _c_norm(n - k, alpha, beta))
+
+
+# -- gamma_product itself -------------------------------------------------------
+
+_powers = st.dictionaries(st.integers(1, 120), st.integers(-3, 3), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_powers)
+def test_gamma_product_matches_per_factor_product(powers):
+    # keys are doubled arguments: Gamma(m/2) for m = 1..120, arguments <= 60
+    expected = ONE
+    for m, k in powers.items():
+        expected = expected * _gamma(Fraction(m, 2)).pow_int(k)
+    assert gamma_product(powers) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_powers)
+def test_gamma_product_of_negated_powers_is_the_inverse(powers):
+    assert gamma_product(powers) * gamma_product({m: -k for m, k in powers.items()}) == ONE
+
+
+def test_gamma_product_edge_maps():
+    assert gamma_product({}) == ONE
+    assert gamma_product({7: 0, 1: 0}) == ONE
+    assert gamma_product({2: 5, 4: -3}) == ONE  # Gamma(1) = Gamma(2) = 1
+    assert gamma_product({5: 2, 8: -1}) == _gamma(Fraction(5, 2)) ** 2 / 6
+    assert gamma_product({1: 2}) == PI
+    assert gamma_product({6: 3, 1: -1}) == 8 / _gamma(Fraction(1, 2))
+
+
+def test_gamma_product_rejects_bad_keys():
+    for bad in ({0: 1}, {-3: 1}, {Fraction(5, 2): 1}, {2.0: 1}, {3: Fraction(1, 2)}):
+        with pytest.raises(ValueError):
+            gamma_product(bad)
+
+
+# -- every closed form that now calls it once -----------------------------------
+
+
+@pytest.mark.parametrize("n", [50, 120])
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_volume_and_edges_match_per_factor_loops(n, field):
+    assert vol_mixed(StateSpace(n, field)) == _vol_mixed(n, field)
+    for k in (1, n - 1):
+        assert vol_edge(StateSpace(n, field), k) == _vol_edge(n, field, k)
+
+
+@pytest.mark.parametrize("n", [50, 120])
+@pytest.mark.parametrize(
+    "alpha,beta", [(Fraction(1), 2), (Fraction(3, 2), 2), (Fraction(1), 1), (Fraction(1, 2), 1)]
+)
+def test_c_norm_matches_per_factor_loop(n, alpha, beta):
+    params = EnsembleParams(n, alpha, beta)
+    assert laguerre_integral(params) == _laguerre(n, alpha, beta)
+    assert c_norm(params) == _c_norm(n, alpha, beta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 30])
+@pytest.mark.parametrize("conv", list(Convention))
+@pytest.mark.parametrize("family", list(Family))
+def test_group_volumes_match_per_factor_loops(family, n, conv):
+    volume = vol_group if family in _GROUP_FAMILIES else vol_coset
+    assert volume(CosetSpec(family, n), conv) == _group(family, n, conv)

@@ -159,6 +159,15 @@ def test_gamma_is_dimension_over_inradius(n, field):
         )
 
 
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_gamma_is_boundary_over_volume(field):
+    # geometry takes gamma = D/r from the insphere; the boundary hyperarea
+    # over the volume is the independent route
+    for n in range(2, 41):
+        space = StateSpace(n, field)
+        assert geometry(space).gamma == vol_edge(space, 1) / vol_mixed(space), n
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_radii_are_ordered(n):
     g = geometry(StateSpace(n))
