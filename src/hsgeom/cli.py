@@ -127,7 +127,11 @@ def _cmd_constants(args):
             _record("c_norm", exact=constants.c_norm(params), **base),
         ]
     log_c = constants.log_c_norm(args.n, float(alpha), float(beta))
-    return [_record("c_norm", value=math.exp(log_c), log10=log_c / _LN10, **base)]
+    try:
+        value = math.exp(log_c)
+    except OverflowError:
+        value = None  # past the double range; log10 still carries the value
+    return [_record("c_norm", value=value, log10=log_c / _LN10, **base)]
 
 
 def _draw_samples(args):

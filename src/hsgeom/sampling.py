@@ -49,11 +49,29 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _ginibre(n: int, field: str, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Gaussian draws X whose Gram matrices X^dag X are the unnormalized states."""
     if field == "complex":
         return rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
     if field == "real":
-        return rng.standard_normal((size, n, n + 1))
+        # X^T X = A A^T for the N x (N+1) matrix A
+        return rng.standard_normal((size, n, n + 1)).swapaxes(1, 2)
     raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
+
+
+def _normalized_gram(n: int, draw, size: int) -> np.ndarray:
+    """X^dag X / tr(X^dag X) for ``size`` draws X = draw(count)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    x = draw(size)
+    w = np.einsum("sji,sjk->sik", x.conj(), x)
+    tr = np.einsum("sii->s", w).real
+    # tr == 0 has probability zero; redraw defensively if it ever happens.
+    while np.any(tr == 0):
+        bad = np.flatnonzero(tr == 0)
+        x = draw(bad.size)
+        w[bad] = np.einsum("sji,sjk->sik", x.conj(), x)
+        tr = np.einsum("sii->s", w).real
+    return w / tr[:, None, None]
 
 
 def sample_hs_batch(n: int, field: str, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -66,24 +84,7 @@ def sample_hs_batch(n: int, field: str, rng: np.random.Generator, size: int) -> 
     rng : generator from ``make_rng`` (or any numpy Generator).
     size : number of samples.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    a = _ginibre(n, field, rng, size)
-    if field == "complex":
-        w = np.einsum("sji,sjk->sik", a.conj(), a)
-    else:
-        w = np.einsum("sij,skj->sik", a, a)
-    tr = np.einsum("sii->s", w).real
-    # tr == 0 has probability zero; redraw defensively if it ever happens.
-    while np.any(tr == 0):
-        bad = np.flatnonzero(tr == 0)
-        a = _ginibre(n, field, rng, bad.size)
-        if field == "complex":
-            w[bad] = np.einsum("sji,sjk->sik", a.conj(), a)
-        else:
-            w[bad] = np.einsum("sij,skj->sik", a, a)
-        tr = np.einsum("sii->s", w).real
-    return w / tr[:, None, None]
+    return _normalized_gram(n, lambda count: _ginibre(n, field, rng, count), size)
 
 
 def sample_hs_density(n: int, field: str = "complex", rng: np.random.Generator | None = None) -> np.ndarray:
@@ -95,19 +96,13 @@ def sample_hs_density(n: int, field: str = "complex", rng: np.random.Generator |
 
 def sample_pure_partial_trace_batch(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """HS samples via partial trace of random pure states of an n x n system."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    # A Haar-random unit vector in C^(n^2), reshaped to n x n; the norm
-    # cancels in the trace division so the Gaussian need not be normalized.
-    c = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
-    w = np.einsum("sij,skj->sik", c, c.conj())
-    tr = np.einsum("sii->s", w).real
-    while np.any(tr == 0):
-        bad = np.flatnonzero(tr == 0)
-        c = rng.standard_normal((bad.size, n, n)) + 1j * rng.standard_normal((bad.size, n, n))
-        w[bad] = np.einsum("sij,skj->sik", c, c.conj())
-        tr = np.einsum("sii->s", w).real
-    return w / tr[:, None, None]
+    # A Haar-random unit vector in C^(n^2), reshaped to an n x n matrix C; the
+    # norm cancels in the trace division so the Gaussian need not be
+    # normalized.  Tracing out the second factor gives C C^dag, the Gram
+    # matrix of X = C^dag.
+    return _normalized_gram(
+        n, lambda count: _ginibre(n, "complex", rng, count).conj().swapaxes(1, 2), size
+    )
 
 
 def sample_pure_partial_trace(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from mpmath import mp
@@ -141,6 +142,54 @@ def mc_purity(
     return _chunked_mean(chunk, n_samples, seed, chunks, workers)
 
 
+# Draws per block of the positivity test: the block's matrix entries and the
+# elimination's temporaries stay within a 2 MB L2 cache up to n = 5.
+_STATE_TEST_BLOCK = 4096
+
+
+def _is_state(tau: np.ndarray) -> np.ndarray:
+    """Which rows of ``tau`` (shape (size, n^2 - 1)) are coherence vectors of states.
+
+    A row is a hit iff I/n + sum_i tau_i b_i + POSITIVITY_TOL * I is positive
+    definite, i.e. iff its smallest eigenvalue is > -POSITIVITY_TOL.  That
+    holds iff every pivot of the LDL^H (Schur-complement) elimination is
+    positive, which costs no eigensolver.  One real GEMM maps a block of
+    draws to the real and imaginary parts of the matrix entries, one
+    contiguous row per entry, and the elimination runs across the draws.
+    """
+    size, d = tau.shape
+    n = math.isqrt(d + 1)
+    basis = gell_mann_basis(n).reshape(d, n * n)
+    entries = np.concatenate([basis.real.T, basis.imag.T])  # (2 n^2, d)
+    diag = np.arange(n)
+    hits = np.ones(size, dtype=bool)
+    for start in range(0, size, _STATE_TEST_BLOCK):
+        block = tau[start : start + _STATE_TEST_BLOCK]
+        re, im = (entries @ block.T).reshape(2, n, n, len(block))
+        re[diag, diag] += 1.0 / n + POSITIVITY_TOL
+        ok = hits[start : start + len(block)]
+        # a draw whose pivot is <= 0 is already a miss, so a zero division or
+        # overflow in its later, discarded pivots is harmless
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for p in range(n):
+                ok &= re[p, p] > 0
+                # A[j,k] -= conj(A[p,j]) A[p,k] / A[p,p] on the trailing block
+                yr, yi = re[p, p + 1 :], im[p, p + 1 :]
+                xr, xi = yr / re[p, p], yi / re[p, p]
+                re[p + 1 :, p + 1 :] -= xr[:, None] * yr + xi[:, None] * yi
+                im[p + 1 :, p + 1 :] -= xr[:, None] * yi - xi[:, None] * yr
+    return hits
+
+
+def _hit_or_miss_chunk(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """1.0 for each of ``size`` uniform points of the radius-R_N ball that is a state, else 0.0."""
+    d = n * n - 1
+    g = rng.standard_normal((size, d))
+    u = rng.random(size)
+    g *= (math.sqrt((n - 1) / n) * u ** (1.0 / d) / np.linalg.norm(g, axis=1))[:, None]
+    return _is_state(g).astype(float)
+
+
 def mc_hit_or_miss_fraction(
     n: int,
     n_samples: int,
@@ -153,20 +202,9 @@ def mc_hit_or_miss_fraction(
     The expected value is the exact volume of the state space divided by the
     volume of that ball.
     """
-    d = n * n - 1
-    radius = math.sqrt((n - 1) / n)
-    basis = gell_mann_basis(n)
-    eye = np.eye(n) / n
-
-    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
-        g = rng.standard_normal((size, d))
-        u = rng.random(size)
-        scale = radius * u ** (1.0 / d) / np.linalg.norm(g, axis=1)
-        rho = eye + np.einsum("s,sd,dij->sij", scale, g, basis)
-        lowest = np.linalg.eigvalsh(rho)[:, 0]
-        return (lowest >= -POSITIVITY_TOL).astype(float)
-
-    return _chunked_mean(chunk, n_samples, seed, chunks, workers)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return _chunked_mean(partial(_hit_or_miss_chunk, n), n_samples, seed, chunks, workers)
 
 
 # -- spectral goodness of fit -------------------------------------------------
@@ -342,33 +380,40 @@ def run_suite(
     """Run one named suite (or 'all') and return its check reports."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
+
+    def samples_or(default: int) -> int:
+        # an explicit 0 must reach the estimators, which reject it
+        return default if n_samples is None else n_samples
+
     checks: list[dict] = []
     if suite in ("norm", "all"):
-        samples = n_samples or 1_000_000
+        samples = samples_or(1_000_000)
         if alpha is not None or beta is not None:
             if alpha is None or beta is None or n is None:
                 raise ValueError("norm suite with explicit parameters needs --n, --alpha and --beta")
             checks.append(check_norm_constant(n, alpha, beta, samples, seed, chunks, workers))
         else:
-            sizes = [n] if n else [1, 2, 3, 4]
+            sizes = [n] if n is not None else [1, 2, 3, 4]
             for size in sizes:
                 for a, b in _NORM_PARAMS:
                     checks.append(check_norm_constant(size, a, b, samples, seed, chunks, workers))
     if suite in ("purity", "all"):
-        samples = n_samples or 100_000
-        combos = [(n, field)] if n and field else _PURITY_COMBOS
+        samples = samples_or(100_000)
+        combos = [(n, field)] if n is not None and field is not None else _PURITY_COMBOS
         for size, fld in combos:
             checks.append(check_purity(size, fld, samples, seed, chunks, workers))
     if suite in ("spectral", "all"):
-        samples = n_samples or 100_000
-        combos = [(n, field)] if n and field else [(2, "complex"), (2, "real")]
+        samples = samples_or(100_000)
+        combos = [(2, "complex"), (2, "real")]
+        if n is not None and field is not None:
+            combos = [(n, field)]
         for size, fld in combos:
             checks.append(check_spectral(size, fld, samples, seed))
     if suite in ("hitmiss", "all"):
-        if n:
-            combos = [(n, n_samples or 100_000)]
+        if n is not None:
+            combos = [(n, samples_or(100_000))]
         else:
-            combos = [(2, n_samples or 100_000), (3, n_samples or 1_000_000)]
+            combos = [(2, samples_or(100_000)), (3, samples_or(1_000_000))]
         for size, samples in combos:
             checks.append(check_hit_or_miss(size, samples, seed, chunks, workers))
     return checks

@@ -89,6 +89,12 @@ def test_huge_values_stay_readable_via_log10(capsys):
     assert rec["float"] is None
     value = exactnum.parse(rec["exact"])
     assert value.log10() == rec["log10"] > 300
+    # the float-only path (non-exact alpha) past the double range
+    code, out = run_cli(capsys, "constants", "--n", "16", "--alpha", "1/3", "--format", "json")
+    assert code == 0
+    (rec,) = json.loads(out)
+    assert rec["exact"] is None and rec["float"] is None
+    assert rec["log10"] == pytest.approx(319.5235506190195, rel=1e-12)
 
 
 def test_float_only_constants_path(capsys):
@@ -288,6 +294,22 @@ def test_verify_byte_identical_across_workers(tmp_path, capsys):
         assert code == 0
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "hitmiss", "--n", "0"],
+        ["--suite", "norm", "--n", "0"],
+        ["--suite", "purity", "--samples", "0"],
+    ],
+)
+def test_verify_zero_arguments_exit_two(capsys, argv):
+    # 0 is an explicit value, not "use the default plan"
+    code = cli.main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 def test_domain_error_exits_two(capsys):

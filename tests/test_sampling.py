@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 from hsgeom.sampling import (
+    _normalized_gram,
     bloch_vector,
     density_from_bloch,
     eigvals_hermitian,
@@ -195,3 +196,19 @@ def test_is_positive():
     tau = np.zeros(3)
     tau[2] = math.sqrt(1 / 2)
     assert is_positive(density_from_bloch(tau, 2))
+
+
+def test_zero_trace_draws_are_redrawn():
+    # a zero Gram matrix has no trace to divide by; only those draws are redrawn
+    counts = []
+
+    def draw(count):
+        x = make_rng(7, len(counts)).standard_normal((count, 3, 2))
+        if not counts:
+            x[::2] = 0.0
+        counts.append(count)
+        return x
+
+    rho = _normalized_gram(2, draw, 6)
+    assert counts == [6, 3]
+    np.testing.assert_allclose(np.einsum("sii->s", rho), 1.0, rtol=1e-14)

@@ -9,9 +9,12 @@ from scipy import integrate
 from scipy.stats import chi2
 
 from hsgeom.constants import EnsembleParams, c_norm, log_c_norm
+from hsgeom.sampling import POSITIVITY_TOL, bloch_vector, gell_mann_basis, make_rng
 from hsgeom.verify import (
     MCEstimate,
     _chi2_sf,
+    _hit_or_miss_chunk,
+    _is_state,
     _max_eigenvalue_cdf_n3,
     check_hit_or_miss,
     check_norm_constant,
@@ -106,11 +109,70 @@ def test_hit_or_miss_n4():
     assert report["pass"]
 
 
+def _eigvalsh_hit_or_miss_chunk(n, rng, size):
+    """The eigensolver chunk the pivot test replaced: same draws, lambda_min >= -tol."""
+    d = n * n - 1
+    radius = math.sqrt((n - 1) / n)
+    g = rng.standard_normal((size, d))
+    u = rng.random(size)
+    scale = radius * u ** (1.0 / d) / np.linalg.norm(g, axis=1)
+    rho = np.eye(n) / n + np.einsum("s,sd,dij->sij", scale, g, gell_mann_basis(n))
+    lowest = np.linalg.eigvalsh(rho)[:, 0]
+    return (lowest >= -POSITIVITY_TOL).astype(float)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pivot_test_matches_eigensolver_draw_by_draw(n):
+    for seed in range(30):
+        new = _hit_or_miss_chunk(n, make_rng(seed, 1), 5_000)
+        reference = _eigvalsh_hit_or_miss_chunk(n, make_rng(seed, 1), 5_000)
+        np.testing.assert_array_equal(new, reference)
+
+
+def _state_with_spectrum(spectrum, rng):
+    """U diag(spectrum) U^dag for a Haar unitary U, as a coherence vector."""
+    n = len(spectrum)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return bloch_vector((u * np.asarray(spectrum, dtype=float)) @ u.conj().T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pivot_test_on_constructed_spectra(n):
+    rng = make_rng(40 + n)
+
+    def spectra(lowest, count):
+        # count eigenvalues at ``lowest``, the rest random, unit trace
+        rest = rng.random(n - count)
+        return [lowest] * count + list(rest * (1 - count * lowest) / rest.sum())
+
+    plan = [(0.0, count, True) for count in range(1, n)] * 5  # rank-deficient states
+    plan += [(-POSITIVITY_TOL / 2, 1, True)] * 10 + [(-2 * POSITIVITY_TOL, 1, False)] * 10
+    plan += [(-0.01, 1, False)] * 5
+    cases = [(spectra(lowest, count), hit) for lowest, count, hit in plan]
+    tau = np.array([_state_with_spectrum(spectrum, rng) for spectrum, _ in cases])
+    expected = np.array([hit for _, hit in cases])
+    np.testing.assert_array_equal(_is_state(tau), expected)
+
+
+def test_pivot_test_on_the_qubit_ball():
+    # for n = 2 the states are exactly the coherence vectors of norm <= 1/sqrt(2)
+    g = make_rng(50).standard_normal((10_000, 3))
+    directions = g / np.linalg.norm(g, axis=1)[:, None]
+    radii = np.linspace(0.0, 1.2, 10_000) / math.sqrt(2)
+    hits = _is_state(directions * radii[:, None])
+    np.testing.assert_array_equal(hits, radii <= 1 / math.sqrt(2))
+
+
 def test_estimates_identical_for_any_worker_count():
     runs = [
         mc_purity(2, "complex", 16_000, seed=10, chunks=8, workers=w) for w in (1, 2, 8)
     ]
     assert runs[0] == runs[1] == runs[2]
+    runs = [
+        mc_hit_or_miss_fraction(3, 16_000, seed=12, chunks=8, workers=w) for w in (1, 2, 8)
+    ]
+    assert runs[0] == runs[1] == runs[2] and runs[0].mean > 0
     runs = [
         mc_norm_constant(3, 1.0, 2.0, 16_000, seed=11, chunks=8, workers=w)
         for w in (1, 2, 8)
