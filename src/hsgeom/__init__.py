@@ -13,37 +13,11 @@ so exact queries never pay for it.
 
 import importlib
 
-from .exactnum import (
-    ExactValue,
-    ONE,
-    PI,
-    ZERO,
-    exact_sqrt,
-    from_rational,
-    gamma_exact,
-    gamma_product,
-    parse,
-)
-from .constants import EnsembleParams, c_norm, laguerre_integral, log_c_norm
-from .groups import (
-    Convention,
-    CosetSpec,
-    Family,
-    ball_volume,
-    sphere_volume,
-    vol_coset,
-    vol_group,
-)
-from .mixedstates import (
-    GeometrySummary,
-    ReferenceBody,
-    ReferenceKind,
-    StateSpace,
-    geometry,
-    reference_body,
-    vol_edge,
-    vol_mixed,
-)
+from . import constants, exactnum, groups, mixedstates
+from .constants import *
+from .exactnum import *
+from .groups import *
+from .mixedstates import *
 
 __version__ = "0.1.0"
 
@@ -78,34 +52,10 @@ _LAZY = {
 _LAZY_MODULES = ("sampling", "verify")
 
 __all__ = [
-    "ExactValue",
-    "ONE",
-    "PI",
-    "ZERO",
-    "exact_sqrt",
-    "from_rational",
-    "gamma_exact",
-    "gamma_product",
-    "parse",
-    "EnsembleParams",
-    "c_norm",
-    "laguerre_integral",
-    "log_c_norm",
-    "Convention",
-    "CosetSpec",
-    "Family",
-    "ball_volume",
-    "sphere_volume",
-    "vol_coset",
-    "vol_group",
-    "GeometrySummary",
-    "ReferenceBody",
-    "ReferenceKind",
-    "StateSpace",
-    "geometry",
-    "reference_body",
-    "vol_edge",
-    "vol_mixed",
+    *exactnum.__all__,
+    *constants.__all__,
+    *groups.__all__,
+    *mixedstates.__all__,
     *_LAZY,
     "exactnum",
     "constants",

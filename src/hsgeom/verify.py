@@ -259,14 +259,14 @@ def spectral_fit_test(
     """
     if bins < 5:
         raise ValueError(f"need at least 5 bins, got {bins}")
+    # built first: a pair with no reference marginal is refused before any draw
+    edges = _reference_edges(n, field, bins)
     rng = make_rng(seed)
     if sampler is None:
         spectra = np.linalg.eigvalsh(sample_hs_batch(n, field, rng, n_samples))
     else:
         spectra = np.asarray(sampler(rng, n_samples))
-    lam_max = spectra.max(axis=-1)
-    edges = _reference_edges(n, field, bins)
-    counts, _ = np.histogram(lam_max, bins=edges)
+    counts, _ = np.histogram(spectra.max(axis=-1), bins=edges)
     expected = n_samples / bins
     statistic = float(((counts - expected) ** 2 / expected).sum())
     return statistic, _chi2_sf(statistic, bins - 1)
@@ -299,11 +299,6 @@ def purity_oracle(n: int, field: str) -> Fraction:
     if field == "real":
         return Fraction(2 * n + 2, n * n + n + 2)
     raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
-
-
-_PURITY_COMBOS = ((2, "complex"), (2, "real"), (3, "complex"))
-
-SUITES = ("norm", "purity", "spectral", "hitmiss", "all")
 
 
 def _verdict(check: str, expected: float, est: MCEstimate) -> dict:
@@ -361,9 +356,36 @@ def check_spectral(n, field, n_samples, seed, bins=20) -> dict:
     }
 
 
-# Constants entering the exact volume and area formulas; the norm suite
-# covers each of them at every n up to 4.
-_NORM_PARAMS = ((1, 2), (3, 2), (1, 1), (2, 1))
+# Placeholders in the rows of the chunked checks, filled from run_suite's arguments.
+_POOL = {"chunks": None, "workers": None}
+
+# suite -> (check, default rows).  A row holds the check's arguments other
+# than the seed, with its default sample count.  The norm rows cover each
+# constant entering the exact volume and area formulas at every n up to 4.
+_PLANS = {
+    "norm": (
+        check_norm_constant,
+        [
+            {"n": n, "alpha": a, "beta": b, "n_samples": 1_000_000, **_POOL}
+            for n in (1, 2, 3, 4)
+            for a, b in ((1, 2), (3, 2), (1, 1), (2, 1))
+        ],
+    ),
+    "purity": (
+        check_purity,
+        [
+            {"n": n, "field": f, "n_samples": 100_000, **_POOL}
+            for n, f in ((2, "complex"), (2, "real"), (3, "complex"))
+        ],
+    ),
+    "spectral": (check_spectral, [{"n": 2, "field": f, "n_samples": 100_000} for f in ("complex", "real")]),
+    "hitmiss": (
+        check_hit_or_miss,
+        [{"n": 2, "n_samples": 100_000, **_POOL}, {"n": 3, "n_samples": 1_000_000, **_POOL}],
+    ),
+}
+
+SUITES = (*_PLANS, "all")
 
 
 def run_suite(
@@ -377,43 +399,28 @@ def run_suite(
     chunks: int = 10,
     workers: int = 1,
 ) -> list[dict]:
-    """Run one named suite (or 'all') and return its check reports."""
+    """Run one named suite (or 'all') and return its check reports.
+
+    Each given argument replaces that argument in every default row that
+    takes it; rows that then differ only in their sample count run once,
+    with the first row's count.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
-
-    def samples_or(default: int) -> int:
-        # an explicit 0 must reach the estimators, which reject it
-        return default if n_samples is None else n_samples
-
+    explicit_norm = suite in ("norm", "all") and (alpha is not None or beta is not None)
+    if explicit_norm and None in (n, alpha, beta):
+        raise ValueError("norm suite with explicit parameters needs --n, --alpha and --beta")
+    given = dict(
+        n=n, field=field, alpha=alpha, beta=beta, n_samples=n_samples, chunks=chunks, workers=workers
+    )
     checks: list[dict] = []
-    if suite in ("norm", "all"):
-        samples = samples_or(1_000_000)
-        if alpha is not None or beta is not None:
-            if alpha is None or beta is None or n is None:
-                raise ValueError("norm suite with explicit parameters needs --n, --alpha and --beta")
-            checks.append(check_norm_constant(n, alpha, beta, samples, seed, chunks, workers))
-        else:
-            sizes = [n] if n is not None else [1, 2, 3, 4]
-            for size in sizes:
-                for a, b in _NORM_PARAMS:
-                    checks.append(check_norm_constant(size, a, b, samples, seed, chunks, workers))
-    if suite in ("purity", "all"):
-        samples = samples_or(100_000)
-        combos = [(n, field)] if n is not None and field is not None else _PURITY_COMBOS
-        for size, fld in combos:
-            checks.append(check_purity(size, fld, samples, seed, chunks, workers))
-    if suite in ("spectral", "all"):
-        samples = samples_or(100_000)
-        combos = [(2, "complex"), (2, "real")]
-        if n is not None and field is not None:
-            combos = [(n, field)]
-        for size, fld in combos:
-            checks.append(check_spectral(size, fld, samples, seed))
-    if suite in ("hitmiss", "all"):
-        if n is not None:
-            combos = [(n, samples_or(100_000))]
-        else:
-            combos = [(2, samples_or(100_000)), (3, samples_or(1_000_000))]
-        for size, samples in combos:
-            checks.append(check_hit_or_miss(size, samples, seed, chunks, workers))
+    for name, (check, rows) in _PLANS.items():
+        if suite not in (name, "all"):
+            continue
+        plan: dict[tuple, dict] = {}
+        for row in rows:
+            # "is None", not falsiness: an explicit 0 must reach the estimators
+            row = {k: v if given[k] is None else given[k] for k, v in row.items()}
+            plan.setdefault(tuple((k, v) for k, v in row.items() if k != "n_samples"), row)
+        checks += [check(**row, seed=seed) for row in plan.values()]
     return checks

@@ -273,6 +273,9 @@ def test_lazy_package_names_resolve():
         "exec('from hsgeom import *', ns)\n"
         "assert ns['mc_purity'] is verify.mc_purity and ns['vol_mixed'] is hsgeom.vol_mixed\n"
         "assert {'sampling', 'verify', 'exactnum'} <= set(ns) and set(hsgeom.__all__) <= set(dir(hsgeom))\n"
+        "exact = [hsgeom.exactnum, hsgeom.constants, hsgeom.groups, hsgeom.mixedstates]\n"
+        "assert {name for module in exact for name in module.__all__} <= set(hsgeom.__all__)\n"
+        "assert len(hsgeom.__all__) == len(set(hsgeom.__all__))\n"
         "try:\n"
         "    hsgeom.no_such_name\n"
         "except AttributeError:\n"

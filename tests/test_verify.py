@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.stats import chi2
 
 from hsgeom.constants import EnsembleParams, c_norm, log_c_norm
+from hsgeom import verify
 from hsgeom.sampling import POSITIVITY_TOL, bloch_vector, gell_mann_basis, make_rng
 from hsgeom.verify import (
     MCEstimate,
@@ -261,6 +262,15 @@ def test_spectral_fit_validation():
         spectral_fit_test(5, "complex", 1000, 10, seed=0)
 
 
+def test_spectral_fit_refuses_unsupported_pair_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampler reached for a pair with no reference marginal")
+
+    monkeypatch.setattr(verify, "sample_hs_batch", no_draws)
+    with pytest.raises(ValueError, match="no reference spectral marginal"):
+        spectral_fit_test(3, "real", 10**9, 20, seed=0)
+
+
 def test_check_reports_shape():
     report = check_purity(2, "complex", 20_000, seed=15)
     assert set(report) == {"check", "expected", "estimate", "stderr", "sigmas", "pass"}
@@ -289,6 +299,40 @@ def test_verdict_refuses_vacuous_pass():
 
 
 def test_run_suite_composition():
+    def names(checks):
+        return [c["check"] for c in checks]
+
+    norm = [
+        f"norm/n={n}/alpha={a}/beta={b}/samples=1000/seed=0"
+        for n in (1, 2, 3, 4)
+        for a, b in ((1, 2), (3, 2), (1, 1), (2, 1))
+    ]
+    hitmiss = [f"hitmiss/n={n}/samples=1000/seed=0" for n in (2, 3)]
+    assert names(run_suite("all", n_samples=1000)) == [
+        *norm,
+        *(f"purity/n={n}/{f}/samples=1000/seed=0" for n, f in ((2, "complex"), (2, "real"), (3, "complex"))),
+        *(f"spectral/n=2/{f}/samples=1000/bins=20/seed=0" for f in ("complex", "real")),
+        *hitmiss,
+    ]
+    # a given argument replaces it in every default row; equal rows run once
+    assert names(run_suite("purity", n=7, n_samples=1000)) == [
+        "purity/n=7/complex/samples=1000/seed=0",
+        "purity/n=7/real/samples=1000/seed=0",
+    ]
+    assert names(run_suite("spectral", field="real", n_samples=1000)) == [
+        "spectral/n=2/real/samples=1000/bins=20/seed=0"
+    ]
+    assert names(run_suite("all", field="real", n_samples=1000)) == [
+        *norm,
+        "purity/n=2/real/samples=1000/seed=0",
+        "purity/n=3/real/samples=1000/seed=0",
+        "spectral/n=2/real/samples=1000/bins=20/seed=0",
+        *hitmiss,
+    ]
+    # the collapsed n=3 rows keep the first row's sample count
+    assert names(run_suite("hitmiss", n=3)) == ["hitmiss/n=3/samples=100000/seed=0"]
+    with pytest.raises(ValueError, match="no reference spectral marginal"):
+        run_suite("spectral", n=3, n_samples=1000)
     checks = run_suite("purity", n=2, field="complex", n_samples=20_000, seed=19)
     assert len(checks) == 1 and checks[0]["check"].startswith("purity/n=2/complex")
     checks = run_suite("norm", n=2, n_samples=20_000, seed=20)
