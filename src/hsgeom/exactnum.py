@@ -11,6 +11,12 @@ which is closed under multiplication and division.  Addition of unlike
 radicals is deliberately not supported; no formula here needs it, and
 omitting it keeps the canonical form unique so equality is field-by-field
 comparison.
+
+Floats and log10 values are computed in the standard library's ``decimal``
+module, in the private context ``_CTX``: 40 significant digits, far below a
+double's rounding, and an exponent range wide enough that no intermediate
+overflows or underflows.  Every operation goes through that context, so
+the caller's ``decimal.getcontext()`` never changes a result.
 """
 
 from __future__ import annotations
@@ -19,10 +25,18 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+)
 from fractions import Fraction
 from itertools import compress
-
-from mpmath import mp
 
 __all__ = [
     "ExactValue",
@@ -36,9 +50,38 @@ __all__ = [
     "parse",
 ]
 
-# mpmath working precision (bits) for float conversion; generous margin over
-# the 53 bits of a double so the rounded result is the nearest double.
-_CONVERT_PREC = 96
+# Context of every float and log10 conversion.  40 digits leave a wide
+# margin over a double's 17, so the final rounding gives the nearest double;
+# the exponent range holds any value q * sqrt(r) * pi^(p/2) met here.
+_CTX = Context(
+    prec=40,
+    rounding=ROUND_HALF_EVEN,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+_SQRT_PI = _CTX.sqrt(_PI)
+_LN10 = _CTX.ln(10)
+_HALF_LOG10_PI = _CTX.divide(_CTX.log10(_PI), 2)
+# Numerator and denominator are cut to their top bits before they become
+# Decimals, a conversion quadratic in the digits; the cut errs by < 2^-191.
+_TOP_BITS = 192
+
+
+def _ln(x: Decimal) -> Decimal:
+    """Natural log of a positive Decimal in ``_CTX``, at about half the cost of ``_CTX.ln``.
+
+    With x = m * 10^e and m in [1, 10), the double y = -log(m) is within
+    about 1e-16 of -ln m, so m * exp(y) = 1 + eps with |eps| < 1e-15, and
+    ln m = eps - eps^2/2 + eps^3/3 - ... - y needs no term past eps^2.
+    """
+    e = x.adjusted()
+    m = x.scaleb(-e, _CTX)
+    y = Decimal(repr(-math.log(float(m))))
+    eps = _CTX.subtract(_CTX.multiply(m, _CTX.exp(y)), 1)
+    ln_m = _CTX.subtract(_CTX.subtract(eps, _CTX.divide(_CTX.multiply(eps, eps), 2)), y)
+    return _CTX.add(ln_m, _CTX.multiply(e, _LN10))
 
 
 def _squarefree(n: int) -> tuple[int, int]:
@@ -172,36 +215,50 @@ class ExactValue:
 
     # -- conversion ---------------------------------------------------------
 
-    def _mpf(self):
-        v = mp.mpf(self.q.numerator) / mp.mpf(self.q.denominator)
+    def _magnitude(self) -> Decimal:
+        """q * sqrt(r) in ``_CTX``, from the top bits of numerator and denominator."""
+        num, den = self.q.numerator, self.q.denominator
+        a = max(num.bit_length() - _TOP_BITS, 0)
+        b = max(den.bit_length() - _TOP_BITS, 0)
+        m = _CTX.divide(num >> a, den >> b)
+        if a != b:
+            m = _CTX.multiply(m, _CTX.power(2, a - b))
         if self.r != 1:
-            v *= mp.sqrt(self.r)
-        if self.p:
-            v *= mp.power(mp.pi, mp.mpf(self.p) / 2)
-        return self.sign * v
+            m = _CTX.multiply(m, _CTX.sqrt(self.r))
+        return m
 
     def to_float(self) -> float:
-        """Nearest double (0.0 or inf if outside the double range)."""
+        """Nearest double (0.0 or inf if outside the double range).
+
+        A rational may lie exactly halfway between two doubles, so it is
+        divided exactly.  Any other value is irrational; it is formed at 40
+        digits and rounded to a double once, so subnormal results are the
+        nearest subnormal too.
+        """
         if self.sign == 0:
             return 0.0
-        with mp.workprec(_CONVERT_PREC):
-            return float(self._mpf())
+        if self.r == 1 and self.p == 0:
+            try:
+                return self.sign * float(self.q)
+            except OverflowError:
+                return self.sign * math.inf
+        v = self._magnitude()
+        if self.p:
+            v = _CTX.multiply(v, _CTX.power(_SQRT_PI, self.p))
+        return self.sign * float(v)
 
     def log10(self) -> float:
-        """log10 of the value, computed term by term in log space.
+        """log10 of the value, at 40 digits in ``_CTX``.
 
         Never overflows, so it stays meaningful for quantities at matrix
         sizes where the value itself leaves the double range.
         """
         if self.sign <= 0:
             raise ValueError("log10 requires a positive value")
-        with mp.workprec(_CONVERT_PREC):
-            t = mp.log10(mp.mpf(self.q.numerator)) - mp.log10(mp.mpf(self.q.denominator))
-            if self.r != 1:
-                t += mp.log10(mp.mpf(self.r)) / 2
-            if self.p:
-                t += mp.mpf(self.p) / 2 * mp.log10(mp.pi)
-            return float(t)
+        t = _CTX.divide(_ln(self._magnitude()), _LN10)
+        if self.p:
+            t = _CTX.add(t, _CTX.multiply(self.p, _HALF_LOG10_PI))
+        return float(t)
 
     # -- rendering ----------------------------------------------------------
 

@@ -55,16 +55,23 @@ class MCEstimate:
     chunks: int
 
 
+def _check_draws(n_samples: int, seed: int, chunks: int = 1) -> None:
+    """Refuse a sample count, chunk count or seed that no estimator can run."""
+    if n_samples <= 0 or chunks <= 0:
+        raise ValueError("n_samples and chunks must be positive")
+    if n_samples % chunks:
+        raise ValueError(f"n_samples={n_samples} must be divisible by chunks={chunks}")
+    if seed < 0:
+        raise ValueError("seed and stream must be nonnegative")
+
+
 def _chunked_mean(chunk_fn, n_samples: int, seed: int, chunks: int, workers: int) -> MCEstimate:
     """Mean/stderr of ``chunk_fn(rng, size)`` values over ``chunks`` streams.
 
     The reduction is a fixed-order sum over per-chunk (sum, sum-of-squares)
     pairs, which is what makes the estimate independent of ``workers``.
     """
-    if n_samples <= 0 or chunks <= 0:
-        raise ValueError("n_samples and chunks must be positive")
-    if n_samples % chunks:
-        raise ValueError(f"n_samples={n_samples} must be divisible by chunks={chunks}")
+    _check_draws(n_samples, seed, chunks)
     size = n_samples // chunks
 
     def one(stream: int) -> tuple[float, float]:
@@ -225,6 +232,8 @@ def _max_eigenvalue_cdf_n3(t) -> np.ndarray:
 
 def _reference_edges(n: int, field: str, bins: int) -> np.ndarray:
     """Equal-probability bin edges of the largest-eigenvalue marginal."""
+    if bins < 5:
+        raise ValueError(f"need at least 5 bins, got {bins}")
     u = np.linspace(0.0, 1.0, bins + 1)
     if (n, field) == (2, "complex"):
         # CDF of the ordered top eigenvalue is (2t-1)^3 on [1/2, 1].
@@ -257,10 +266,9 @@ def spectral_fit_test(
 
     Returns (statistic, p_value) with bins - 1 degrees of freedom.
     """
-    if bins < 5:
-        raise ValueError(f"need at least 5 bins, got {bins}")
     # built first: a pair with no reference marginal is refused before any draw
     edges = _reference_edges(n, field, bins)
+    _check_draws(n_samples, seed)
     rng = make_rng(seed)
     if sampler is None:
         spectra = np.linalg.eigvalsh(sample_hs_batch(n, field, rng, n_samples))
@@ -356,15 +364,41 @@ def check_spectral(n, field, n_samples, seed, bins=20) -> dict:
     }
 
 
+# Row validators: each raises the ValueError that its check would raise for
+# the row, without drawing a sample.
+
+
+def _norm_row_ok(n, alpha, beta, n_samples, seed, chunks, workers) -> None:
+    log_c_norm(n, float(alpha), float(beta))
+    _check_draws(n_samples, seed, chunks)
+
+
+def _purity_row_ok(n, field, n_samples, seed, chunks, workers) -> None:
+    StateSpace(n, field)
+    _check_draws(n_samples, seed, chunks)
+
+
+def _spectral_row_ok(n, field, n_samples, seed, bins=20) -> None:
+    _reference_edges(n, field, bins)
+    _check_draws(n_samples, seed)
+
+
+def _hit_or_miss_row_ok(n, n_samples, seed, chunks, workers) -> None:
+    StateSpace(n, "complex")
+    _check_draws(n_samples, seed, chunks)
+
+
 # Placeholders in the rows of the chunked checks, filled from run_suite's arguments.
 _POOL = {"chunks": None, "workers": None}
 
-# suite -> (check, default rows).  A row holds the check's arguments other
-# than the seed, with its default sample count.  The norm rows cover each
-# constant entering the exact volume and area formulas at every n up to 4.
+# suite -> (check, row validator, default rows).  A row holds the check's
+# arguments other than the seed, with its default sample count.  The norm
+# rows cover each constant entering the exact volume and area formulas at
+# every n up to 4.
 _PLANS = {
     "norm": (
         check_norm_constant,
+        _norm_row_ok,
         [
             {"n": n, "alpha": a, "beta": b, "n_samples": 1_000_000, **_POOL}
             for n in (1, 2, 3, 4)
@@ -373,14 +407,20 @@ _PLANS = {
     ),
     "purity": (
         check_purity,
+        _purity_row_ok,
         [
             {"n": n, "field": f, "n_samples": 100_000, **_POOL}
             for n, f in ((2, "complex"), (2, "real"), (3, "complex"))
         ],
     ),
-    "spectral": (check_spectral, [{"n": 2, "field": f, "n_samples": 100_000} for f in ("complex", "real")]),
+    "spectral": (
+        check_spectral,
+        _spectral_row_ok,
+        [{"n": 2, "field": f, "n_samples": 100_000} for f in ("complex", "real")],
+    ),
     "hitmiss": (
         check_hit_or_miss,
+        _hit_or_miss_row_ok,
         [{"n": 2, "n_samples": 100_000, **_POOL}, {"n": 3, "n_samples": 1_000_000, **_POOL}],
     ),
 }
@@ -403,7 +443,8 @@ def run_suite(
 
     Each given argument replaces that argument in every default row that
     takes it; rows that then differ only in their sample count run once,
-    with the first row's count.
+    with the first row's count.  Every row is validated before the first
+    check runs, so a bad row costs no draws.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
@@ -413,14 +454,16 @@ def run_suite(
     given = dict(
         n=n, field=field, alpha=alpha, beta=beta, n_samples=n_samples, chunks=chunks, workers=workers
     )
-    checks: list[dict] = []
-    for name, (check, rows) in _PLANS.items():
+    runs: list[tuple] = []
+    for name, (check, row_ok, rows) in _PLANS.items():
         if suite not in (name, "all"):
             continue
         plan: dict[tuple, dict] = {}
         for row in rows:
-            # "is None", not falsiness: an explicit 0 must reach the estimators
+            # "is None", not falsiness: an explicit 0 must reach the validators
             row = {k: v if given[k] is None else given[k] for k, v in row.items()}
             plan.setdefault(tuple((k, v) for k, v in row.items() if k != "n_samples"), row)
-        checks += [check(**row, seed=seed) for row in plan.values()]
-    return checks
+        for row in plan.values():
+            row_ok(**row, seed=seed)
+            runs.append((check, row))
+    return [check(**row, seed=seed) for check, row in runs]

@@ -248,16 +248,21 @@ def _fresh_python(script: str) -> str:
 
 
 def test_exact_subcommands_import_no_numpy():
+    # no third-party package: mpmath serves only verify's chi-square tail
     out = _fresh_python(
         "import sys, hsgeom.cli\n"
+        "heavy = ('numpy', 'scipy', 'mpmath')\n"
+        "assert not [m for m in heavy if m in sys.modules]\n"
         "for argv in (['volume', '--n', '3'], ['edge', '--n', '4'], ['geometry', '--n', '3'],\n"
+        "             ['geometry', '--n', '30', '--field', 'real'],\n"
         "             ['reference', '--body', 'ball', '--dim', '3'], ['group', '--family', 'SU', '--n', '3'],\n"
         "             ['constants', '--n', '3', '--alpha', '1/3', '--beta', '1.5'],\n"
         "             ['constants', '--n', '3', '--format', 'csv']):\n"
         "    assert hsgeom.cli.main(argv) == 0, argv\n"
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        "    assert not [m for m in heavy if m in sys.modules], argv\n"
+        "print('ok')\n"
     )
-    assert out.splitlines()[-1] == "[]"
+    assert out.splitlines()[-1] == "ok"
 
 
 def test_lazy_package_names_resolve():

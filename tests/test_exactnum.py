@@ -1,9 +1,11 @@
 """Canonical-form arithmetic, exact Gamma, conversions, and the string grammar."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from hsgeom.exactnum import (
     gamma_exact,
     parse,
 )
+from hsgeom.groups import ball_volume_log10
+from hsgeom.mixedstates import StateSpace, geometry, vol_mixed
 
 # Frozen with mpmath at 40 significant digits: pi*sqrt(2)/3 and
 # log10(pi^3 / (840 sqrt(3))).
@@ -141,6 +145,77 @@ def test_log10_survives_huge_values():
     assert v.log10() == pytest.approx(
         math.lgamma(400) / math.log(10) + 500 * math.log10(math.pi), rel=1e-12
     )
+
+
+def _nearest_double(v: ExactValue) -> float:
+    """The double nearest to v: a 400-bit mpmath value rounded once, exactly, by float(Fraction)."""
+    with mpmath.workprec(400):
+        x = mpmath.mpf(v.q.numerator) / v.q.denominator * mpmath.sqrt(v.r)
+        man, exp = (x * mpmath.pi ** (mpmath.mpf(v.p) / 2)).man_exp
+    try:
+        return v.sign * float(Fraction(int(man)) * Fraction(2) ** int(exp))
+    except OverflowError:
+        return v.sign * math.inf
+
+
+@st.composite
+def _values_near_power_of_two(draw):
+    """A value of either sign near 2^t, with t in the subnormal, normal or overflow range."""
+    t = draw(st.integers(-1080, -1018) | st.integers(-1000, 1000) | st.integers(1018, 1030))
+    a, b = draw(st.integers(1, 2**80)), draw(st.integers(1, 2**80))
+    r = draw(st.sampled_from((1, 2, 3, 6, 7, 30, 105)))
+    p = draw(st.just(0) | st.integers(-40, 40))
+    log2 = math.log2(a) - math.log2(b) + math.log2(r) / 2 + p / 2 * math.log2(math.pi)
+    sign = draw(st.sampled_from((-1, 1)))
+    return ExactValue(sign, Fraction(a, b) * Fraction(2) ** (t - round(log2)), r, p)
+
+
+@st.composite
+def _midpoints(draw):
+    """An odd 54-bit integer times 2^e: halfway between two doubles wherever doubles carry 53 bits."""
+    m = draw(st.integers(2**53, 2**54 - 1)) | 1
+    sign = draw(st.sampled_from((-1, 1)))
+    return ExactValue(sign, Fraction(m) * Fraction(2) ** draw(st.integers(-1130, 971)), 1, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values_near_power_of_two() | _midpoints())
+def test_to_float_is_the_nearest_double(v):
+    assert v.to_float() == _nearest_double(v)
+
+
+def test_to_float_edges():
+    top = Fraction(2) ** 1024  # the first power of two past the largest double
+    for q, want in (
+        (top - Fraction(2) ** 971, 1.7976931348623157e308),  # below the last midpoint
+        (top - Fraction(2) ** 970, math.inf),  # on it: ties to even round up
+        (Fraction(1, 2**1075), 0.0),  # half the least subnormal: ties to even round down
+        (Fraction(3, 2**1076), 5e-324),
+    ):
+        assert from_rational(q).to_float() == want
+        assert from_rational(-q).to_float() == -want
+    # the real n = 21 volume is subnormal; rounding twice gave 6.17093328389156e-309
+    assert vol_mixed(StateSpace(21, "real")).to_float() == 6.170933283891557e-309
+
+
+def test_conversions_ignore_the_callers_decimal_context():
+    values = [vol_mixed(StateSpace(n, f)) for n in (2, 5, 21, 60) for f in ("complex", "real")]
+    values += [PI**-7 / 3, gamma_exact(400) * PI**500]
+
+    def results():
+        g = geometry(StateSpace(4))
+        return (
+            [(v.to_float(), v.log10()) for v in values],
+            [ball_volume_log10(k) for k in (0, 1, 2, 15, 77, 78, 1001, 39999)],
+            (g.chi_log10, g.effective_radius),
+        )
+
+    before = results()
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding = 5, 10, -10, decimal.ROUND_DOWN
+        for signal in ctx.traps:
+            ctx.traps[signal] = True
+        assert results() == before
 
 
 def _random_factor(rng: random.Random) -> ExactValue:

@@ -343,6 +343,28 @@ def test_run_suite_composition():
         run_suite("norm", alpha=1, n_samples=100, seed=0)  # missing n and beta
 
 
+def test_run_suite_validates_every_row_before_the_first_check(monkeypatch):
+    def no_check(**row):
+        raise AssertionError(f"check ran before every row was validated: {row}")
+
+    for name, (_, row_ok, rows) in verify._PLANS.items():
+        monkeypatch.setitem(verify._PLANS, name, (no_check, row_ok, rows))
+    with pytest.raises(AssertionError):  # the patch is live: valid rows reach it
+        run_suite("hitmiss", n_samples=1000)
+    for kwargs, message in (
+        # norm, purity and spectral (3, complex) rows precede the (3, real) one
+        ({"n": 3, "workers": 2}, "no reference spectral marginal for n=3, field='real'"),
+        ({"n": 1}, "state space needs n >= 2"),
+        ({"seed": -1}, "seed and stream must be nonnegative"),
+        ({"n_samples": 1005}, "must be divisible by chunks"),
+        ({"chunks": 0}, "must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_suite("all", **kwargs)
+    with pytest.raises(ValueError, match="must be positive"):
+        run_suite("spectral", n_samples=0)
+
+
 def test_expected_from_log_c_norm_matches_exact():
     assert math.exp(-log_c_norm(3, 3, 2)) == pytest.approx(
         (1 / c_norm(EnsembleParams(3, Fraction(3), 2))).to_float(), rel=1e-12
