@@ -3,9 +3,11 @@
 Each check ties one side of the package to the other: sampled spectra
 against the closed-form eigenvalue densities, simplex integrals against
 the exact normalization constants, and uniform sampling of the Bloch ball
-against the exact volume ratio.  Estimators are chunked with one Philox
-stream per chunk and merged in chunk order, so results are bit-identical
-for any worker count.
+against the exact volume ratio.  Every check draws through one path,
+``_map_chunks``: one Philox stream per chunk, chunks run serially or on a
+thread pool, and each returns a small fixed-shape record -- scaled sums
+for a mean, integer bin counts for the spectral fit -- that is merged in
+chunk order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -55,63 +57,79 @@ class MCEstimate:
     chunks: int
 
 
-def _check_draws(n_samples: int, seed: int, chunks: int = 1) -> None:
-    """Refuse a sample count, chunk count or seed that no estimator can run."""
-    if n_samples <= 0 or chunks <= 0:
-        raise ValueError("n_samples and chunks must be positive")
+def _check_draws(n_samples: int, seed: int, chunks: int, workers: int) -> None:
+    """Refuse a sample, chunk or worker count or a seed that no estimator can run."""
+    if n_samples <= 0 or chunks <= 0 or workers <= 0:
+        raise ValueError("n_samples, chunks and workers must be positive")
     if n_samples % chunks:
         raise ValueError(f"n_samples={n_samples} must be divisible by chunks={chunks}")
     if seed < 0:
         raise ValueError("seed and stream must be nonnegative")
 
 
-def _chunked_mean(chunk_fn, n_samples: int, seed: int, chunks: int, workers: int) -> MCEstimate:
-    """Mean/stderr of ``chunk_fn(rng, size)`` values over ``chunks`` streams.
+def _map_chunks(chunk_fn, n_samples: int, seed: int, chunks: int, workers: int) -> list:
+    """Each chunk's record ``chunk_fn(make_rng(seed, chunk), n_samples // chunks)``, in chunk order.
 
-    The reduction is a fixed-order sum over per-chunk (sum, sum-of-squares)
-    pairs, which is what makes the estimate independent of ``workers``.
+    Merging these small fixed-shape records in that order is what makes
+    every estimate independent of ``workers``.
     """
-    _check_draws(n_samples, seed, chunks)
+    _check_draws(n_samples, seed, chunks, workers)
     size = n_samples // chunks
 
-    def one(stream: int) -> tuple[float, float]:
-        values = np.asarray(chunk_fn(make_rng(seed, stream), size), dtype=float)
-        return float(values.sum()), float(np.square(values).sum())
+    def one(stream: int):
+        return chunk_fn(make_rng(seed, stream), size)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(one, range(chunks)))
-    else:
-        stats = [one(i) for i in range(chunks)]
+            return list(pool.map(one, range(chunks)))
+    return [one(i) for i in range(chunks)]
 
-    total = math.fsum(s for s, _ in stats)
-    total_sq = math.fsum(ss for _, ss in stats)
+
+def _chunked_mean(
+    chunk_fn, n_samples: int, seed: int, chunks: int, workers: int, logs: bool = False
+) -> MCEstimate:
+    """Mean/stderr of the values ``chunk_fn(rng, size)`` returns (their logs if ``logs``).
+
+    A chunk's record is (shift, sum v, sum v^2) of its values v scaled by
+    exp(-shift).  Logs take the chunk's largest as the shift, so no sum
+    underflows; the merge rescales every record to the largest shift, an
+    exact multiplication by 1.0 when every shift is 0.
+    """
+
+    def record(rng: np.random.Generator, size: int) -> tuple[float, float, float]:
+        values = np.asarray(chunk_fn(rng, size), dtype=float)
+        shift = 0.0
+        if logs:
+            shift = float(values.max())
+            # exp(-inf - -inf) is nan: a chunk of all-zero values (logs -inf) stays zero
+            values = np.exp(values - shift) if shift > -math.inf else np.exp(values)
+        return shift, float(values.sum()), float(np.square(values).sum())
+
+    records = _map_chunks(record, n_samples, seed, chunks, workers)
+    # a zero record adds nothing, so its shift must not set the common scale
+    top = max((shift for shift, _, ss in records if ss), default=0.0)
+    total = math.fsum(s * math.exp(shift - top) for shift, s, _ in records)
+    total_sq = math.fsum(ss * math.exp(2 * (shift - top)) for shift, _, ss in records)
     mean = total / n_samples
     var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1) if n_samples > 1 else 0.0
-    return MCEstimate(
-        mean=mean,
-        stderr=math.sqrt(var / n_samples),
-        n_samples=n_samples,
-        seed=seed,
-        chunks=chunks,
-    )
+    scale = math.exp(top)
+    return MCEstimate(scale * mean, scale * math.sqrt(var / n_samples), n_samples, seed, chunks)
 
 
 def mc_norm_constant(
-    n: int,
-    alpha: float,
-    beta: float,
-    n_samples: int,
-    seed: int,
-    chunks: int = 10,
-    workers: int = 1,
+    n: int, alpha: float, beta: float, n_samples: int, seed: int, chunks: int = 10, workers: int = 1
 ) -> MCEstimate:
     """Importance-sampling estimate of 1/C_n^(alpha, beta).
 
     Eigenvalues are drawn from Dirichlet(alpha, ..., alpha), which matches
     the prod L^(alpha-1) factor of the target exactly and leaves only the
-    eigenvalue-repulsion product as weight.  The variance grows quickly
-    with n; fine for n <= 4, exposed but high-variance beyond that.
+    eigenvalue-repulsion product as weight.  The weights are built as logs,
+    beta * sum log|L_i - L_j| minus the Dirichlet constant, so neither they
+    nor their squares underflow; only an estimate below the double range
+    (1/C_16^(1,2) ~ 1e-337) reads 0.  The variance grows quickly with n: at
+    (alpha, beta) = (1, 2) and 10^5 draws the Kish effective sample size is
+    about 15 000 at n = 4, 800 at n = 8 and 180 at n = 10, so beyond n ~ 8
+    a few heavy weights carry the estimate and its stderr.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -124,12 +142,14 @@ def mc_norm_constant(
 
     def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
         lam = rng.dirichlet([alpha] * n, size)
-        w = np.full(size, math.exp(-log_dirichlet_const))
-        for i, j in pairs:
-            w *= np.abs(lam[:, i] - lam[:, j]) ** beta
-        return w
+        log_vandermonde = np.zeros(size)
+        # a repeated eigenvalue (exact zeros at tiny alpha) has weight 0, log -inf
+        with np.errstate(divide="ignore"):
+            for i, j in pairs:
+                log_vandermonde += np.log(np.abs(lam[:, i] - lam[:, j]))
+        return beta * log_vandermonde - log_dirichlet_const
 
-    return _chunked_mean(chunk, n_samples, seed, chunks, workers)
+    return _chunked_mean(chunk, n_samples, seed, chunks, workers, logs=True)
 
 
 def mc_purity(
@@ -250,31 +270,30 @@ def _reference_edges(n: int, field: str, bins: int) -> np.ndarray:
 
 
 def spectral_fit_test(
-    n: int,
-    field: str,
-    n_samples: int,
-    bins: int,
-    seed: int,
-    sampler=None,
+    n: int, field: str, n_samples: int, bins: int, seed: int,
+    sampler=None, chunks: int = 10, workers: int = 1,
 ) -> tuple[float, float]:
     """Chi-square fit of sampled top eigenvalues against the reference marginal.
 
     Bins are equal-probability under the reference distribution, so every
     expected count is n_samples/bins.  ``sampler(rng, size) -> (size, n)``
     spectra can be supplied to test an alternative generator (used for
-    negative controls); the default is the HS sampler itself.
+    negative controls); the default is the HS sampler itself.  It is called
+    once per chunk, and each chunk's record is its integer bin counts.
 
     Returns (statistic, p_value) with bins - 1 degrees of freedom.
     """
     # built first: a pair with no reference marginal is refused before any draw
     edges = _reference_edges(n, field, bins)
-    _check_draws(n_samples, seed)
-    rng = make_rng(seed)
     if sampler is None:
-        spectra = np.linalg.eigvalsh(sample_hs_batch(n, field, rng, n_samples))
-    else:
-        spectra = np.asarray(sampler(rng, n_samples))
-    counts, _ = np.histogram(spectra.max(axis=-1), bins=edges)
+
+        def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
+            return np.linalg.eigvalsh(sample_hs_batch(n, field, rng, size))
+
+    def histogram(rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.histogram(np.asarray(sampler(rng, size)).max(axis=-1), bins=edges)[0]
+
+    counts = sum(_map_chunks(histogram, n_samples, seed, chunks, workers))
     expected = n_samples / bins
     statistic = float(((counts - expected) ** 2 / expected).sum())
     return statistic, _chi2_sf(statistic, bins - 1)
@@ -352,8 +371,10 @@ def check_hit_or_miss(n, n_samples, seed, chunks=10, workers=1) -> dict:
     return _verdict(f"hitmiss/n={n}/samples={n_samples}/seed={seed}", expected, est)
 
 
-def check_spectral(n, field, n_samples, seed, bins=20) -> dict:
-    statistic, p_value = spectral_fit_test(n, field, n_samples, bins, seed)
+def check_spectral(n, field, n_samples, seed, bins=20, chunks=10, workers=1) -> dict:
+    _, p_value = spectral_fit_test(
+        n, field, n_samples, bins, seed, chunks=chunks, workers=workers
+    )
     return {
         "check": f"spectral/n={n}/{field}/samples={n_samples}/bins={bins}/seed={seed}",
         "expected": 0.001,
@@ -364,64 +385,39 @@ def check_spectral(n, field, n_samples, seed, bins=20) -> dict:
     }
 
 
-# Row validators: each raises the ValueError that its check would raise for
-# the row, without drawing a sample.
-
-
-def _norm_row_ok(n, alpha, beta, n_samples, seed, chunks, workers) -> None:
-    log_c_norm(n, float(alpha), float(beta))
-    _check_draws(n_samples, seed, chunks)
-
-
-def _purity_row_ok(n, field, n_samples, seed, chunks, workers) -> None:
-    StateSpace(n, field)
-    _check_draws(n_samples, seed, chunks)
-
-
-def _spectral_row_ok(n, field, n_samples, seed, bins=20) -> None:
-    _reference_edges(n, field, bins)
-    _check_draws(n_samples, seed)
-
-
-def _hit_or_miss_row_ok(n, n_samples, seed, chunks, workers) -> None:
-    StateSpace(n, "complex")
-    _check_draws(n_samples, seed, chunks)
-
-
-# Placeholders in the rows of the chunked checks, filled from run_suite's arguments.
-_POOL = {"chunks": None, "workers": None}
-
 # suite -> (check, row validator, default rows).  A row holds the check's
-# arguments other than the seed, with its default sample count.  The norm
-# rows cover each constant entering the exact volume and area formulas at
-# every n up to 4.
+# arguments other than the seed, chunks and workers, with its default sample
+# count.  The validator takes the row less its sample count and raises the
+# ValueError that the check would raise for it, without drawing a sample.
+# The norm rows cover each constant entering the exact volume and area
+# formulas at every n up to 4.
 _PLANS = {
     "norm": (
         check_norm_constant,
-        _norm_row_ok,
+        lambda n, alpha, beta: log_c_norm(n, float(alpha), float(beta)),
         [
-            {"n": n, "alpha": a, "beta": b, "n_samples": 1_000_000, **_POOL}
+            {"n": n, "alpha": a, "beta": b, "n_samples": 1_000_000}
             for n in (1, 2, 3, 4)
             for a, b in ((1, 2), (3, 2), (1, 1), (2, 1))
         ],
     ),
     "purity": (
         check_purity,
-        _purity_row_ok,
+        StateSpace,
         [
-            {"n": n, "field": f, "n_samples": 100_000, **_POOL}
+            {"n": n, "field": f, "n_samples": 100_000}
             for n, f in ((2, "complex"), (2, "real"), (3, "complex"))
         ],
     ),
     "spectral": (
         check_spectral,
-        _spectral_row_ok,
+        partial(_reference_edges, bins=20),
         [{"n": 2, "field": f, "n_samples": 100_000} for f in ("complex", "real")],
     ),
     "hitmiss": (
         check_hit_or_miss,
-        _hit_or_miss_row_ok,
-        [{"n": 2, "n_samples": 100_000, **_POOL}, {"n": 3, "n_samples": 1_000_000, **_POOL}],
+        StateSpace,  # the complex field
+        [{"n": 2, "n_samples": 100_000}, {"n": 3, "n_samples": 1_000_000}],
     ),
 }
 
@@ -451,9 +447,8 @@ def run_suite(
     explicit_norm = suite in ("norm", "all") and (alpha is not None or beta is not None)
     if explicit_norm and None in (n, alpha, beta):
         raise ValueError("norm suite with explicit parameters needs --n, --alpha and --beta")
-    given = dict(
-        n=n, field=field, alpha=alpha, beta=beta, n_samples=n_samples, chunks=chunks, workers=workers
-    )
+    given = dict(n=n, field=field, alpha=alpha, beta=beta, n_samples=n_samples)
+    draws = dict(seed=seed, chunks=chunks, workers=workers)
     runs: list[tuple] = []
     for name, (check, row_ok, rows) in _PLANS.items():
         if suite not in (name, "all"):
@@ -463,7 +458,8 @@ def run_suite(
             # "is None", not falsiness: an explicit 0 must reach the validators
             row = {k: v if given[k] is None else given[k] for k, v in row.items()}
             plan.setdefault(tuple((k, v) for k, v in row.items() if k != "n_samples"), row)
-        for row in plan.values():
-            row_ok(**row, seed=seed)
+        for key, row in plan.items():
+            row_ok(**dict(key))
+            _check_draws(row["n_samples"], **draws)
             runs.append((check, row))
-    return [check(**row, seed=seed) for check, row in runs]
+    return [check(**row, **draws) for check, row in runs]

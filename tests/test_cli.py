@@ -290,18 +290,19 @@ def test_lazy_package_names_resolve():
 
 
 def test_verify_byte_identical_across_workers(tmp_path, capsys):
-    outputs = []
-    for workers in ("1", "2", "8"):
-        target = tmp_path / f"report_{workers}.json"
-        code, _ = run_cli(
-            capsys,
-            "verify", "--suite", "hitmiss", "--n", "2", "--samples", "16000",
-            "--seed", "3", "--chunks", "8", "--workers", workers,
-            "--out", str(target),
-        )
-        assert code == 0
-        outputs.append(target.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    for suite in ("hitmiss", "spectral"):
+        outputs = []
+        for workers in ("1", "2", "8"):
+            target = tmp_path / f"{suite}_{workers}.json"
+            code, _ = run_cli(
+                capsys,
+                "verify", "--suite", suite, "--n", "2", "--samples", "16000",
+                "--seed", "3", "--chunks", "8", "--workers", workers,
+                "--out", str(target),
+            )
+            assert code == 0
+            outputs.append(target.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize(
@@ -310,6 +311,7 @@ def test_verify_byte_identical_across_workers(tmp_path, capsys):
         ["--suite", "hitmiss", "--n", "0"],
         ["--suite", "norm", "--n", "0"],
         ["--suite", "purity", "--samples", "0"],
+        ["--suite", "purity", "--workers", "0"],
     ],
 )
 def test_verify_zero_arguments_exit_two(capsys, argv):

@@ -179,6 +179,39 @@ def test_estimates_identical_for_any_worker_count():
         for w in (1, 2, 8)
     ]
     assert runs[0] == runs[1] == runs[2]
+    runs = [
+        spectral_fit_test(2, "real", 16_000, 20, seed=13, chunks=8, workers=w) for w in (1, 2, 8)
+    ]
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_norm_constant_measures_beyond_linear_weight_range(n):
+    # the squared weights lie below the double range here; log weights keep
+    # the sums, so the check has a stderr and passes or fails on its merits
+    report = check_norm_constant(n, 1, 2, 2000, seed=0)
+    assert report["estimate"] > 0 and report["stderr"] > 0
+    assert math.isfinite(report["sigmas"])
+
+
+def test_norm_constant_all_zero_chunks_merge_as_zero():
+    # at alpha = 1e-3 most Dirichlet draws hold two exact zeros, so some
+    # single-draw chunks have weight 0 (log weight -inf) throughout
+    report = check_norm_constant(3, 0.001, 2, 10, seed=0, chunks=10)
+    for key in ("expected", "estimate", "stderr", "sigmas"):
+        assert report[key] is None or math.isfinite(report[key]), (key, report)
+
+
+def test_chunked_mean_zero_record_does_not_set_the_scale():
+    # log values near -400: their squares lie below the double range unless
+    # rescaled to their own largest, not to the all-zero chunk's shift
+    chunk_logs = iter([[-np.inf, -np.inf], [-400.0, -401.0], [-402.0, -400.5]])
+    est = verify._chunked_mean(lambda rng, size: np.array(next(chunk_logs)), 6, 0, 3, 1, logs=True)
+    scaled = np.exp(np.array([-np.inf, -np.inf, -400.0, -401.0, -402.0, -400.5]) + 400.0)
+    assert est.mean == pytest.approx(math.exp(-400.0) * scaled.mean(), rel=1e-12)
+    assert est.stderr == pytest.approx(math.exp(-400.0) * scaled.std(ddof=1) / math.sqrt(6), rel=1e-9)
+    est = verify._chunked_mean(lambda rng, size: np.full(size, -np.inf), 4, 0, 2, 1, logs=True)
+    assert (est.mean, est.stderr) == (0.0, 0.0)
 
 
 def test_stderr_scales_like_sqrt_n():
@@ -255,6 +288,20 @@ def test_spectral_fit_rejects_corrupted_sampler():
     assert p_value < 0.001
 
 
+def test_spectral_fit_sampler_sees_one_chunk_at_a_time():
+    sizes = []
+
+    def recording(rng, size):
+        sizes.append(size)
+        return np.linalg.eigvalsh(verify.sample_hs_batch(2, "complex", rng, size))
+
+    spectral_fit_test(2, "complex", 12_000, 20, seed=0, sampler=recording, chunks=6)
+    assert sizes == [2_000] * 6
+    sizes.clear()
+    spectral_fit_test(2, "complex", 12_000, 20, seed=0, sampler=recording)
+    assert max(sizes) <= 12_000 // 10
+
+
 def test_spectral_fit_validation():
     with pytest.raises(ValueError):
         spectral_fit_test(2, "complex", 1000, 4, seed=0)
@@ -287,7 +334,8 @@ def test_check_reports_shape():
 
 
 def test_verdict_refuses_vacuous_pass():
-    # 1/C_16^(1,2) underflows to 0.0, and so does every importance weight
+    # 1/C_16^(1,2) ~ 1e-337 underflows to 0.0; the log weights do not, but
+    # the estimate they scale back to does
     report = check_norm_constant(16, 1, 2, 1000, seed=0)
     assert report["expected"] == 0.0 and report["stderr"] == 0.0
     assert report["pass"] is False and report["sigmas"] is None
@@ -358,6 +406,7 @@ def test_run_suite_validates_every_row_before_the_first_check(monkeypatch):
         ({"seed": -1}, "seed and stream must be nonnegative"),
         ({"n_samples": 1005}, "must be divisible by chunks"),
         ({"chunks": 0}, "must be positive"),
+        ({"workers": 0}, "must be positive"),
     ):
         with pytest.raises(ValueError, match=message):
             run_suite("all", **kwargs)
