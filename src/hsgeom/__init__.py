@@ -34,15 +34,22 @@ _LAZY = {
             "sample_hs_batch",
             "sample_hs_density",
             "sample_pure_partial_trace",
+            "sample_pure_partial_trace_batch",
         ),
         "sampling",
     ),
     **dict.fromkeys(
         (
             "MCEstimate",
+            "SUITES",
+            "check_hit_or_miss",
+            "check_norm_constant",
+            "check_purity",
+            "check_spectral",
             "mc_hit_or_miss_fraction",
             "mc_norm_constant",
             "mc_purity",
+            "purity_oracle",
             "run_suite",
             "spectral_fit_test",
         ),

@@ -31,8 +31,6 @@ __all__ = [
     "is_positive",
 ]
 
-_MASK64 = (1 << 64) - 1
-
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 
@@ -43,9 +41,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Distinct streams are statistically independent, so parallel workers can
     each take one stream without coordination.
     """
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be nonnegative")
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
+    if not (0 <= seed < 1 << 64 and 0 <= stream < 1 << 64):
+        # Philox keys are 64-bit words: a larger value would alias a smaller one
+        raise ValueError("seed and stream must be nonnegative and below 2**64")
+    return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
 def _ginibre(n: int, field: str, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Monte Carlo cross-checks of the exact formulas.
 
 Each check ties one side of the package to the other: sampled spectra
-against the closed-form eigenvalue densities, simplex integrals against
-the exact normalization constants, and uniform sampling of the Bloch ball
-against the exact volume ratio.  Every check draws through one path,
-``_map_chunks``: one Philox stream per chunk, chunks run serially or on a
-thread pool, and each returns a small fixed-shape record -- scaled sums
-for a mean, integer bin counts for the spectral fit -- that is merged in
-chunk order, so results are bit-identical for any worker count.
+against the closed-form eigenvalue densities (binned by their CDFs, with a
+closed-form chi-square tail: numpy is the only dependency), simplex
+integrals against the exact normalization constants, and uniform sampling
+of the Bloch ball against the exact volume ratio.  Every check draws
+through one path, ``_map_chunks``: one Philox stream per chunk, chunks run
+serially or on a thread pool, and each returns a small fixed-shape record,
+merged in chunk order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
-from mpmath import mp
 
 from .constants import log_c_norm
 from .exactnum import exact_sqrt
@@ -63,8 +62,8 @@ def _check_draws(n_samples: int, seed: int, chunks: int, workers: int) -> None:
         raise ValueError("n_samples, chunks and workers must be positive")
     if n_samples % chunks:
         raise ValueError(f"n_samples={n_samples} must be divisible by chunks={chunks}")
-    if seed < 0:
-        raise ValueError("seed and stream must be nonnegative")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed and stream must be nonnegative and below 2**64")
 
 
 def _map_chunks(chunk_fn, n_samples: int, seed: int, chunks: int, workers: int) -> list:
@@ -250,23 +249,22 @@ def _max_eigenvalue_cdf_n3(t) -> np.ndarray:
     return np.where(t <= 0.5, low, high)
 
 
-def _reference_edges(n: int, field: str, bins: int) -> np.ndarray:
-    """Equal-probability bin edges of the largest-eigenvalue marginal."""
+# (n, field) -> CDF of the largest eigenvalue under the HS measure: on
+# [1/2, 1] it is (2t-1)^3 for the complex and (2t-1)^2 for the real qubit
+_TOP_EIGENVALUE_CDF = {
+    (2, "complex"): lambda t: (2 * t - 1) ** 3,
+    (2, "real"): lambda t: (2 * t - 1) ** 2,
+    (3, "complex"): _max_eigenvalue_cdf_n3,
+}
+
+
+def _reference_cdf(n: int, field: str, bins: int):
+    """The reference CDF of the largest eigenvalue, for a fit in ``bins`` bins."""
     if bins < 5:
         raise ValueError(f"need at least 5 bins, got {bins}")
-    u = np.linspace(0.0, 1.0, bins + 1)
-    if (n, field) == (2, "complex"):
-        # CDF of the ordered top eigenvalue is (2t-1)^3 on [1/2, 1].
-        return (1.0 + u ** (1.0 / 3.0)) / 2.0
-    if (n, field) == (2, "real"):
-        # CDF (2t-1)^2 on [1/2, 1].
-        return (1.0 + np.sqrt(u)) / 2.0
-    if (n, field) != (3, "complex"):
+    if (n, field) not in _TOP_EIGENVALUE_CDF:
         raise ValueError(f"no reference spectral marginal for n={n}, field={field!r}")
-    ts = np.linspace(1 / 3, 1.0, 321)
-    edges = np.interp(u, _max_eigenvalue_cdf_n3(ts), ts)
-    edges[0], edges[-1] = ts[0], ts[-1]
-    return edges
+    return _TOP_EIGENVALUE_CDF[n, field]
 
 
 def spectral_fit_test(
@@ -275,23 +273,25 @@ def spectral_fit_test(
 ) -> tuple[float, float]:
     """Chi-square fit of sampled top eigenvalues against the reference marginal.
 
-    Bins are equal-probability under the reference distribution, so every
-    expected count is n_samples/bins.  ``sampler(rng, size) -> (size, n)``
-    spectra can be supplied to test an alternative generator (used for
-    negative controls); the default is the HS sampler itself.  It is called
-    once per chunk, and each chunk's record is its integer bin counts.
+    A top eigenvalue t goes to bin min(floor(F(t) * bins), bins - 1) of its
+    reference CDF F; F(t) is uniform under the reference law, so every bin
+    has probability exactly 1/bins.  ``sampler(rng, size) -> (size, n)``
+    spectra can replace the HS sampler to test another generator (negative
+    controls).  It is called once per chunk; a chunk's record is its counts.
 
     Returns (statistic, p_value) with bins - 1 degrees of freedom.
     """
-    # built first: a pair with no reference marginal is refused before any draw
-    edges = _reference_edges(n, field, bins)
+    # looked up first: a pair with no reference marginal is refused before any draw
+    cdf = _reference_cdf(n, field, bins)
     if sampler is None:
 
         def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
             return np.linalg.eigvalsh(sample_hs_batch(n, field, rng, size))
 
     def histogram(rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.histogram(np.asarray(sampler(rng, size)).max(axis=-1), bins=edges)[0]
+        u = cdf(np.asarray(sampler(rng, size)).max(axis=-1))
+        # clipped first: rounding can put t an ulp outside the CDF's support
+        return np.bincount(np.clip(u * bins, 0, bins - 1).astype(np.intp), minlength=bins)
 
     counts = sum(_map_chunks(histogram, n_samples, seed, chunks, workers))
     expected = n_samples / bins
@@ -300,11 +300,23 @@ def spectral_fit_test(
 
 
 def _chi2_sf(statistic: float, dof: int) -> float:
-    """Upper tail P(X >= statistic) of the chi-square law with ``dof`` degrees of freedom."""
-    # a fixed working precision keeps the p-value independent of the
-    # caller's mpmath settings, and so keeps reports byte-identical
-    with mp.workprec(64):
-        return float(mp.gammainc(mp.mpf(dof) / 2, mp.mpf(statistic) / 2, regularized=True))
+    """Upper tail P(X >= statistic) of the chi-square law with integer ``dof`` degrees of freedom."""
+    # With h = statistic/2 the tail is e^-h sum_{j<dof/2} h^j/j! for even dof
+    # and erfc(sqrt h) + e^-h sum_{j=1}^{(dof-1)/2} h^(j-1/2)/Gamma(j+1/2) for
+    # odd dof, each term the last times h/j or h/(j-1/2).  e^-h enters as 2^p
+    # equal factors e^(-h/2^p) >= e^-512 (h/2^p is exact), one whenever the
+    # running term exceeds 1: no partial product leaves the normal range, so
+    # the tail keeps its digits where e^-h alone is subnormal.
+    h, odd = statistic / 2, dof % 2
+    left = 1 << max(0, math.ceil(h / 512) - 1).bit_length()
+    factor, total = math.exp(-h / left), 0.0
+    term = 2 * math.sqrt(h / math.pi) if odd else 1.0
+    for j in range(dof // 2):
+        while left and term > 1:
+            term, total, left = term * factor, total * factor, left - 1
+        total += term
+        term *= h / (j + 1 + odd / 2)
+    return odd * math.erfc(math.sqrt(h)) + total * factor**left
 
 
 # -- named checks with analytic expectations ----------------------------------
@@ -411,7 +423,7 @@ _PLANS = {
     ),
     "spectral": (
         check_spectral,
-        partial(_reference_edges, bins=20),
+        partial(_reference_cdf, bins=20),
         [{"n": 2, "field": f, "n_samples": 100_000} for f in ("complex", "real")],
     ),
     "hitmiss": (

@@ -248,7 +248,7 @@ def _fresh_python(script: str) -> str:
 
 
 def test_exact_subcommands_import_no_numpy():
-    # no third-party package: mpmath serves only verify's chi-square tail
+    # no third-party package; mpmath is only the tests' high-precision oracle
     out = _fresh_python(
         "import sys, hsgeom.cli\n"
         "heavy = ('numpy', 'scipy', 'mpmath')\n"
@@ -278,6 +278,10 @@ def test_lazy_package_names_resolve():
         "exec('from hsgeom import *', ns)\n"
         "assert ns['mc_purity'] is verify.mc_purity and ns['vol_mixed'] is hsgeom.vol_mixed\n"
         "assert {'sampling', 'verify', 'exactnum'} <= set(ns) and set(hsgeom.__all__) <= set(dir(hsgeom))\n"
+        "assert set(hsgeom._LAZY) == set(sampling.__all__) | set(verify.__all__)\n"
+        "for name, module in hsgeom._LAZY.items():\n"
+        "    value = getattr(sys.modules['hsgeom.' + module], name)\n"
+        "    assert getattr(hsgeom, name) is value and ns[name] is value, name\n"
         "exact = [hsgeom.exactnum, hsgeom.constants, hsgeom.groups, hsgeom.mixedstates]\n"
         "assert {name for module in exact for name in module.__all__} <= set(hsgeom.__all__)\n"
         "assert len(hsgeom.__all__) == len(set(hsgeom.__all__))\n"
@@ -285,6 +289,17 @@ def test_lazy_package_names_resolve():
         "    hsgeom.no_such_name\n"
         "except AttributeError:\n"
         "    print('ok')\n"
+    )
+    assert out.splitlines()[-1] == "ok"
+
+
+def test_verify_runs_with_mpmath_blocked():
+    out = _fresh_python(
+        "import sys\n"
+        "sys.modules['mpmath'] = None  # any import of mpmath now raises ImportError\n"
+        "from hsgeom.cli import main\n"
+        "assert main(['verify', '--suite', 'spectral', '--samples', '20000']) == 0\n"
+        "print('ok')\n"
     )
     assert out.splitlines()[-1] == "ok"
 
@@ -308,15 +323,18 @@ def test_verify_byte_identical_across_workers(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--suite", "hitmiss", "--n", "0"],
-        ["--suite", "norm", "--n", "0"],
-        ["--suite", "purity", "--samples", "0"],
-        ["--suite", "purity", "--workers", "0"],
+        ["verify", "--suite", "hitmiss", "--n", "0"],
+        ["verify", "--suite", "norm", "--n", "0"],
+        ["verify", "--suite", "purity", "--samples", "0"],
+        ["verify", "--suite", "purity", "--workers", "0"],
+        ["verify", "--suite", "purity", "--seed", str(2**64)],
+        ["sample", "--n", "2", "--seed", str(2**64)],
     ],
 )
 def test_verify_zero_arguments_exit_two(capsys, argv):
-    # 0 is an explicit value, not "use the default plan"
-    code = cli.main(["verify", *argv])
+    # 0 is an explicit value, not "use the default plan"; a seed of 2**64
+    # would alias seed 0 in the 64-bit Philox key
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1

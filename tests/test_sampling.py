@@ -29,6 +29,10 @@ def test_rng_reproducible_per_seed_and_stream():
     assert not np.allclose(a, c)
     with pytest.raises(ValueError):
         make_rng(-1)
+    # a Philox key word holds 64 bits: 2**64 would silently alias 0
+    for seed, stream in ((2**64, 0), (0, 2**64)):
+        with pytest.raises(ValueError, match="below 2"):
+            make_rng(seed, stream)
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -275,6 +276,20 @@ def test_chi2_sf_matches_scipy():
         assert _chi2_sf(statistic, 19) == pytest.approx(chi2.sf(statistic, 19), rel=1e-12)
 
 
+@pytest.mark.parametrize("dof", [4, 5, 19, 20, 99])
+def test_chi2_sf_matches_mpmath(dof):
+    # statistics past 1417 make e^(-statistic/2) subnormal while the tail is
+    # still a normal double; the closed form must keep its digits there too
+    assert _chi2_sf(0.0, dof) == 1.0
+    for statistic in np.linspace(0.0, 2000.0, 801)[1:]:
+        with mpmath.workprec(200):
+            exact = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(statistic) / 2, regularized=True)
+        if exact < 1e-300:
+            continue
+        bound = 1e-14 if statistic <= 200 else 1e-12
+        assert abs(_chi2_sf(statistic, dof) - exact) <= bound * exact, statistic
+
+
 def test_spectral_fit_rejects_corrupted_sampler():
     # Negative control: square real Ginibre gives the wrong Wishart exponent
     # and a visibly different top-eigenvalue marginal.
@@ -404,6 +419,7 @@ def test_run_suite_validates_every_row_before_the_first_check(monkeypatch):
         ({"n": 3, "workers": 2}, "no reference spectral marginal for n=3, field='real'"),
         ({"n": 1}, "state space needs n >= 2"),
         ({"seed": -1}, "seed and stream must be nonnegative"),
+        ({"seed": 2**64}, r"below 2\*\*64"),
         ({"n_samples": 1005}, "must be divisible by chunks"),
         ({"chunks": 0}, "must be positive"),
         ({"workers": 0}, "must be positive"),
