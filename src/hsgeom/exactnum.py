@@ -366,13 +366,20 @@ def _prime_exponents(fact: dict[int, int], twos: int) -> dict[int, list[int]]:
     return by_exponent
 
 
+# Largest key gamma_product takes.  Gamma(10^6), key 2 * 10^6, already has
+# 5.6 million digits and takes about 10 s on a 2-core Xeon VM; a larger key would allocate its
+# sieve and exponent tables (8 bytes per integer below it) before failing.
+_MAX_GAMMA_KEY = 1 << 21
+
+
 def gamma_product(powers) -> ExactValue:
     """prod Gamma(m/2)^k over the items m: k of ``powers``, exactly.
 
     Keys are twice the Gamma arguments, so every key is a positive integer
     and half-integer arguments need no Fraction: ``{5: 2, 8: -1}`` is
-    Gamma(5/2)^2 / Gamma(4).  Powers may be any integers; zero powers are
-    ignored and the empty map gives ONE.
+    Gamma(5/2)^2 / Gamma(4).  Keys above ``_MAX_GAMMA_KEY`` raise
+    ValueError.  Powers may be any integers; zero powers are ignored and the
+    empty map gives ONE.
 
     Gamma(k + 1/2) = (2k)!/(4^k k!) sqrt(pi) turns the product into factorial
     powers times 2^e pi^(h/2).  A suffix sum over the factorial
@@ -389,6 +396,8 @@ def gamma_product(powers) -> ExactValue:
             raise ValueError(f"gamma_product needs positive integer keys and integer powers, got {m}: {k}")
         if not k:
             continue
+        if m > _MAX_GAMMA_KEY:
+            raise ValueError(f"Gamma argument too large for an exact value: twice it exceeds {_MAX_GAMMA_KEY}")
         if m % 2 == 0:
             fact[m // 2 - 1] = fact.get(m // 2 - 1, 0) + k
         else:

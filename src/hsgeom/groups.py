@@ -15,12 +15,11 @@ B and C coincide.
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import _CTX, _LN10, _PI, _ln, ExactValue, ONE, exact_sqrt, gamma_exact, gamma_product
+from .exactnum import ExactValue, ONE, exact_sqrt, gamma_exact, gamma_product
 
 __all__ = [
     "Convention",
@@ -82,63 +81,6 @@ def ball_volume(k: int) -> ExactValue:
     if k < 0:
         raise ValueError(f"ball dimension must be >= 0, got {k}")
     return ExactValue(1, Fraction(1), 1, k) / gamma_exact(Fraction(k, 2) + 1)
-
-
-# B_2j / (2j (2j - 1)) for j = 11, 10, ..., 1: the coefficients of Stirling's
-# series for ln Gamma(z), highest first for Horner's rule.  From z = 40 on,
-# the first omitted term (j = 12) is below 1e-34.
-_STIRLING = [
-    _CTX.divide(a, b)
-    for a, b in (
-        (77683, 5796),
-        (-174611, 125400),
-        (43867, 244188),
-        (-3617, 122400),
-        (1, 156),
-        (-691, 360360),
-        (1, 1188),
-        (-1, 1680),
-        (1, 1260),
-        (-1, 360),
-        (1, 12),
-    )
-]
-_STIRLING_FROM = 40
-_HALF_LN_2PI = _CTX.divide(_CTX.ln(_CTX.multiply(2, _PI)), 2)
-
-
-def ball_volume_log10(k: int) -> float:
-    """log10 of ``ball_volume(k)``, from ln Gamma instead of the exact value.
-
-    It is evaluated at 40 digits in the private decimal context of
-    ``exactnum``, whatever the caller's ``decimal`` context, so it gives the
-    same double as ``ball_volume(k).log10()``; at large k it skips building
-    Gamma(k/2 + 1) exactly.
-
-    Stirling's series gives ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 +
-    S(z), used at z = k/2 + 1 + s with the shift s chosen so that z >= 40.
-    With P = (k/2 + 1) ... (k/2 + s), the ball's ln volume is
-    (k/2) ln pi - ln Gamma(z) + ln P, whose three logarithms are taken as
-    one: ln(pi^k P^2 / z^(2z - 1)) / 2.
-    """
-    if k < 0:
-        raise ValueError(f"ball dimension must be >= 0, got {k}")
-    if k == 0:
-        return 0.0
-    shift = max(0, _STIRLING_FROM - 1 - k // 2)
-    twice_z = k + 2 + 2 * shift
-    z = _CTX.divide(twice_z, 2)
-    # 2^s P is the integer (k + 2)(k + 4) ... (k + 2s)
-    p2 = _CTX.divide(math.prod(range(k + 2, twice_z, 2)) ** 2, 1 << 2 * shift)
-    ratio = _CTX.divide(_CTX.multiply(_CTX.power(_PI, k), p2), _CTX.power(z, twice_z - 1))
-    inv = _CTX.divide(1, z)
-    inv2 = _CTX.multiply(inv, inv)
-    series = _STIRLING[0]
-    for c in _STIRLING[1:]:
-        series = _CTX.add(c, _CTX.multiply(inv2, series))
-    series = _CTX.multiply(inv, series)
-    ln_ball = _CTX.add(_CTX.divide(_ln(ratio), 2), _CTX.subtract(z, _CTX.add(_HALF_LN_2PI, series)))
-    return float(_CTX.divide(ln_ball, _LN10))
 
 
 # Integer powers of two go into the Gamma powers as Gamma(3) = 2, keyed 6,

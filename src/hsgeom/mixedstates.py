@@ -29,7 +29,6 @@ from .groups import (
     CosetSpec,
     Family,
     ball_volume,
-    ball_volume_log10,
     sphere_volume,
     volume_factors,
 )
@@ -70,30 +69,18 @@ class StateSpace:
         return self.n * (self.n + 1) // 2 - 1
 
 
-def vol_mixed(space: StateSpace) -> ExactValue:
-    """Exact HS volume of the state space."""
+def _edge_factors(space: StateSpace, k: int) -> tuple[ExactValue, Counter]:
+    """Volume of the order-k edge as ``(prefactor, powers)``, like ``volume_factors``."""
     n = space.n
-    if space.field == COMPLEX:
+    if space.field == COMPLEX and k == 0:
+        # The complex body has a direct formula, cheaper than the flag route:
         # sqrt(N) (2 pi)^(N(N-1)/2) Gamma(1)...Gamma(N) / Gamma(N^2), with the
         # power of two taken in as Gamma(3) = 2
         half = n * (n - 1) // 2
         powers = Counter({2 * j: 1 for j in range(1, n + 1)})
         powers[2 * n * n] -= 1
         powers[6] += half
-        return exact_sqrt(n) * PI.pow_int(half) * gamma_product(powers)
-    # sqrt(N)/N! * Vol_A[real flag] / C_N^(1,1): the order-0 edge
-    return vol_edge(space, 0)
-
-
-def vol_edge(space: StateSpace, k: int) -> ExactValue:
-    """Exact HS volume of the order-k edge: states of rank N - k.
-
-    k = 0 is the full body, k = 1 its boundary hyperarea, k = N - 1 the set
-    of pure states.
-    """
-    n = space.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"rank deficiency must be in [0, {n - 1}], got {k}")
+        return exact_sqrt(n) * PI.pow_int(half), powers
     if space.field == COMPLEX:
         flag_family, alpha, beta = Family.COMPLEX_FLAG, Fraction(1 + 2 * k), 2
     else:
@@ -105,7 +92,24 @@ def vol_edge(space: StateSpace, k: int) -> ExactValue:
     powers.subtract(bottom_powers)
     powers.subtract(c_norm_powers(EnsembleParams(n - k, alpha, beta)))
     powers[2 * (n - k) + 2] -= 1  # (N-k)! = Gamma(N-k+1)
-    return exact_sqrt(n - k) * top / bottom * gamma_product(powers)
+    return exact_sqrt(n - k) * top / bottom, powers
+
+
+def vol_mixed(space: StateSpace) -> ExactValue:
+    """Exact HS volume of the state space."""
+    return vol_edge(space, 0)
+
+
+def vol_edge(space: StateSpace, k: int) -> ExactValue:
+    """Exact HS volume of the order-k edge: states of rank N - k.
+
+    k = 0 is the full body, k = 1 its boundary hyperarea, k = N - 1 the set
+    of pure states.
+    """
+    if not 0 <= k <= space.n - 1:
+        raise ValueError(f"rank deficiency must be in [0, {space.n - 1}], got {k}")
+    prefactor, powers = _edge_factors(space, k)
+    return prefactor * gamma_product(powers)
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,10 @@ def geometry(space: StateSpace) -> GeometrySummary:
     n, d = space.n, space.dim
     circum = exact_sqrt(Fraction(n - 1, n))
     inscribed = circum / (n - 1)
-    log_rho = (vol_mixed(space).log10() - ball_volume_log10(d)) / d
+    # Vol / Vol B_D = Vol * Gamma(D/2 + 1) / pi^(D/2): one exact Gamma product
+    prefactor, powers = _edge_factors(space, 0)
+    powers[d + 2] += 1
+    log_rho = (prefactor * ExactValue(1, 1, 1, -d) * gamma_product(powers)).log10() / d
     # Every boundary point lies on a hyperplane tangent to the insphere, so
     # the boundary area is D/r times the volume (Zyczkowski & Sommers 2003).
     gamma = d / inscribed

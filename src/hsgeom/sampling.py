@@ -118,14 +118,21 @@ def eigvals_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     h = np.asarray(h)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {h.shape}")
-    defect = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max()
+    defect = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max(initial=0.0)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian to {tol:g} (defect {defect:g})")
     return np.linalg.eigvalsh(h)[..., ::-1]
 
 
 @lru_cache(maxsize=None)
-def _gell_mann_cached(n: int) -> np.ndarray:
+def gell_mann_basis(n: int) -> np.ndarray:
+    """Orthonormal traceless Hermitian basis, shape (n^2 - 1, n, n).
+
+    Normalized so tr(b_i b_j) = delta_ij; for n = 2 these are the Pauli
+    matrices divided by sqrt(2).
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     d = n * n - 1
     basis = np.zeros((d, n, n), dtype=complex)
     idx = 0
@@ -146,17 +153,6 @@ def _gell_mann_cached(n: int) -> np.ndarray:
         idx += 1
     basis.setflags(write=False)
     return basis
-
-
-def gell_mann_basis(n: int) -> np.ndarray:
-    """Orthonormal traceless Hermitian basis, shape (n^2 - 1, n, n).
-
-    Normalized so tr(b_i b_j) = delta_ij; for n = 2 these are the Pauli
-    matrices divided by sqrt(2).
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return _gell_mann_cached(n)
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:

@@ -132,6 +132,16 @@ def test_rejected_sample_keeps_out_file(tmp_path, capsys):
     assert target.read_text() == "earlier samples\n"
 
 
+def test_zero_samples_write_nothing(tmp_path, capsys):
+    code, out = run_cli(capsys, "sample", "--n", "2", "--samples", "0")
+    assert code == 0 and out == ""
+    target = tmp_path / "samples.jsonl"
+    target.write_text("earlier samples\n")
+    code, out = run_cli(capsys, "sample", "--n", "2", "--samples", "0", "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == ""
+
+
 def test_sample_jsonl_schema(capsys):
     code, out = run_cli(capsys, "sample", "--n", "3", "--samples", "4", "--seed", "5")
     assert code == 0
@@ -329,11 +339,13 @@ def test_verify_byte_identical_across_workers(tmp_path, capsys):
         ["verify", "--suite", "purity", "--workers", "0"],
         ["verify", "--suite", "purity", "--seed", str(2**64)],
         ["sample", "--n", "2", "--seed", str(2**64)],
+        ["constants", "--n", "3", "--alpha", "1e400"],
     ],
 )
 def test_verify_zero_arguments_exit_two(capsys, argv):
     # 0 is an explicit value, not "use the default plan"; a seed of 2**64
-    # would alias seed 0 in the 64-bit Philox key
+    # would alias seed 0 in the 64-bit Philox key; Gamma(1e400) is far past
+    # the largest exact Gamma argument
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -21,7 +21,6 @@ from hsgeom.exactnum import (
     gamma_exact,
     parse,
 )
-from hsgeom.groups import ball_volume_log10
 from hsgeom.mixedstates import StateSpace, geometry, vol_mixed
 
 # Frozen with mpmath at 40 significant digits: pi*sqrt(2)/3 and
@@ -206,7 +205,8 @@ def test_conversions_ignore_the_callers_decimal_context():
         g = geometry(StateSpace(4))
         return (
             [(v.to_float(), v.log10()) for v in values],
-            [ball_volume_log10(k) for k in (0, 1, 2, 15, 77, 78, 1001, 39999)],
+            # the log10 of a ratio with about 10^5 digits
+            [geometry(StateSpace(200, f)) for f in ("complex", "real")],
             (g.chi_log10, g.effective_radius),
         )
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsgeom.constants import EnsembleParams, c_norm, laguerre_integral
-from hsgeom.exactnum import ONE, PI, ExactValue, exact_sqrt, from_rational, gamma_product
+from hsgeom.exactnum import _MAX_GAMMA_KEY, ONE, PI, ExactValue, exact_sqrt, from_rational, gamma_product
 from hsgeom.groups import _GROUP_FAMILIES, Convention, CosetSpec, Family, vol_coset, vol_group
 from hsgeom.mixedstates import StateSpace, vol_edge, vol_mixed
 
@@ -142,6 +142,15 @@ def test_gamma_product_rejects_bad_keys():
     for bad in ({0: 1}, {-3: 1}, {Fraction(5, 2): 1}, {2.0: 1}, {3: Fraction(1, 2)}):
         with pytest.raises(ValueError):
             gamma_product(bad)
+
+
+def test_gamma_product_rejects_keys_above_the_bound():
+    # checked before the tables sized by the key are allocated, so a huge
+    # key fails at once; a zero power is still ignored
+    for key in (_MAX_GAMMA_KEY + 1, _MAX_GAMMA_KEY + 2, 2 * 10**400):
+        with pytest.raises(ValueError, match="too large"):
+            gamma_product({key: 1, 4: 1})
+    assert gamma_product({10**400: 0}) == ONE
 
 
 # -- every closed form that now calls it once -----------------------------------

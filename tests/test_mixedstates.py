@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
 
 from hsgeom.constants import EnsembleParams, c_norm
@@ -125,6 +126,27 @@ def test_geometry_n2_is_a_ball():
     assert g.gamma == 3 * exact_sqrt(2)
     assert g.chi1 == pytest.approx(1.0, rel=1e-12)
     assert g.chi2 == pytest.approx(1.0, rel=1e-12)
+
+
+def _effective_radius_reference(space):
+    """10^((log10 Vol - log10 Vol B_D) / D) at 60 digits, the ball through mpmath's loggamma."""
+    v, d = vol_mixed(space), space.dim
+    with mpmath.workdps(60):
+        magnitude = mpmath.mpf(v.q.numerator) / v.q.denominator * mpmath.sqrt(v.r)
+        log10_vol = mpmath.log10(magnitude) + v.p * mpmath.log10(mpmath.pi) / 2
+        log10_ball = d * mpmath.log10(mpmath.pi) / 2 - mpmath.loggamma(mpmath.mpf(d) / 2 + 1) / mpmath.ln(10)
+        return mpmath.power(10, (log10_vol - log10_ball) / d)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_effective_radius_matches_a_60_digit_reference(field):
+    # complex n = 84 and 114 are off by 9.2e-16 and 1.05e-15 if the two
+    # volumes' log10 are rounded to doubles before they are subtracted
+    for n in (2, 3, 4, 6, 13, 21, 55, 84, 96, 114, 137, 139, 174, 200):
+        want = _effective_radius_reference(StateSpace(n, field))
+        got = geometry(StateSpace(n, field)).effective_radius
+        with mpmath.workdps(60):
+            assert abs(got - want) / want <= 6e-16, n
 
 
 def test_geometry_radii_golden():

@@ -142,6 +142,13 @@ def test_eigvals_hermitian_contracts():
         eigvals_hermitian(np.ones((2, 3)))
 
 
+def test_eigvals_hermitian_of_an_empty_stack():
+    # same shape as np.linalg.eigvalsh gives
+    for n in (2, 3):
+        assert eigvals_hermitian(np.empty((0, n, n))).shape == (0, n)
+        assert eigvals_hermitian(np.empty((0, n, n), dtype=complex)).shape == (0, n)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_gell_mann_basis_orthonormal_traceless(n):
     basis = gell_mann_basis(n)
@@ -151,6 +158,9 @@ def test_gell_mann_basis_orthonormal_traceless(n):
     np.testing.assert_allclose(gram, np.eye(n * n - 1), atol=1e-13)
     herm = np.abs(basis - np.conj(np.swapaxes(basis, -1, -2))).max()
     assert herm == 0.0
+    # cached: every call returns the same read-only array
+    assert gell_mann_basis(n) is basis
+    assert not basis.flags.writeable
 
 
 def test_gell_mann_n2_is_rescaled_pauli():
