@@ -306,14 +306,13 @@ def exact_sqrt(x) -> ExactValue:
 def gamma_exact(x) -> ExactValue:
     """Gamma at a positive integer or half-integer argument, exactly.
 
-    Gamma(n) = (n-1)!;  Gamma(k + 1/2) = (2k)!/(4^k k!) * sqrt(pi).
+    Gamma(n) = (n-1)!;  Gamma(k + 1/2) = (2k)!/(4^k k!) * sqrt(pi).  Both go
+    through ``gamma_product``, so both share its bound on the argument.
     """
     x = Fraction(x)
     if x <= 0 or (2 * x).denominator != 1:
         raise ValueError(f"gamma_exact needs a positive integer or half-integer, got {x}")
-    if x.denominator == 1:
-        return from_rational(math.factorial(x.numerator - 1))
-    return gamma_product({x.numerator: 1})
+    return gamma_product({int(2 * x): 1})
 
 
 def _tree_product(xs: list[int]) -> int:

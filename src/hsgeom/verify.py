@@ -16,7 +16,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -173,27 +173,55 @@ def mc_purity(
 _STATE_TEST_BLOCK = 4096
 
 
+@lru_cache(maxsize=None)
+def _entry_terms(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int, float], ...]]:
+    """The nonzero terms of the map from coherence vectors to matrix entries.
+
+    Row r < n^2 of the map gives the real part of entry r of the row-major
+    matrix and row n^2 + r its imaginary part; column i is the coordinate
+    along the basis matrix b_i.  Returned are each row's first term (its
+    column, and its coefficient, 0 for a row with no term) and the later
+    terms (row, column, coefficient) in row-major order.  In the Gell-Mann
+    basis every off-diagonal part is one coordinate times +-1/sqrt(2); only
+    the diagonal, a sum over the n - 1 diagonal generators, has later terms.
+    """
+    d = n * n - 1
+    basis = gell_mann_basis(n).reshape(d, n * n)
+    entries = np.concatenate([basis.real.T, basis.imag.T])  # (2 n^2, d)
+    first = np.argmax(entries != 0, axis=1)
+    coefs = entries[np.arange(2 * n * n), first, None]
+    later = tuple((r, c, entries[r, c]) for r, c in zip(*np.nonzero(entries)) if c != first[r])
+    first.setflags(write=False)  # cached: shared by every caller
+    coefs.setflags(write=False)
+    return first, coefs, later
+
+
 def _is_state(tau: np.ndarray) -> np.ndarray:
     """Which rows of ``tau`` (shape (size, n^2 - 1)) are coherence vectors of states.
 
     A row is a hit iff I/n + sum_i tau_i b_i + POSITIVITY_TOL * I is positive
     definite, i.e. iff its smallest eigenvalue is > -POSITIVITY_TOL.  That
     holds iff every pivot of the LDL^H (Schur-complement) elimination is
-    positive, which costs no eigensolver.  One real GEMM maps a block of
-    draws to the real and imaginary parts of the matrix entries, one
-    contiguous row per entry, and the elimination runs across the draws.
+    positive, which costs no eigensolver.  The index map ``_entry_terms``
+    builds the real and imaginary parts of the matrix entries of a block of
+    draws, one contiguous row per entry, by elementwise products and sums
+    in the order a dot product takes them, with no matrix product; the
+    elimination then runs across the draws.
     """
     size, d = tau.shape
     n = math.isqrt(d + 1)
-    basis = gell_mann_basis(n).reshape(d, n * n)
-    entries = np.concatenate([basis.real.T, basis.imag.T])  # (2 n^2, d)
+    first, coefs, later = _entry_terms(n)
     diag = np.arange(n)
     hits = np.ones(size, dtype=bool)
     for start in range(0, size, _STATE_TEST_BLOCK):
-        block = tau[start : start + _STATE_TEST_BLOCK]
-        re, im = (entries @ block.T).reshape(2, n, n, len(block))
+        coords = np.ascontiguousarray(tau[start : start + _STATE_TEST_BLOCK].T)  # (d, block)
+        entries = coords[first]
+        entries *= coefs
+        for row, col, coef in later:
+            entries[row] += coef * coords[col]
+        re, im = entries.reshape(2, n, n, -1)
         re[diag, diag] += 1.0 / n + POSITIVITY_TOL
-        ok = hits[start : start + len(block)]
+        ok = hits[start : start + _STATE_TEST_BLOCK]
         # a draw whose pivot is <= 0 is already a miss, so a zero division or
         # overflow in its later, discarded pivots is harmless
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -258,6 +286,52 @@ _TOP_EIGENVALUE_CDF = {
 }
 
 
+def _top_eigenvalue(rho: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each 2 x 2 or 3 x 3 Hermitian matrix in ``rho``, from its entries.
+
+    With diagonal a, b, c and off-diagonal u = A_01, v = A_02, w = A_12:
+    n = 2: (a + b)/2 + hypot((a - b)/2, |u|).  n = 3: Smith's root
+    q + 2p cos(arccos(r)/3), where A = qI + pB with tr B = 0, tr B^2 = 6 and
+    r = det(B)/2 (O. K. Smith, "Eigenvalues of a symmetric 3x3 matrix",
+    Commun. ACM 4 (1961) 168).  Where r < 0 the top two eigenvalues are the
+    closer pair, and that root loses half its digits as they meet (5e-9 at
+    a doubly degenerate top).  There the bottom root lo is simple and well
+    conditioned: M = A - lo I has eigenvalues 0 (eigenvector u, with
+    u u^H = adj M / tr adj M) and m +- g on the complement of u, where
+    m = tr M / 2, so g^2 = ||M - m(I - u u^H)||_F^2 / 2 is a sum of squares
+    with no cancellation.  The top, which lies in [q + p, q + sqrt(3) p]
+    when r < 0, is then lo + m + g, clipped to that range where p is at the
+    rounding level of A and M is noise.
+    """
+    a, b, u = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
+    if rho.shape[-1] == 2:
+        return (a + b) / 2 + np.hypot((a - b) / 2, np.abs(u))
+    c, v, w = rho[:, 2, 2].real, rho[:, 0, 2], rho[:, 1, 2]
+    uu, vv, ww = (np.square(z.real) + np.square(z.imag) for z in (u, v, w))
+    q = (a + b + c) / 3
+    x, y, z = a - q, b - q, c - q
+    p = np.sqrt((x * x + y * y + z * z + 2 * (uu + vv + ww)) / 6)
+    half_det = (x * y * z - x * ww - y * vv - z * uu) / 2 + (u * w * v.conj()).real
+    # A = qI (p = 0, or p^3 below the double range) has every root at q: take r = 1
+    cube = p**3
+    r = np.clip(np.divide(half_det, cube, out=np.ones_like(p), where=cube > 0), -1, 1)
+    phi = np.arccos(r) / 3
+    top = q + 2 * p * np.cos(phi)
+    lo = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+    ma, mb, mc = a - lo, b - lo, c - lo
+    adj = (mb * mc - ww, ma * mc - vv, ma * mb - uu)  # diagonal of adj M
+    adj_uv, adj_uw, adj_vw = v * w.conj() - u * mc, u * w - v * mb, v * u.conj() - ma * w
+    m = (ma + mb + mc) / 2
+    trace = sum(adj)
+    s = np.divide(m, trace, out=np.zeros_like(m), where=trace > 0)
+    g2 = sum(np.square(mi - m + s * ai) for mi, ai in zip((ma, mb, mc), adj))
+    for e, f in ((u, adj_uv), (v, adj_uw), (w, adj_vw)):
+        k = e + s * f
+        g2 += 2 * (np.square(k.real) + np.square(k.imag))
+    deflated = np.clip(lo + m + np.sqrt(g2 / 2), q + p, q + math.sqrt(3) * p)
+    return np.where(r < 0, deflated, top)
+
+
 def _reference_cdf(n: int, field: str, bins: int):
     """The reference CDF of the largest eigenvalue, for a fit in ``bins`` bins."""
     if bins < 5:
@@ -275,9 +349,13 @@ def spectral_fit_test(
 
     A top eigenvalue t goes to bin min(floor(F(t) * bins), bins - 1) of its
     reference CDF F; F(t) is uniform under the reference law, so every bin
-    has probability exactly 1/bins.  ``sampler(rng, size) -> (size, n)``
-    spectra can replace the HS sampler to test another generator (negative
-    controls).  It is called once per chunk; a chunk's record is its counts.
+    has probability exactly 1/bins.  ``sampler(rng, size) -> (size, k)``
+    returns rows whose maxima are the top eigenvalues; it is called once
+    per chunk, and a chunk's record is its counts.  The default draws HS
+    states and gives each one's top eigenvalue from its entries
+    (``_top_eigenvalue``, k = 1), with no eigensolver; a sampler returning
+    full spectra (k = n) can replace it to test another generator
+    (negative controls).
 
     Returns (statistic, p_value) with bins - 1 degrees of freedom.
     """
@@ -286,7 +364,7 @@ def spectral_fit_test(
     if sampler is None:
 
         def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-            return np.linalg.eigvalsh(sample_hs_batch(n, field, rng, size))
+            return _top_eigenvalue(sample_hs_batch(n, field, rng, size))[:, None]
 
     def histogram(rng: np.random.Generator, size: int) -> np.ndarray:
         u = cdf(np.asarray(sampler(rng, size)).max(axis=-1))

@@ -352,6 +352,16 @@ def test_verify_zero_arguments_exit_two(capsys, argv):
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("dim", ["4000000", "4000001"])
+def test_ball_past_the_gamma_bound_exits_two(capsys, dim):
+    # Gamma(dim/2 + 1) is past the largest exact Gamma argument for an even
+    # dimension (an integer argument) as well as for an odd one
+    code = cli.main(["reference", "--body", "ball", "--dim", dim])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Gamma argument too large" in captured.err
+
+
 def test_domain_error_exits_two(capsys):
     code = cli.main(["edge", "--n", "3", "--rank-deficiency", "7"])
     captured = capsys.readouterr()

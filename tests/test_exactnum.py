@@ -19,6 +19,7 @@ from hsgeom.exactnum import (
     exact_sqrt,
     from_rational,
     gamma_exact,
+    gamma_product,
     parse,
 )
 from hsgeom.mixedstates import StateSpace, geometry, vol_mixed
@@ -92,6 +93,14 @@ def test_gamma_recurrence_up_to_30():
     for twice_x in range(1, 61):
         x = Fraction(twice_x, 2)
         assert gamma_exact(x + 1) == x * gamma_exact(x)
+
+
+def test_gamma_at_integers_is_the_factorial_through_gamma_product():
+    # the integer branch once evaluated math.factorial directly; both
+    # branches now go through gamma_product and must keep its strings
+    for x in range(1, 400):
+        expected = str(from_rational(math.factorial(x - 1)))
+        assert str(gamma_product({2 * x: 1})) == str(gamma_exact(x)) == expected
 
 
 def test_gamma_domain_errors():

@@ -18,6 +18,7 @@ from hsgeom.verify import (
     _hit_or_miss_chunk,
     _is_state,
     _max_eigenvalue_cdf_n3,
+    _top_eigenvalue,
     check_hit_or_miss,
     check_norm_constant,
     check_purity,
@@ -131,12 +132,15 @@ def test_pivot_test_matches_eigensolver_draw_by_draw(n):
         np.testing.assert_array_equal(new, reference)
 
 
-def _state_with_spectrum(spectrum, rng):
-    """U diag(spectrum) U^dag for a Haar unitary U, as a coherence vector."""
+def _with_spectrum(spectrum, rng, field="complex"):
+    """U diag(spectrum) U^dag for a Haar unitary (orthogonal for the real field) U."""
     n = len(spectrum)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    g = rng.standard_normal((n, n))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return bloch_vector((u * np.asarray(spectrum, dtype=float)) @ u.conj().T)
+    return (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -152,7 +156,7 @@ def test_pivot_test_on_constructed_spectra(n):
     plan += [(-POSITIVITY_TOL / 2, 1, True)] * 10 + [(-2 * POSITIVITY_TOL, 1, False)] * 10
     plan += [(-0.01, 1, False)] * 5
     cases = [(spectra(lowest, count), hit) for lowest, count, hit in plan]
-    tau = np.array([_state_with_spectrum(spectrum, rng) for spectrum, _ in cases])
+    tau = np.array([bloch_vector(_with_spectrum(spectrum, rng)) for spectrum, _ in cases])
     expected = np.array([hit for _, hit in cases])
     np.testing.assert_array_equal(_is_state(tau), expected)
 
@@ -315,6 +319,86 @@ def test_spectral_fit_sampler_sees_one_chunk_at_a_time():
     sizes.clear()
     spectral_fit_test(2, "complex", 12_000, 20, seed=0, sampler=recording)
     assert max(sizes) <= 12_000 // 10
+
+
+@pytest.mark.parametrize("n,field", [(2, "complex"), (2, "real"), (3, "complex"), (3, "real")])
+def test_top_eigenvalue_matches_eigvalsh_on_hs_draws(n, field):
+    for stream in range(5):
+        rho = verify.sample_hs_batch(n, field, make_rng(60, stream), 20_000)
+        error = np.abs(_top_eigenvalue(rho) - np.linalg.eigvalsh(rho)[:, -1])
+        assert error.max() <= 1e-14
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_top_eigenvalue_on_constructed_spectra(field):
+    # Smith's trigonometric root alone is off by up to 5e-9 at a doubly
+    # degenerate top of a 3 x 3 matrix; the deflated root must not be.  I/3
+    # gets more draws: rounded, it is scalar only up to rounding, so the
+    # deflation works on noise and only its clip keeps the error small.
+    spectra = [
+        (1.0, 0.0), (0.5, 0.5), (0.7, 0.3),  # pure, I/2, generic
+        (1.0, 0.0, 0.0),  # pure: doubly degenerate bottom at 0
+        (0.4, 0.4, 0.2), (0.45, 0.45, 0.1),  # doubly degenerate top
+        (0.6, 0.2, 0.2), (0.34, 0.33, 0.33),  # doubly degenerate bottom
+        (0.5, 0.5, 0.0), (0.7, 0.3, 0.0),  # rank deficient
+    ]
+    rng = make_rng(61)
+    for spectrum, count in [(s, 500) for s in spectra] + [((1 / 3, 1 / 3, 1 / 3), 10_000)]:
+        rho = np.array([_with_spectrum(spectrum, rng, field) for _ in range(count)])
+        error = np.abs(_top_eigenvalue(rho) - np.linalg.eigvalsh(rho)[:, -1])
+        assert error.max() <= 1e-14, spectrum
+    for n in (2, 3):
+        # exactly diagonal: p = 0 for I/3, and exact zeros off the diagonal
+        assert _top_eigenvalue(np.eye(n)[None] / n) == pytest.approx(1 / n, abs=1e-16)
+        assert _top_eigenvalue(np.diag([0.0] * (n - 1) + [1.0])[None]) == 1.0
+    assert _top_eigenvalue(np.diag([0.5, 0.5, 0.0])[None]) == 0.5
+
+
+@pytest.mark.parametrize("n,field", [(2, "complex"), (2, "real"), (3, "complex")])
+def test_spectral_chunk_records_match_eigvalsh(monkeypatch, n, field):
+    records = []
+    map_chunks = verify._map_chunks
+
+    def recording(*args):
+        records.append(map_chunks(*args))
+        return records[-1]
+
+    def full_spectra(rng, size):
+        return np.linalg.eigvalsh(verify.sample_hs_batch(n, field, rng, size))
+
+    monkeypatch.setattr(verify, "_map_chunks", recording)
+    spectral_fit_test(n, field, 100_000, 20, seed=3)
+    spectral_fit_test(n, field, 100_000, 20, seed=3, sampler=full_spectra)
+    new, old = records
+    assert len(new) == len(old) == 10
+    for a, b in zip(new, old):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_reports_match_golden():
+    # recorded with the eigvalsh spectral sampler and the matrix-product
+    # positivity test: the entrywise kernels move no draw's bin and no hit
+    for (n, field), p_value in {
+        (2, "complex"): 0.9410270572018482,
+        (2, "real"): 0.4594306063484901,
+        (3, "complex"): 0.2556608788985997,
+    }.items():
+        assert check_spectral(n, field, 100_000, seed=0) == {
+            "check": f"spectral/n={n}/{field}/samples=100000/bins=20/seed=0",
+            "expected": 0.001,
+            "estimate": p_value,
+            "stderr": None,
+            "sigmas": None,
+            "pass": True,
+        }
+    assert check_hit_or_miss(4, 400_000, seed=0) == {
+        "check": "hitmiss/n=4/samples=400000/seed=0",
+        "expected": 2.560951750023203e-05,
+        "estimate": 1.75e-05,
+        "stderr": 6.614328669514342e-06,
+        "sigmas": 1.2260529987886848,
+        "pass": True,
+    }
 
 
 def test_spectral_fit_validation():
