@@ -302,7 +302,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, MemoryError) as exc:
+        # MemoryError: a --samples (per --chunks, for verify) too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,6 +56,17 @@ class MCEstimate:
     chunks: int
 
 
+# Rows per block of a chunk's derived arrays.  A chunk holds its draws and
+# its values whole and computes everything else one block at a time.  The
+# positivity test's matrix entries and elimination temporaries stay within
+# a 2 MB L2 cache up to n = 5.
+_BLOCK = 4096
+# The norm kernel's blocks are larger because each one is a Generator.dirichlet
+# call: at 4096 rows the verify plan's norm rows ran about 10% slower on two
+# workers than with one draw per chunk, and at 16384 rows they do not.
+_NORM_BLOCK = 16384
+
+
 def _check_draws(n_samples: int, seed: int, chunks: int, workers: int) -> None:
     """Refuse a sample, chunk or worker count or a seed that no estimator can run."""
     if n_samples <= 0 or chunks <= 0 or workers <= 0:
@@ -92,7 +103,8 @@ def _chunked_mean(
     A chunk's record is (shift, sum v, sum v^2) of its values v scaled by
     exp(-shift).  Logs take the chunk's largest as the shift, so no sum
     underflows; the merge rescales every record to the largest shift, an
-    exact multiplication by 1.0 when every shift is 0.
+    exact multiplication by 1.0 when every shift is 0.  The values belong
+    to the record: logs are scaled and exponentiated in place.
     """
 
     def record(rng: np.random.Generator, size: int) -> tuple[float, float, float]:
@@ -101,7 +113,9 @@ def _chunked_mean(
         if logs:
             shift = float(values.max())
             # exp(-inf - -inf) is nan: a chunk of all-zero values (logs -inf) stays zero
-            values = np.exp(values - shift) if shift > -math.inf else np.exp(values)
+            if shift > -math.inf:
+                values -= shift
+            np.exp(values, out=values)
         return shift, float(values.sum()), float(np.square(values).sum())
 
     records = _map_chunks(record, n_samples, seed, chunks, workers)
@@ -140,13 +154,22 @@ def mc_norm_constant(
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
-        lam = rng.dirichlet([alpha] * n, size)
+        # Dirichlet rows come off one sequential stream, so drawing them a
+        # block at a time gives the numbers one draw of all ``size`` gives
         log_vandermonde = np.zeros(size)
+        gap = np.empty(min(size, _NORM_BLOCK))
         # a repeated eigenvalue (exact zeros at tiny alpha) has weight 0, log -inf
         with np.errstate(divide="ignore"):
-            for i, j in pairs:
-                log_vandermonde += np.log(np.abs(lam[:, i] - lam[:, j]))
-        return beta * log_vandermonde - log_dirichlet_const
+            for start in range(0, size, _NORM_BLOCK):
+                rows = min(_NORM_BLOCK, size - start)
+                lam = rng.dirichlet([alpha] * n, rows).T  # (n, rows)
+                logs, part = log_vandermonde[start : start + rows], gap[:rows]
+                for i, j in pairs:
+                    np.log(np.abs(np.subtract(lam[i], lam[j], out=part), out=part), out=part)
+                    logs += part
+        log_vandermonde *= beta
+        log_vandermonde -= log_dirichlet_const
+        return log_vandermonde
 
     return _chunked_mean(chunk, n_samples, seed, chunks, workers, logs=True)
 
@@ -166,11 +189,6 @@ def mc_purity(
         return np.einsum("sij,sij->s", rho, rho.conj()).real
 
     return _chunked_mean(chunk, n_samples, seed, chunks, workers)
-
-
-# Draws per block of the positivity test: the block's matrix entries and the
-# elimination's temporaries stay within a 2 MB L2 cache up to n = 5.
-_STATE_TEST_BLOCK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -197,51 +215,62 @@ def _entry_terms(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int, 
 
 
 def _is_state(tau: np.ndarray) -> np.ndarray:
-    """Which rows of ``tau`` (shape (size, n^2 - 1)) are coherence vectors of states.
+    """Which rows of ``tau`` (shape (rows, n^2 - 1)) are coherence vectors of states.
 
     A row is a hit iff I/n + sum_i tau_i b_i + POSITIVITY_TOL * I is positive
     definite, i.e. iff its smallest eigenvalue is > -POSITIVITY_TOL.  That
     holds iff every pivot of the LDL^H (Schur-complement) elimination is
     positive, which costs no eigensolver.  The index map ``_entry_terms``
-    builds the real and imaginary parts of the matrix entries of a block of
-    draws, one contiguous row per entry, by elementwise products and sums
-    in the order a dot product takes them, with no matrix product; the
-    elimination then runs across the draws.
+    builds the real and imaginary parts of the matrix entries of the rows,
+    one contiguous row per entry, by elementwise products and sums in the
+    order a dot product takes them, with no matrix product; the elimination
+    then runs across the rows, and its memory grows with them: callers pass
+    one block.
     """
-    size, d = tau.shape
+    rows, d = tau.shape
     n = math.isqrt(d + 1)
     first, coefs, later = _entry_terms(n)
     diag = np.arange(n)
-    hits = np.ones(size, dtype=bool)
-    for start in range(0, size, _STATE_TEST_BLOCK):
-        coords = np.ascontiguousarray(tau[start : start + _STATE_TEST_BLOCK].T)  # (d, block)
-        entries = coords[first]
-        entries *= coefs
-        for row, col, coef in later:
-            entries[row] += coef * coords[col]
-        re, im = entries.reshape(2, n, n, -1)
-        re[diag, diag] += 1.0 / n + POSITIVITY_TOL
-        ok = hits[start : start + _STATE_TEST_BLOCK]
-        # a draw whose pivot is <= 0 is already a miss, so a zero division or
-        # overflow in its later, discarded pivots is harmless
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for p in range(n):
-                ok &= re[p, p] > 0
-                # A[j,k] -= conj(A[p,j]) A[p,k] / A[p,p] on the trailing block
-                yr, yi = re[p, p + 1 :], im[p, p + 1 :]
-                xr, xi = yr / re[p, p], yi / re[p, p]
-                re[p + 1 :, p + 1 :] -= xr[:, None] * yr + xi[:, None] * yi
-                im[p + 1 :, p + 1 :] -= xr[:, None] * yi - xi[:, None] * yr
+    coords = np.ascontiguousarray(tau.T)  # (d, rows)
+    entries = coords[first]
+    entries *= coefs
+    for row, col, coef in later:
+        entries[row] += coef * coords[col]
+    re, im = entries.reshape(2, n, n, -1)
+    re[diag, diag] += 1.0 / n + POSITIVITY_TOL
+    hits = np.ones(rows, dtype=bool)
+    # a draw whose pivot is <= 0 is already a miss, so a zero division or
+    # overflow in its later, discarded pivots is harmless
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p in range(n):
+            hits &= re[p, p] > 0
+            # A[j,k] -= conj(A[p,j]) A[p,k] / A[p,p] on the trailing block's
+            # upper triangle, the only part later pivots read
+            yr, yi = re[p, p + 1 :], im[p, p + 1 :]
+            xr, xi = yr / re[p, p], yi / re[p, p]
+            for a, j in enumerate(range(p + 1, n)):
+                re[j, j:] -= xr[a] * yr[a:] + xi[a] * yi[a:]
+                im[j, j + 1 :] -= xr[a] * yi[a + 1 :] - xi[a] * yr[a + 1 :]
     return hits
 
 
 def _hit_or_miss_chunk(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """1.0 for each of ``size`` uniform points of the radius-R_N ball that is a state, else 0.0."""
+    """Whether each of ``size`` uniform points of the radius-R_N ball is a state.
+
+    The normals and then the uniforms are drawn whole, in stream order; each
+    block of rows is scaled onto the ball in place and tested.
+    """
     d = n * n - 1
     g = rng.standard_normal((size, d))
     u = rng.random(size)
-    g *= (math.sqrt((n - 1) / n) * u ** (1.0 / d) / np.linalg.norm(g, axis=1))[:, None]
-    return _is_state(g).astype(float)
+    radius = math.sqrt((n - 1) / n)
+    hits = np.empty(size, dtype=bool)
+    for start in range(0, size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block = g[rows]
+        block *= (radius * u[rows] ** (1.0 / d) / np.linalg.norm(block, axis=1))[:, None]
+        hits[rows] = _is_state(block)
+    return hits
 
 
 def mc_hit_or_miss_fraction(

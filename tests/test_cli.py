@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsgeom import cli, exactnum, verify
+from hsgeom import cli, exactnum, sampling, verify
 
 
 def run_cli(capsys, *argv):
@@ -350,6 +350,30 @@ def test_verify_zero_arguments_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["verify", "--suite", "hitmiss", "--n", "3", "--samples", "10000000000000", "--chunks", "1"],
+         verify, "run_suite"),
+        (["sample", "--n", "3", "--samples", "10000000000000", "--spectra-only"],
+         sampling, "sample_hs_batch"),
+    ],
+)
+def test_allocation_failure_exits_two(capsys, monkeypatch, argv, module, name):
+    # a stand-in refuses the allocation, as numpy does for these counts,
+    # so the test asks the machine for no memory
+    def refuse(*args, **kwargs):
+        raise MemoryError(
+            "Unable to allocate 582. TiB for an array with shape (10000000000000, 8) and data type float64"
+        )
+
+    monkeypatch.setattr(module, name, refuse)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate") and len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("dim", ["4000000", "4000001"])

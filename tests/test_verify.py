@@ -1,6 +1,7 @@
 """Monte Carlo estimator correctness, determinism, and the chi-square fit."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -399,6 +400,55 @@ def test_reports_match_golden():
         "sigmas": 1.2260529987886848,
         "pass": True,
     }
+    # recorded with whole-chunk hit-or-miss scaling and whole-chunk
+    # Dirichlet draws: the block-at-a-time kernels move no hit and no weight
+    assert check_hit_or_miss(3, 1_000_000, seed=0) == {
+        "check": "hitmiss/n=3/samples=1000000/seed=0",
+        "expected": 0.02658192888640783,
+        "estimate": 0.02655,
+        "stderr": 0.00016076418551755657,
+        "sigmas": 0.19860696152590987,
+        "pass": True,
+    }
+    assert check_norm_constant(4, 2, 1, 1_000_000, seed=0) == {
+        "check": "norm/n=4/alpha=2/beta=1/samples=1000000/seed=0",
+        "expected": 5.41992729492732e-09,
+        "estimate": 5.414097371603656e-09,
+        "stderr": 1.0291547278283824e-11,
+        "sigmas": 0.5664768538707252,
+        "pass": True,
+    }
+    assert check_norm_constant(3, 3, 2, 1_000_000, seed=0) == {
+        "check": "norm/n=3/alpha=3/beta=2/samples=1000000/seed=0",
+        "expected": 3.964289678575367e-08,
+        "estimate": 3.982589771454133e-08,
+        "stderr": 1.0354082200047566e-10,
+        "sigmas": 1.7674278149619327,
+        "pass": True,
+    }
+
+
+def _traced_peak(fn, *args) -> int:
+    """Bytes above the starting level at the peak of ``fn(*args)``, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunks_hold_one_block_of_derived_arrays():
+    # 10^5 draws is not a multiple of either block, so the last block is short
+    size = 100_000
+    d = 3 * 3 - 1
+    draws = size * d * 8 + size * 8  # the normals and the uniforms
+    rng = make_rng(0, 1)  # before tracing: the first one imports numpy.random
+    assert _traced_peak(_hit_or_miss_chunk, 3, rng, size) <= 1.75 * draws
+    n = 4
+    block = verify._NORM_BLOCK * (n + 1) * 8  # a block of Dirichlet rows and its gaps
+    peak = _traced_peak(mc_norm_constant, n, 2.0, 1.0, size, 0, 1)
+    assert peak <= 2 * size * 8 + block
 
 
 def test_spectral_fit_validation():
