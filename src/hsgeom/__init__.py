@@ -29,11 +29,8 @@ _LAZY = {
             "density_from_bloch",
             "eigvals_hermitian",
             "gell_mann_basis",
-            "is_positive",
             "make_rng",
             "sample_hs_batch",
-            "sample_hs_density",
-            "sample_pure_partial_trace",
             "sample_pure_partial_trace_batch",
         ),
         "sampling",

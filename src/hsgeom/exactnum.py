@@ -371,6 +371,11 @@ def _prime_exponents(fact: dict[int, int], twos: int) -> dict[int, list[int]]:
 _MAX_GAMMA_KEY = 1 << 21
 
 
+def _check_gamma_key(m: int) -> None:
+    if m > _MAX_GAMMA_KEY:
+        raise ValueError(f"Gamma argument too large for an exact value: twice it exceeds {_MAX_GAMMA_KEY}")
+
+
 def gamma_product(powers) -> ExactValue:
     """prod Gamma(m/2)^k over the items m: k of ``powers``, exactly.
 
@@ -395,8 +400,7 @@ def gamma_product(powers) -> ExactValue:
             raise ValueError(f"gamma_product needs positive integer keys and integer powers, got {m}: {k}")
         if not k:
             continue
-        if m > _MAX_GAMMA_KEY:
-            raise ValueError(f"Gamma argument too large for an exact value: twice it exceeds {_MAX_GAMMA_KEY}")
+        _check_gamma_key(m)
         if m % 2 == 0:
             fact[m // 2 - 1] = fact.get(m // 2 - 1, 0) + k
         else:

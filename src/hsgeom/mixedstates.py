@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 from .constants import EnsembleParams, c_norm_powers
-from .exactnum import ExactValue, PI, exact_sqrt, from_rational, gamma_product
+from .exactnum import ExactValue, PI, _check_gamma_key, exact_sqrt, from_rational, gamma_product
 from .groups import (
     Convention,
     CosetSpec,
@@ -214,6 +214,8 @@ def reference_body(kind: ReferenceKind | str, dim: int, side=1) -> ReferenceBody
         return ReferenceBody(kind, scaled * sphere_volume(dim), None)
     # Regular simplex of side L: L^D sqrt(D+1) / (sqrt(2^D) D!); a diamond is
     # two simplices glued along a face, with 2D instead of D+1 boundary faces.
+    # D! = Gamma(D + 1) is held to gamma_product's bound before it is built.
+    _check_gamma_key(2 * dim + 2)
     simplex_vol = scaled * exact_sqrt(Fraction(dim + 1, 2**dim)) / factorial(dim)
     slope = exact_sqrt(Fraction(2 * dim, dim + 1))
     if kind is ReferenceKind.SIMPLEX:

@@ -1,11 +1,12 @@
 """Random density matrices distributed by the Hilbert-Schmidt measure.
 
-Two equivalent constructions are provided: projecting a Ginibre matrix
-(``rho = A^dag A / tr A^dag A``) and partial-tracing a random pure state of
-a doubled system.  The real-symmetric ensemble uses an N x (N+1) Gaussian
-matrix, which is the rectangular shape whose Wishart exponent vanishes and
-reproduces the linear eigenvalue repulsion of the real HS measure; this
-choice is validated statistically in the verify module rather than assumed.
+Two equivalent batch constructions are provided: projecting a Ginibre
+matrix (``sample_hs_batch``, which the CLI and the checks draw through) and
+partial-tracing a random pure state of a doubled system.  The
+real-symmetric ensemble uses an N x (N+1) Gaussian matrix, which is the
+rectangular shape whose Wishart exponent vanishes and reproduces the linear
+eigenvalue repulsion of the real HS measure; this choice is validated
+statistically in the verify module rather than assumed.
 
 Randomness comes from numpy's Philox counter-based generator keyed by
 ``(seed, stream)``, so independent streams for parallel chunks are cheap
@@ -20,15 +21,12 @@ import numpy as np
 
 __all__ = [
     "make_rng",
-    "sample_hs_density",
     "sample_hs_batch",
-    "sample_pure_partial_trace",
     "sample_pure_partial_trace_batch",
     "eigvals_hermitian",
     "gell_mann_basis",
     "bloch_vector",
     "density_from_bloch",
-    "is_positive",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -49,6 +47,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def _ginibre(n: int, field: str, rng: np.random.Generator, size: int) -> np.ndarray:
     """Gaussian draws X whose Gram matrices X^dag X are the unnormalized states."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     if field == "complex":
         return rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
     if field == "real":
@@ -57,20 +57,11 @@ def _ginibre(n: int, field: str, rng: np.random.Generator, size: int) -> np.ndar
     raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
 
 
-def _normalized_gram(n: int, draw, size: int) -> np.ndarray:
-    """X^dag X / tr(X^dag X) for ``size`` draws X = draw(count)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    x = draw(size)
+def _normalized_gram(x: np.ndarray) -> np.ndarray:
+    """X^dag X / tr(X^dag X) for each X of the stack ``x``."""
+    # a zero trace needs every one of at least 6 Gaussian entries to be 0.0
     w = np.einsum("sji,sjk->sik", x.conj(), x)
-    tr = np.einsum("sii->s", w).real
-    # tr == 0 has probability zero; redraw defensively if it ever happens.
-    while np.any(tr == 0):
-        bad = np.flatnonzero(tr == 0)
-        x = draw(bad.size)
-        w[bad] = np.einsum("sji,sjk->sik", x.conj(), x)
-        tr = np.einsum("sii->s", w).real
-    return w / tr[:, None, None]
+    return w / np.einsum("sii->s", w).real[:, None, None]
 
 
 def sample_hs_batch(n: int, field: str, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -83,14 +74,7 @@ def sample_hs_batch(n: int, field: str, rng: np.random.Generator, size: int) -> 
     rng : generator from ``make_rng`` (or any numpy Generator).
     size : number of samples.
     """
-    return _normalized_gram(n, lambda count: _ginibre(n, field, rng, count), size)
-
-
-def sample_hs_density(n: int, field: str = "complex", rng: np.random.Generator | None = None) -> np.ndarray:
-    """One HS-distributed density matrix of size n."""
-    if rng is None:
-        raise ValueError("pass an explicit rng; sampling is always seeded here")
-    return sample_hs_batch(n, field, rng, 1)[0]
+    return _normalized_gram(_ginibre(n, field, rng, size))
 
 
 def sample_pure_partial_trace_batch(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -99,28 +83,21 @@ def sample_pure_partial_trace_batch(n: int, rng: np.random.Generator, size: int)
     # norm cancels in the trace division so the Gaussian need not be
     # normalized.  Tracing out the second factor gives C C^dag, the Gram
     # matrix of X = C^dag.
-    return _normalized_gram(
-        n, lambda count: _ginibre(n, "complex", rng, count).conj().swapaxes(1, 2), size
-    )
+    return _normalized_gram(_ginibre(n, "complex", rng, size).conj().swapaxes(1, 2))
 
 
-def sample_pure_partial_trace(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One HS-distributed density matrix obtained by the partial-trace construction."""
-    return sample_pure_partial_trace_batch(n, rng, 1)[0]
-
-
-def eigvals_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def eigvals_hermitian(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian (or stacked Hermitian) matrix, nonincreasing.
 
-    Raises if the input deviates from Hermiticity by more than ``tol``
-    (absolute, entrywise).
+    Raises if the input deviates from Hermiticity by more than
+    ``HERMITICITY_TOL`` (absolute, entrywise).
     """
     h = np.asarray(h)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {h.shape}")
     defect = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max(initial=0.0)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian to {tol:g} (defect {defect:g})")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian to {HERMITICITY_TOL:g} (defect {defect:g})")
     return np.linalg.eigvalsh(h)[..., ::-1]
 
 
@@ -170,8 +147,3 @@ def density_from_bloch(tau: np.ndarray, n: int) -> np.ndarray:
     if tau.shape != (n * n - 1,):
         raise ValueError(f"expected {n * n - 1} coefficients for n={n}, got shape {tau.shape}")
     return np.eye(n) / n + np.einsum("d,dij->ij", tau, gell_mann_basis(n))
-
-
-def is_positive(h: np.ndarray, tol: float = POSITIVITY_TOL) -> bool:
-    """True iff the minimum eigenvalue is >= -tol."""
-    return bool(eigvals_hermitian(h)[..., -1].min() >= -tol)

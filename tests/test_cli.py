@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsgeom import cli, exactnum, sampling, verify
+from hsgeom import cli, exactnum, mixedstates, sampling, verify
 
 
 def run_cli(capsys, *argv):
@@ -384,6 +384,28 @@ def test_ball_past_the_gamma_bound_exits_two(capsys, dim):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "Gamma argument too large" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["reference", "--body", "simplex", "--dim", "1048576"], mixedstates, "factorial"),
+        (["reference", "--body", "diamond", "--dim", "3000000"], mixedstates, "factorial"),
+        (["verify", "--suite", "norm", "--n", "3", "--alpha", "1/100", "--beta", "1/100"],
+         verify, "_map_chunks"),
+    ],
+)
+def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, module, name):
+    # D! past the Gamma bound, and norm rows whose Dirichlet draws hold exact
+    # zeros, are refused before the factorial or the first draw
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{name} was reached")
+
+    monkeypatch.setattr(module, name, unreachable)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 def test_domain_error_exits_two(capsys):

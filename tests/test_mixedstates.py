@@ -9,6 +9,7 @@ import pytest
 
 from hsgeom.constants import EnsembleParams, c_norm
 from hsgeom.exactnum import ExactValue, ONE, PI, exact_sqrt, from_rational, gamma_exact
+from hsgeom import mixedstates
 from hsgeom.groups import Convention, CosetSpec, Family, vol_coset
 from hsgeom.mixedstates import (
     ReferenceKind,
@@ -256,3 +257,20 @@ def test_reference_side_scaling():
         reference_body("cube", 2, 0)
     with pytest.raises(ValueError):
         reference_body("cube", 0)
+
+
+def test_simplex_and_diamond_past_the_gamma_bound_refuse_before_the_factorial(monkeypatch):
+    # D! = Gamma(D + 1) has key 2D + 2: D = 2^20 is the first dimension past
+    # gamma_product's bound, refused before an unbounded factorial is built
+    class Reached(Exception):
+        pass
+
+    def factorial_reached(dim):
+        raise Reached
+
+    monkeypatch.setattr(mixedstates, "factorial", factorial_reached)
+    for kind in ("simplex", "diamond"):
+        with pytest.raises(ValueError, match="Gamma argument too large"):
+            reference_body(kind, 2**20)
+        with pytest.raises(Reached):
+            reference_body(kind, 2**20 - 1)

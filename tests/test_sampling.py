@@ -7,16 +7,12 @@ import pytest
 from scipy.stats import chi2
 
 from hsgeom.sampling import (
-    _normalized_gram,
     bloch_vector,
     density_from_bloch,
     eigvals_hermitian,
     gell_mann_basis,
-    is_positive,
     make_rng,
     sample_hs_batch,
-    sample_hs_density,
-    sample_pure_partial_trace,
     sample_pure_partial_trace_batch,
 )
 
@@ -49,21 +45,6 @@ def test_sampled_matrices_satisfy_invariants(n, field):
         assert np.abs(rho.imag).max() == 0.0
 
 
-def test_single_sample_entry_points():
-    rho = sample_hs_density(3, "complex", make_rng(1))
-    assert rho.shape == (3, 3)
-    rho = sample_pure_partial_trace(3, make_rng(2))
-    assert rho.shape == (3, 3)
-    assert abs(np.trace(rho) - 1) < 1e-12
-    assert np.linalg.eigvalsh(rho).min() >= -1e-10
-    with pytest.raises(ValueError):
-        sample_hs_density(3)
-    with pytest.raises(ValueError):
-        sample_hs_batch(1, "complex", make_rng(0), 4)
-    with pytest.raises(ValueError):
-        sample_hs_batch(3, "quaternionic", make_rng(0), 4)
-
-
 def _purity(batch):
     return np.einsum("sij,sij->s", batch, batch.conj()).real
 
@@ -79,6 +60,15 @@ def test_partial_trace_matches_ginibre_construction():
     # and both agree with the analytic mean purity 4/5
     assert abs(a.mean() - 0.8) <= 3 * math.sqrt(a.var(ddof=1) / a.size)
     assert abs(b.mean() - 0.8) <= 3 * math.sqrt(b.var(ddof=1) / b.size)
+    # both refuse a bad argument before drawing, the size before the field
+    with pytest.raises(ValueError):
+        sample_hs_batch(1, "complex", make_rng(0), 4)
+    with pytest.raises(ValueError):
+        sample_hs_batch(3, "quaternionic", make_rng(0), 4)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        sample_hs_batch(1, "quaternionic", make_rng(0), 4)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        sample_pure_partial_trace_batch(1, make_rng(0), 4)
 
 
 def test_purity_means_both_fields():
@@ -180,7 +170,7 @@ def test_bloch_round_trip_and_lengths():
     assert np.linalg.norm(bloch_vector(pure3)) == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
     rng = make_rng(51)
     for n in (2, 3, 5):
-        rho = sample_hs_density(n, "complex", rng)
+        rho = sample_hs_batch(n, "complex", rng, 1)[0]
         back = density_from_bloch(bloch_vector(rho), n)
         assert np.abs(back - rho).max() <= 1e-12
 
@@ -201,28 +191,3 @@ def test_bloch_map_dimension_errors():
         bloch_vector(np.ones((2, 3)))
     with pytest.raises(ValueError):
         density_from_bloch(np.zeros(4), 2)
-
-
-def test_is_positive():
-    assert is_positive(np.eye(3) / 3)
-    assert not is_positive(np.diag([1.2, -0.2]))
-    # Bloch-sphere point: pure state on the boundary, one eigenvalue 0.
-    tau = np.zeros(3)
-    tau[2] = math.sqrt(1 / 2)
-    assert is_positive(density_from_bloch(tau, 2))
-
-
-def test_zero_trace_draws_are_redrawn():
-    # a zero Gram matrix has no trace to divide by; only those draws are redrawn
-    counts = []
-
-    def draw(count):
-        x = make_rng(7, len(counts)).standard_normal((count, 3, 2))
-        if not counts:
-            x[::2] = 0.0
-        counts.append(count)
-        return x
-
-    rho = _normalized_gram(2, draw, 6)
-    assert counts == [6, 3]
-    np.testing.assert_allclose(np.einsum("sii->s", rho), 1.0, rtol=1e-14)

@@ -200,12 +200,40 @@ def test_norm_constant_measures_beyond_linear_weight_range(n):
     assert math.isfinite(report["sigmas"])
 
 
-def test_norm_constant_all_zero_chunks_merge_as_zero():
+def test_norm_constant_all_zero_chunks_merge_as_zero(monkeypatch):
     # at alpha = 1e-3 most Dirichlet draws hold two exact zeros, so some
-    # single-draw chunks have weight 0 (log weight -inf) throughout
+    # single-draw chunks have weight 0 (log weight -inf) throughout; the
+    # check refuses such rows, so the refusal is lifted to reach the merge
+    monkeypatch.setattr(verify, "_check_dirichlet", lambda n, alpha: None)
     report = check_norm_constant(3, 0.001, 2, 10, seed=0, chunks=10)
     for key in ("expected", "estimate", "stderr", "sigmas"):
         assert report[key] is None or math.isfinite(report[key]), (key, report)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("alpha", [0.01, 0.0999])
+def test_norm_refuses_exact_zero_dirichlet_draws_before_drawing(monkeypatch, n, alpha):
+    # below alpha = 0.1 numpy's Dirichlet sampler returns exact zeros, and a
+    # pair of them gets weight 0: at n = 3, alpha = beta = 0.01 the estimate
+    # was 117 sigma low
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(verify, "_map_chunks", unreachable)
+    with pytest.raises(ValueError, match="alpha >= 0.1"):
+        mc_norm_constant(n, alpha, 0.01, 1000, seed=0)
+    with pytest.raises(ValueError, match="alpha >= 0.1"):
+        verify._norm_row_ok(n, alpha, Fraction(1, 100))
+    with pytest.raises(ValueError, match="alpha >= 0.1"):
+        run_suite("norm", n=n, alpha=alpha, beta=Fraction(1, 100), n_samples=1000)
+
+
+def test_norm_takes_small_alpha_where_no_two_draws_coincide():
+    # at n = 2 the two components sum to 1, so at most one of them is 0
+    (report,) = run_suite("norm", n=2, alpha=Fraction(1, 100), beta=Fraction(1, 100), n_samples=1000)
+    assert report["pass"] and report["check"] == "norm/n=2/alpha=1/100/beta=1/100/samples=1000/seed=0"
+    # and alpha = 0.1 is where numpy's Dirichlet sampler leaves stick-breaking
+    verify._norm_row_ok(3, Fraction(1, 10), 2)
 
 
 def test_chunked_mean_zero_record_does_not_set_the_scale():
