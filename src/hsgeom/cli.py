@@ -9,8 +9,8 @@ CSV with a fixed column order (documented in the README).
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -143,6 +143,8 @@ def _draw_samples(args):
 
 
 def _write_samples(args, batch, spectra, out):
+    import json
+
     for rho, spectrum in zip(batch, spectra):
         obj = {"n": args.n, "field": args.field, "spectrum": [float(x) for x in spectrum]}
         if not args.spectra_only:
@@ -153,6 +155,8 @@ def _write_samples(args, batch, spectra, out):
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    import json
+
     from . import verify
 
     checks = verify.run_suite(
@@ -182,6 +186,8 @@ def _cell(value) -> str:
 
 def _format_records(records, fmt: str) -> str:
     if fmt == "json":
+        import json  # only JSON output pays for the module
+
         return json.dumps(records, indent=2) + "\n"
     if fmt == "csv":
         lines = [",".join(COLUMNS)]
@@ -291,6 +297,7 @@ def main(argv=None) -> int:
                     _write_samples(args, *drawn, fh)
             else:
                 _write_samples(args, *drawn, sys.stdout)
+                sys.stdout.flush()
             return 0
         if args.command == "verify":
             text, code = _cmd_verify(args)
@@ -301,11 +308,17 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
         return code
     except (ValueError, ZeroDivisionError, MemoryError) as exc:
         # MemoryError: a --samples (per --chunks, for verify) too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Stdout now points
+        # at devnull, so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,30 +15,32 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactValue, gamma_product
+from .exactnum import ExactValue, Record, gamma_product
 
 __all__ = ["EnsembleParams", "laguerre_integral", "c_norm", "log_c_norm"]
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
+class EnsembleParams(Record):
     """Exact-mode parameters: matrix size n, half-integer alpha > 0, beta in {1, 2}."""
 
-    n: int
-    alpha: Fraction
-    beta: int
+    __slots__ = ("n", "alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.alpha <= 0 or (2 * self.alpha).denominator != 1:
-            raise ValueError(f"alpha must be a positive integer or half-integer, got {self.alpha}")
-        if self.beta not in (1, 2):
-            raise ValueError(f"beta must be 1 or 2 in exact mode, got {self.beta}")
+    def __init__(self, n: int, alpha: Fraction, beta: int):
+        alpha = Fraction(alpha)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if alpha <= 0 or (2 * alpha).denominator != 1:
+            raise ValueError(f"alpha must be a positive integer or half-integer, got {alpha}")
+        if beta not in (1, 2):
+            raise ValueError(f"beta must be 1 or 2 in exact mode, got {beta}")
+
+    def _key(self) -> tuple:
+        return self.n, self.alpha, self.beta
 
 
 def _laguerre_powers(params: EnsembleParams) -> Counter:

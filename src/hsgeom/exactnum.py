@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MIN_EMIN,
@@ -110,8 +109,38 @@ def _squarefree(n: int) -> tuple[int, int]:
     return s, r * n
 
 
-@dataclass(frozen=True)
-class ExactValue:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields in ``__slots__``, sets them in its own
+    ``__init__`` through ``object.__setattr__`` and returns them from
+    ``_key``, the tuple that equality and hashing compare.  Records are
+    equal only to records of their own type, assignment and deletion raise
+    AttributeError, and the repr lists the fields in ``__slots__`` order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ExactValue(Record):
     """A number sign * q * sqrt(r) * pi^(p/2) in canonical form.
 
     Fields: ``sign`` in {-1, 0, +1}; ``q`` a positive rational in lowest
@@ -120,25 +149,29 @@ class ExactValue:
     fields match, so ``==`` is exact algebraic equality.
     """
 
-    sign: int
-    q: Fraction
-    r: int
-    p: int
+    __slots__ = ("sign", "q", "r", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "p", int(self.p))
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if self.sign == 0:
-            if (self.q, self.r, self.p) != (Fraction(1), 1, 0):
+    def __init__(self, sign: int, q: Fraction, r: int, p: int):
+        q, r, p = Fraction(q), int(r), int(p)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
+        if sign == 0:
+            if (q, r, p) != (Fraction(1), 1, 0):
                 raise ValueError("zero must be represented as (0, 1, 1, 0)")
             return
-        if self.q <= 0:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if self.r < 1 or _squarefree(self.r)[0] != 1:
-            raise ValueError(f"r must be a squarefree positive integer, got {self.r}")
+        if q <= 0:
+            raise ValueError(f"q must be positive, got {q}")
+        if r < 1 or _squarefree(r)[0] != 1:
+            raise ValueError(f"r must be a squarefree positive integer, got {r}")
+
+    def _key(self) -> tuple:
+        # q is a Fraction in lowest terms, so its two integers decide it
+        # and compare without Fraction.__eq__
+        return self.sign, self.q.numerator, self.q.denominator, self.r, self.p
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactValue, ONE, exact_sqrt, gamma_exact, gamma_product
+from .exactnum import ExactValue, ONE, Record, exact_sqrt, gamma_exact, gamma_product
 
 __all__ = [
     "Convention",
@@ -54,19 +53,22 @@ _GROUP_FAMILIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CosetSpec:
+class CosetSpec(Record):
     """A group or coset family plus its size (group order N, or dimension k)."""
 
-    family: Family
-    n: int
+    __slots__ = ("family", "n")
 
-    def __post_init__(self):
-        if self.family in _GROUP_FAMILIES:
-            if self.n < 1:
-                raise ValueError(f"{self.family.value}({self.n}): group size must be >= 1")
-        elif self.n < 0:
-            raise ValueError(f"{self.family.value}({self.n}): dimension must be >= 0")
+    def __init__(self, family: Family, n: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        if family in _GROUP_FAMILIES:
+            if n < 1:
+                raise ValueError(f"{family.value}({n}): group size must be >= 1")
+        elif n < 0:
+            raise ValueError(f"{family.value}({n}): dimension must be >= 0")
+
+    def _key(self) -> tuple:
+        return self.family, self.n
 
 
 def sphere_volume(k: int) -> ExactValue:

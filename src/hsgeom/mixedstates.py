@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .constants import EnsembleParams, c_norm_powers
-from .exactnum import ExactValue, PI, _check_gamma_key, exact_sqrt, from_rational, gamma_product
+from .exactnum import ExactValue, PI, Record, _check_gamma_key, exact_sqrt, from_rational, gamma_product
 from .groups import (
     Convention,
     CosetSpec,
@@ -48,18 +47,21 @@ COMPLEX = "complex"
 REAL = "real"
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Record):
     """State space of N x N density matrices over the complex or real field."""
 
-    n: int
-    field: str = COMPLEX
+    __slots__ = ("n", "field")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"state space needs n >= 2, got {self.n}")
-        if self.field not in (COMPLEX, REAL):
-            raise ValueError(f"field must be '{COMPLEX}' or '{REAL}', got {self.field!r}")
+    def __init__(self, n: int, field: str = COMPLEX):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "field", field)
+        if n < 2:
+            raise ValueError(f"state space needs n >= 2, got {n}")
+        if field not in (COMPLEX, REAL):
+            raise ValueError(f"field must be '{COMPLEX}' or '{REAL}', got {field!r}")
+
+    def _key(self) -> tuple:
+        return self.n, self.field
 
     @property
     def dim(self) -> int:
@@ -112,8 +114,7 @@ def vol_edge(space: StateSpace, k: int) -> ExactValue:
     return prefactor * gamma_product(powers)
 
 
-@dataclass(frozen=True)
-class GeometrySummary:
+class GeometrySummary(Record):
     """Radii and shape coefficients of a state space.
 
     ``circumradius`` R and ``inradius`` r = R/(N-1) are exact;
@@ -124,13 +125,44 @@ class GeometrySummary:
     provided.
     """
 
-    circumradius: ExactValue
-    inradius: ExactValue
-    effective_radius: float
-    gamma: ExactValue
-    chi1_log10: float
-    chi2_log10: float
-    chi_log10: float
+    __slots__ = (
+        "circumradius",
+        "inradius",
+        "effective_radius",
+        "gamma",
+        "chi1_log10",
+        "chi2_log10",
+        "chi_log10",
+    )
+
+    def __init__(
+        self,
+        circumradius: ExactValue,
+        inradius: ExactValue,
+        effective_radius: float,
+        gamma: ExactValue,
+        chi1_log10: float,
+        chi2_log10: float,
+        chi_log10: float,
+    ):
+        object.__setattr__(self, "circumradius", circumradius)
+        object.__setattr__(self, "inradius", inradius)
+        object.__setattr__(self, "effective_radius", effective_radius)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "chi1_log10", chi1_log10)
+        object.__setattr__(self, "chi2_log10", chi2_log10)
+        object.__setattr__(self, "chi_log10", chi_log10)
+
+    def _key(self) -> tuple:
+        return (
+            self.circumradius,
+            self.inradius,
+            self.effective_radius,
+            self.gamma,
+            self.chi1_log10,
+            self.chi2_log10,
+            self.chi_log10,
+        )
 
     @property
     def chi1(self) -> float:
@@ -178,13 +210,18 @@ class ReferenceKind(enum.Enum):
     SPHERE = "sphere"
 
 
-@dataclass(frozen=True)
-class ReferenceBody:
+class ReferenceBody(Record):
     """Volume and boundary ratio of a reference body; spheres have no ratio."""
 
-    kind: ReferenceKind
-    volume: ExactValue
-    boundary_ratio: ExactValue | None
+    __slots__ = ("kind", "volume", "boundary_ratio")
+
+    def __init__(self, kind: ReferenceKind, volume: ExactValue, boundary_ratio: ExactValue | None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "boundary_ratio", boundary_ratio)
+
+    def _key(self) -> tuple:
+        return self.kind, self.volume, self.boundary_ratio
 
     @property
     def gamma(self) -> ExactValue:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .constants import log_c_norm
-from .exactnum import exact_sqrt
+from .exactnum import Record, exact_sqrt
 from .groups import ball_volume
 from .mixedstates import StateSpace, vol_mixed
 from .sampling import (
@@ -47,13 +46,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: float
-    stderr: float
-    n_samples: int
-    seed: int
-    chunks: int
+class MCEstimate(Record):
+    __slots__ = ("mean", "stderr", "n_samples", "seed", "chunks")
+
+    def __init__(self, mean: float, stderr: float, n_samples: int, seed: int, chunks: int):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "chunks", chunks)
+
+    def _key(self) -> tuple:
+        return self.mean, self.stderr, self.n_samples, self.seed, self.chunks
 
 
 # Rows per block of a chunk's derived arrays.  A chunk holds its draws and

@@ -258,10 +258,11 @@ def _fresh_python(script: str) -> str:
 
 
 def test_exact_subcommands_import_no_numpy():
-    # no third-party package; mpmath is only the tests' high-precision oracle
+    # no third-party package; mpmath is only the tests' high-precision oracle.
+    # dataclasses would pull in inspect and ast, and json is for --format json
     out = _fresh_python(
         "import sys, hsgeom.cli\n"
-        "heavy = ('numpy', 'scipy', 'mpmath')\n"
+        "heavy = ('numpy', 'scipy', 'mpmath', 'dataclasses', 'inspect', 'json')\n"
         "assert not [m for m in heavy if m in sys.modules]\n"
         "for argv in (['volume', '--n', '3'], ['edge', '--n', '4'], ['geometry', '--n', '3'],\n"
         "             ['geometry', '--n', '30', '--field', 'real'],\n"
@@ -270,9 +271,31 @@ def test_exact_subcommands_import_no_numpy():
         "             ['constants', '--n', '3', '--format', 'csv']):\n"
         "    assert hsgeom.cli.main(argv) == 0, argv\n"
         "    assert not [m for m in heavy if m in sys.modules], argv\n"
+        "assert hsgeom.cli.main(['geometry', '--n', '8', '--format', 'json']) == 0\n"
+        "assert not [m for m in heavy[:5] if m in sys.modules]\n"
         "print('ok')\n"
     )
     assert out.splitlines()[-1] == "ok"
+
+
+def test_closed_pipe_exits_without_traceback():
+    # 2000 samples are about 800 kB, more than a pipe buffer holds, so the
+    # writer meets the closed pipe whatever the timing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hsgeom.cli", "sample", "--n", "3", "--samples", "2000", "--seed", "7"],
+        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert head.startswith(b'{"n": 3, "field": "complex", "spectrum": [')
+    assert err == b""
+    assert proc.returncode == 1
 
 
 def test_lazy_package_names_resolve():
