@@ -25,8 +25,6 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         (
-            "bloch_vector",
-            "density_from_bloch",
             "eigvals_hermitian",
             "gell_mann_basis",
             "make_rng",

@@ -9,6 +9,7 @@ CSV with a fixed column order (documented in the README).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -134,27 +135,32 @@ def _cmd_constants(args):
     return [_record("c_norm", value=value, log10=log_c / _LN10, **base)]
 
 
-def _draw_samples(args):
-    from . import sampling  # numpy loads only for the sampling subcommands
-
-    rng = sampling.make_rng(args.seed)
-    batch = sampling.sample_hs_batch(args.n, args.field, rng, args.samples)
-    return batch, sampling.eigvals_hermitian(batch)
+# matrix entries per chunk of ``sample``: a few MB of draws whatever --samples is
+_SAMPLE_CHUNK_ENTRIES = 1 << 18
 
 
-def _write_samples(args, batch, spectra, out):
+def _cmd_sample(args):
+    """The JSON lines of ``--samples`` draws, one line per piece; chunk i draws from stream i."""
     import json
 
-    for rho, spectrum in zip(batch, spectra):
-        obj = {"n": args.n, "field": args.field, "spectrum": [float(x) for x in spectrum]}
-        if not args.spectra_only:
-            obj["matrix_re"] = [float(x) for x in rho.real.reshape(-1)]
-            if args.field == "complex":
-                obj["matrix_im"] = [float(x) for x in rho.imag.reshape(-1)]
-        out.write(json.dumps(obj) + "\n")
+    from . import sampling  # numpy loads only for the sampling subcommands
+
+    rows = max(1, _SAMPLE_CHUNK_ENTRIES // (args.n * args.n or 1))  # the sampler refuses n = 0
+    # --samples 0 (or less) still draws one chunk, so the sampler checks every argument
+    for stream, start in enumerate(range(0, max(args.samples, 1), rows)):
+        rng = sampling.make_rng(args.seed, stream)
+        batch = sampling.sample_hs_batch(args.n, args.field, rng, min(rows, args.samples - start))
+        for rho, spectrum in zip(batch, sampling.eigvals_hermitian(batch)):
+            obj = {"n": args.n, "field": args.field, "spectrum": [float(x) for x in spectrum]}
+            if not args.spectra_only:
+                obj["matrix_re"] = [float(x) for x in rho.real.reshape(-1)]
+                if args.field == "complex":
+                    obj["matrix_im"] = [float(x) for x in rho.imag.reshape(-1)]
+            # a piece per line: unbuffered stdout can drop a big write's tail in a closed pipe
+            yield json.dumps(obj) + "\n"
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[list[str], int]:
     import json
 
     from . import verify
@@ -170,7 +176,7 @@ def _cmd_verify(args) -> tuple[str, int]:
         chunks=args.chunks,
         workers=args.workers,
     )
-    return json.dumps(checks, indent=2) + "\n", 0 if all(c["pass"] for c in checks) else 1
+    return [json.dumps(checks, indent=2) + "\n"], 0 if all(c["pass"] for c in checks) else 1
 
 
 # -- output formatting ---------------------------------------------------------
@@ -290,28 +296,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "sample":
-            # draw first: the sampler rejects bad arguments before --out is truncated
-            drawn = _draw_samples(args)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    _write_samples(args, *drawn, fh)
-            else:
-                _write_samples(args, *drawn, sys.stdout)
-                sys.stdout.flush()
-            return 0
-        if args.command == "verify":
-            text, code = _cmd_verify(args)
+            pieces, code = _cmd_sample(args), 0
+        elif args.command == "verify":
+            pieces, code = _cmd_verify(args)
         else:
-            text, code = _format_records(_HANDLERS[args.command](args), args.format), 0
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            pieces, code = [_format_records(_HANDLERS[args.command](args), args.format)], 0
+        pieces = iter(pieces)
+        # computed before --out is opened, so a refused call leaves the file intact
+        first = next(pieces, "")
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            out.write(first)
+            out.writelines(pieces)  # one write per piece
+            out.flush()
         return code
     except (ValueError, ZeroDivisionError, MemoryError) as exc:
-        # MemoryError: a --samples (per --chunks, for verify) too large to allocate
+        # MemoryError: a verify --samples per --chunks too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -25,8 +25,6 @@ __all__ = [
     "sample_pure_partial_trace_batch",
     "eigvals_hermitian",
     "gell_mann_basis",
-    "bloch_vector",
-    "density_from_bloch",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -131,19 +129,3 @@ def gell_mann_basis(n: int) -> np.ndarray:
     basis.setflags(write=False)
     return basis
 
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Coherence vector of a density matrix: tau_i = tr(rho b_i), length n^2 - 1."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected one square matrix, got shape {rho.shape}")
-    basis = gell_mann_basis(rho.shape[0])
-    return np.einsum("ij,dji->d", rho, basis).real
-
-
-def density_from_bloch(tau: np.ndarray, n: int) -> np.ndarray:
-    """Matrix I/n + sum_i tau_i b_i; Hermitian and unit trace, not necessarily positive."""
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (n * n - 1,):
-        raise ValueError(f"expected {n * n - 1} coefficients for n={n}, got shape {tau.shape}")
-    return np.eye(n) / n + np.einsum("d,dij->ij", tau, gell_mann_basis(n))

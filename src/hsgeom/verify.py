@@ -163,10 +163,7 @@ def mc_norm_constant(
     about 15 000 at n = 4, 800 at n = 8 and 180 at n = 10, so beyond n ~ 8
     a few heavy weights carry the estimate and its stderr.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError(f"alpha and beta must be positive, got ({alpha}, {beta})")
+    log_c_norm(n, alpha, beta)  # refuses n < 1 and alpha or beta <= 0
     _check_dirichlet(n, alpha)
     # Dirichlet density = Gamma(n a)/Gamma(a)^n * prod L^(a-1); only its
     # constant part needs undoing.
@@ -511,7 +508,11 @@ def check_hit_or_miss(n, n_samples, seed, chunks=10, workers=1) -> dict:
     d = space.dim
     ball = ball_volume(d) * exact_sqrt(Fraction(n - 1, n)).pow_int(d)
     expected = (vol_mixed(space) / ball).to_float()
-    est = mc_hit_or_miss_fraction(n, n_samples, seed, chunks, workers)
+    hits = mc_hit_or_miss_fraction(n, n_samples, seed, chunks, workers)
+    # the binomial stderr at the exact fraction: the plug-in one, from the hits,
+    # is 0 with no hit and far too small with one (9 sigmas at n = 4, 10 expected)
+    stderr = math.sqrt(expected * (1 - expected) / n_samples)
+    est = MCEstimate(hits.mean, stderr, n_samples, seed, chunks)
     return _verdict(f"hitmiss/n={n}/samples={n_samples}/seed={seed}", expected, est)
 
 

@@ -1,9 +1,11 @@
 """CLI surface: golden output, formats, round trips, JSONL samples, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,60 @@ def test_sample_jsonl_real_and_spectra_only(capsys):
         obj = json.loads(line)
         assert "matrix_re" not in obj and "matrix_im" not in obj
         assert len(obj["spectrum"]) == 2
+
+
+# sha256 of ``sample --n N --field F --samples 3000 --seed 9 [--spectra-only]``
+# as written when the whole batch was drawn at once: one chunk keeps its bytes
+_SAMPLE_SHA256 = {
+    (3, "complex", False): "0a42c8174fe8ddb981d28a163e462c551912e8c4e1c080a4f04a30bfcf2ff2ab",
+    (3, "complex", True): "b70554b6fab60aac09691ed059c68aa49d16798cdffc66384741036fdf48476e",
+    (3, "real", False): "07c0b071197ab9973a5686ecec613550b689cf5f99bc6352622b79ab0bbe314e",
+    (3, "real", True): "8621900a6969bfa66c7edb8335a0ae3e994ba8def64f5f14e5b2a66ca1d81a4d",
+    (8, "complex", False): "e86fa605408bd98cf3ac20cb07a74534592095e9ae44595adaeb6e9d8caadfa0",
+    (8, "complex", True): "bae3a62af71099445b0b0d41caa3e60a699a90648b8c322157b149f337073a19",
+    (8, "real", False): "1855e592fad45f818a10b1c51e1fb90e23622f46ccca73f8a9b4a74c56cf4ee7",
+    (8, "real", True): "3f6164387db62d8633a0a44d53823f4e523285b57c1a315e159aa19781df7a4f",
+}
+
+
+@pytest.mark.parametrize("n, field, spectra_only", list(_SAMPLE_SHA256))
+def test_one_chunk_sample_bytes_golden(capsys, n, field, spectra_only):
+    argv = ["sample", "--n", str(n), "--field", field, "--samples", "3000", "--seed", "9"]
+    code, out = run_cli(capsys, *argv, *["--spectra-only"] * spectra_only)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SAMPLE_SHA256[n, field, spectra_only]
+
+
+def test_sample_chunk_i_draws_stream_i(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SAMPLE_CHUNK_ENTRIES", 20)  # 5 rows of 2 x 2 matrices
+    code, out = run_cli(capsys, "sample", "--n", "2", "--samples", "12", "--seed", "4")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    batch = np.concatenate(
+        [sampling.sample_hs_batch(2, "complex", sampling.make_rng(4, i), size)
+         for i, size in enumerate((5, 5, 2))]
+    )
+    spectra = sampling.eigvals_hermitian(batch)
+    assert len(rows) == 12
+    for row, rho, spectrum in zip(rows, batch, spectra):
+        assert row["spectrum"] == spectrum.tolist()
+        assert row["matrix_re"] == rho.real.reshape(-1).tolist()
+        assert row["matrix_im"] == rho.imag.reshape(-1).tolist()
+
+
+def test_sample_memory_is_bounded_by_a_chunk(tmp_path):
+    # drawn whole, 20 000 complex 8 x 8 matrices (20 MB) and their
+    # temporaries peaked at 62 MB; a chunk holds 2^18 entries, 4 MB, and
+    # with its temporaries about 18 MB
+    sampling.make_rng(0)  # before tracing: the first call imports numpy.random
+    argv = ["sample", "--n", "8", "--samples", "20000", "--spectra-only", "--out", str(tmp_path / "s.jsonl")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * cli._SAMPLE_CHUNK_ENTRIES * 16
 
 
 def test_verify_purity_json_and_exit_zero(capsys):
@@ -362,13 +418,16 @@ def test_verify_byte_identical_across_workers(tmp_path, capsys):
         ["verify", "--suite", "purity", "--workers", "0"],
         ["verify", "--suite", "purity", "--seed", str(2**64)],
         ["sample", "--n", "2", "--seed", str(2**64)],
+        ["sample", "--n", "0"],
+        ["sample", "--n", "2", "--samples", "-1"],
         ["constants", "--n", "3", "--alpha", "1e400"],
     ],
 )
 def test_verify_zero_arguments_exit_two(capsys, argv):
     # 0 is an explicit value, not "use the default plan"; a seed of 2**64
     # would alias seed 0 in the 64-bit Philox key; Gamma(1e400) is far past
-    # the largest exact Gamma argument
+    # the largest exact Gamma argument; sample refuses n = 0 and a negative
+    # count from its first chunk
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -385,8 +444,9 @@ def test_verify_zero_arguments_exit_two(capsys, argv):
     ],
 )
 def test_allocation_failure_exits_two(capsys, monkeypatch, argv, module, name):
-    # a stand-in refuses the allocation, as numpy does for these counts,
-    # so the test asks the machine for no memory
+    # a stand-in refuses the allocation, as numpy does for verify's count,
+    # so the test asks the machine for no memory; sample streams such a
+    # count in chunks, so its stand-in stands for any failed allocation
     def refuse(*args, **kwargs):
         raise MemoryError(
             "Unable to allocate 582. TiB for an array with shape (10000000000000, 8) and data type float64"

@@ -1,4 +1,4 @@
-"""Sampler distributions, eigensolver contracts, and the coherence-vector map."""
+"""Sampler distributions, eigensolver contracts, and the Gell-Mann basis."""
 
 import math
 
@@ -7,8 +7,6 @@ import pytest
 from scipy.stats import chi2
 
 from hsgeom.sampling import (
-    bloch_vector,
-    density_from_bloch,
     eigvals_hermitian,
     gell_mann_basis,
     make_rng,
@@ -160,34 +158,3 @@ def test_gell_mann_n2_is_rescaled_pauli():
     np.testing.assert_allclose(basis[1], np.array([[0, -1j * s], [1j * s, 0]]))
     np.testing.assert_allclose(basis[2], np.array([[s, 0], [0, -s]]))
 
-
-def test_bloch_round_trip_and_lengths():
-    assert np.abs(bloch_vector(np.eye(3) / 3)).max() <= 1e-15
-    tau = bloch_vector(np.diag([1.0, 0.0]))
-    assert np.linalg.norm(tau) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
-    pure3 = np.zeros((3, 3))
-    pure3[0, 0] = 1.0
-    assert np.linalg.norm(bloch_vector(pure3)) == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
-    rng = make_rng(51)
-    for n in (2, 3, 5):
-        rho = sample_hs_batch(n, "complex", rng, 1)[0]
-        back = density_from_bloch(bloch_vector(rho), n)
-        assert np.abs(back - rho).max() <= 1e-12
-
-
-@pytest.mark.parametrize("field", ["complex", "real"])
-def test_bloch_map_is_an_isometry(field):
-    # HS distance between states equals Euclidean distance of their
-    # coherence vectors, real symmetric states included.
-    batch = sample_hs_batch(3, field, make_rng(52), 200)
-    for rho1, rho2 in zip(batch[:100], batch[100:]):
-        hs = np.linalg.norm(rho1 - rho2)
-        eu = np.linalg.norm(bloch_vector(rho1) - bloch_vector(rho2))
-        assert abs(hs - eu) <= 1e-10
-
-
-def test_bloch_map_dimension_errors():
-    with pytest.raises(ValueError):
-        bloch_vector(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        density_from_bloch(np.zeros(4), 2)

@@ -11,8 +11,9 @@ from scipy import integrate
 from scipy.stats import chi2
 
 from hsgeom.constants import EnsembleParams, c_norm, log_c_norm
+from hsgeom.exactnum import from_rational
 from hsgeom import verify
-from hsgeom.sampling import POSITIVITY_TOL, bloch_vector, gell_mann_basis, make_rng
+from hsgeom.sampling import POSITIVITY_TOL, gell_mann_basis, make_rng
 from hsgeom.verify import (
     MCEstimate,
     _chi2_sf,
@@ -113,6 +114,18 @@ def test_hit_or_miss_n4():
     assert report["pass"]
 
 
+def test_hit_or_miss_stderr_is_binomial_at_the_exact_fraction(monkeypatch):
+    # one hit against about 10 expected: the plug-in stderr read 9.2 sigmas
+    report = check_hit_or_miss(4, 400_000, 903000, 10, 2)
+    assert report["estimate"] == 2.5e-06
+    assert report["sigmas"] == pytest.approx(2.888, abs=1e-3) and report["pass"]
+    # negative control: against twice the true volume the n = 3 check fails
+    vol_mixed = verify.vol_mixed
+    monkeypatch.setattr(verify, "vol_mixed", lambda space: vol_mixed(space) * from_rational(2))
+    report = check_hit_or_miss(3, 100_000, seed=0)
+    assert report["sigmas"] > 10 and not report["pass"]
+
+
 def _eigvalsh_hit_or_miss_chunk(n, rng, size):
     """The eigensolver chunk the pivot test replaced: same draws, lambda_min >= -tol."""
     d = n * n - 1
@@ -157,7 +170,8 @@ def test_pivot_test_on_constructed_spectra(n):
     plan += [(-POSITIVITY_TOL / 2, 1, True)] * 10 + [(-2 * POSITIVITY_TOL, 1, False)] * 10
     plan += [(-0.01, 1, False)] * 5
     cases = [(spectra(lowest, count), hit) for lowest, count, hit in plan]
-    tau = np.array([bloch_vector(_with_spectrum(spectrum, rng)) for spectrum, _ in cases])
+    rho = np.array([_with_spectrum(spectrum, rng) for spectrum, _ in cases])
+    tau = np.einsum("sij,dji->sd", rho, gell_mann_basis(n)).real  # tau_i = tr(rho b_i)
     expected = np.array([hit for _, hit in cases])
     np.testing.assert_array_equal(_is_state(tau), expected)
 
@@ -420,24 +434,23 @@ def test_reports_match_golden():
             "sigmas": None,
             "pass": True,
         }
-    assert check_hit_or_miss(4, 400_000, seed=0) == {
-        "check": "hitmiss/n=4/samples=400000/seed=0",
-        "expected": 2.560951750023203e-05,
-        "estimate": 1.75e-05,
-        "stderr": 6.614328669514342e-06,
-        "sigmas": 1.2260529987886848,
-        "pass": True,
-    }
-    # recorded with whole-chunk hit-or-miss scaling and whole-chunk
-    # Dirichlet draws: the block-at-a-time kernels move no hit and no weight
-    assert check_hit_or_miss(3, 1_000_000, seed=0) == {
-        "check": "hitmiss/n=3/samples=1000000/seed=0",
-        "expected": 0.02658192888640783,
-        "estimate": 0.02655,
-        "stderr": 0.00016076418551755657,
-        "sigmas": 0.19860696152590987,
-        "pass": True,
-    }
+    # recorded with whole-chunk hit-or-miss scaling: the block-at-a-time
+    # kernel moves no hit.  The stderr is the binomial one at the exact fraction.
+    for n, samples, expected, estimate in (
+        (4, 400_000, 2.560951750023203e-05, 1.75e-05),
+        (3, 1_000_000, 0.02658192888640783, 0.02655),
+    ):
+        stderr = math.sqrt(expected * (1 - expected) / samples)
+        assert check_hit_or_miss(n, samples, seed=0) == {
+            "check": f"hitmiss/n={n}/samples={samples}/seed=0",
+            "expected": expected,
+            "estimate": estimate,
+            "stderr": stderr,
+            "sigmas": abs(estimate - expected) / stderr,
+            "pass": True,
+        }
+    # recorded with whole-chunk Dirichlet draws: the block-at-a-time kernel
+    # moves no weight
     assert check_norm_constant(4, 2, 1, 1_000_000, seed=0) == {
         "check": "norm/n=4/alpha=2/beta=1/samples=1000000/seed=0",
         "expected": 5.41992729492732e-09,
