@@ -29,18 +29,13 @@ class EnsembleParams(Record):
 
     def __init__(self, n: int, alpha: Fraction, beta: int):
         alpha = Fraction(alpha)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self._set(n, alpha, beta)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if alpha <= 0 or (2 * alpha).denominator != 1:
             raise ValueError(f"alpha must be a positive integer or half-integer, got {alpha}")
         if beta not in (1, 2):
             raise ValueError(f"beta must be 1 or 2 in exact mode, got {beta}")
-
-    def _key(self) -> tuple:
-        return self.n, self.alpha, self.beta
 
 
 def _laguerre_powers(params: EnsembleParams) -> Counter:

@@ -59,16 +59,12 @@ class CosetSpec(Record):
     __slots__ = ("family", "n")
 
     def __init__(self, family: Family, n: int):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
+        self._set(family, n)
         if family in _GROUP_FAMILIES:
             if n < 1:
                 raise ValueError(f"{family.value}({n}): group size must be >= 1")
         elif n < 0:
             raise ValueError(f"{family.value}({n}): dimension must be >= 0")
-
-    def _key(self) -> tuple:
-        return self.family, self.n
 
 
 def sphere_volume(k: int) -> ExactValue:

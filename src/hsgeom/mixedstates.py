@@ -53,15 +53,11 @@ class StateSpace(Record):
     __slots__ = ("n", "field")
 
     def __init__(self, n: int, field: str = COMPLEX):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "field", field)
+        self._set(n, field)
         if n < 2:
             raise ValueError(f"state space needs n >= 2, got {n}")
         if field not in (COMPLEX, REAL):
             raise ValueError(f"field must be '{COMPLEX}' or '{REAL}', got {field!r}")
-
-    def _key(self) -> tuple:
-        return self.n, self.field
 
     @property
     def dim(self) -> int:
@@ -145,24 +141,7 @@ class GeometrySummary(Record):
         chi2_log10: float,
         chi_log10: float,
     ):
-        object.__setattr__(self, "circumradius", circumradius)
-        object.__setattr__(self, "inradius", inradius)
-        object.__setattr__(self, "effective_radius", effective_radius)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "chi1_log10", chi1_log10)
-        object.__setattr__(self, "chi2_log10", chi2_log10)
-        object.__setattr__(self, "chi_log10", chi_log10)
-
-    def _key(self) -> tuple:
-        return (
-            self.circumradius,
-            self.inradius,
-            self.effective_radius,
-            self.gamma,
-            self.chi1_log10,
-            self.chi2_log10,
-            self.chi_log10,
-        )
+        self._set(circumradius, inradius, effective_radius, gamma, chi1_log10, chi2_log10, chi_log10)
 
     @property
     def chi1(self) -> float:
@@ -216,12 +195,7 @@ class ReferenceBody(Record):
     __slots__ = ("kind", "volume", "boundary_ratio")
 
     def __init__(self, kind: ReferenceKind, volume: ExactValue, boundary_ratio: ExactValue | None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "boundary_ratio", boundary_ratio)
-
-    def _key(self) -> tuple:
-        return self.kind, self.volume, self.boundary_ratio
+        self._set(kind, volume, boundary_ratio)
 
     @property
     def gamma(self) -> ExactValue:

@@ -50,14 +50,7 @@ class MCEstimate(Record):
     __slots__ = ("mean", "stderr", "n_samples", "seed", "chunks")
 
     def __init__(self, mean: float, stderr: float, n_samples: int, seed: int, chunks: int):
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "stderr", stderr)
-        object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "chunks", chunks)
-
-    def _key(self) -> tuple:
-        return self.mean, self.stderr, self.n_samples, self.seed, self.chunks
+        self._set(mean, stderr, n_samples, seed, chunks)
 
 
 # Rows per block of a chunk's derived arrays.  A chunk holds its draws and
@@ -133,14 +126,16 @@ def _chunked_mean(
     return MCEstimate(scale * mean, scale * math.sqrt(var / n_samples), n_samples, seed, chunks)
 
 
-def _check_dirichlet(n: int, alpha: float) -> None:
-    """Refuse n >= 3 with alpha < 0.1, where Dirichlet draws repeat eigenvalues.
+def _check_dirichlet(n: int, alpha, beta) -> None:
+    """Refuse what ``log_c_norm`` refuses, then n >= 3 with alpha < 0.1.
 
     Below alpha = 0.1 numpy's Generator.dirichlet breaks sticks and returns
     exact zeros (two of three in 16% of rows at alpha = 0.01).  Such a pair
     gets weight 0 where gap^beta is not small for small beta, so the
     estimate is biased low.  At n = 2 at most one component is 0.
     """
+    alpha = float(alpha)
+    log_c_norm(n, alpha, float(beta))  # refuses n < 1 and alpha or beta <= 0
     if n >= 3 and alpha < 0.1:
         raise ValueError(
             f"the norm check needs alpha >= 0.1 for n >= 3, got alpha={alpha}: "
@@ -163,8 +158,7 @@ def mc_norm_constant(
     about 15 000 at n = 4, 800 at n = 8 and 180 at n = 10, so beyond n ~ 8
     a few heavy weights carry the estimate and its stderr.
     """
-    log_c_norm(n, alpha, beta)  # refuses n < 1 and alpha or beta <= 0
-    _check_dirichlet(n, alpha)
+    _check_dirichlet(n, alpha, beta)
     # Dirichlet density = Gamma(n a)/Gamma(a)^n * prod L^(a-1); only its
     # constant part needs undoing.
     log_dirichlet_const = math.lgamma(n * alpha) - n * math.lgamma(alpha)
@@ -271,6 +265,14 @@ def _is_state(tau: np.ndarray) -> np.ndarray:
     return hits
 
 
+def _hit_fraction(n: int) -> float:
+    """The fraction of the radius-R_N ball that the complex N x N states fill."""
+    space = StateSpace(n, "complex")
+    d = space.dim
+    ball = ball_volume(d) * exact_sqrt(Fraction(n - 1, n)).pow_int(d)
+    return (vol_mixed(space) / ball).to_float()
+
+
 def _hit_or_miss_chunk(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Whether each of ``size`` uniform points of the radius-R_N ball is a state.
 
@@ -300,11 +302,19 @@ def mc_hit_or_miss_fraction(
     """Fraction of points of the radius-R_N coherence-vector ball that are states.
 
     The expected value is the exact volume of the state space divided by the
-    volume of that ball.
+    volume of that ball, and the stderr is the binomial one at that exact
+    fraction: the plug-in one, from the hits, is 0 with no hit and far too
+    small with one (9 sigmas at n = 4 with 10 hits expected).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return _chunked_mean(partial(_hit_or_miss_chunk, n), n_samples, seed, chunks, workers)
+
+    def hit_count(rng: np.random.Generator, size: int) -> int:
+        return int(np.count_nonzero(_hit_or_miss_chunk(n, rng, size)))
+
+    hits = sum(_map_chunks(hit_count, n_samples, seed, chunks, workers))
+    p = _hit_fraction(n)
+    return MCEstimate(hits / n_samples, math.sqrt(p * (1 - p) / n_samples), n_samples, seed, chunks)
 
 
 # -- spectral goodness of fit -------------------------------------------------
@@ -485,11 +495,6 @@ def _verdict(check: str, expected: float, est: MCEstimate) -> dict:
     }
 
 
-def _norm_row_ok(n, alpha, beta) -> None:
-    log_c_norm(n, float(alpha), float(beta))
-    _check_dirichlet(n, float(alpha))
-
-
 def check_norm_constant(n, alpha, beta, n_samples, seed, chunks=10, workers=1) -> dict:
     expected = math.exp(-log_c_norm(n, float(alpha), float(beta)))
     est = mc_norm_constant(n, float(alpha), float(beta), n_samples, seed, chunks, workers)
@@ -504,15 +509,8 @@ def check_purity(n, field, n_samples, seed, chunks=10, workers=1) -> dict:
 
 
 def check_hit_or_miss(n, n_samples, seed, chunks=10, workers=1) -> dict:
-    space = StateSpace(n, "complex")
-    d = space.dim
-    ball = ball_volume(d) * exact_sqrt(Fraction(n - 1, n)).pow_int(d)
-    expected = (vol_mixed(space) / ball).to_float()
-    hits = mc_hit_or_miss_fraction(n, n_samples, seed, chunks, workers)
-    # the binomial stderr at the exact fraction: the plug-in one, from the hits,
-    # is 0 with no hit and far too small with one (9 sigmas at n = 4, 10 expected)
-    stderr = math.sqrt(expected * (1 - expected) / n_samples)
-    est = MCEstimate(hits.mean, stderr, n_samples, seed, chunks)
+    expected = _hit_fraction(n)
+    est = mc_hit_or_miss_fraction(n, n_samples, seed, chunks, workers)
     return _verdict(f"hitmiss/n={n}/samples={n_samples}/seed={seed}", expected, est)
 
 
@@ -539,7 +537,7 @@ def check_spectral(n, field, n_samples, seed, bins=20, chunks=10, workers=1) -> 
 _PLANS = {
     "norm": (
         check_norm_constant,
-        _norm_row_ok,
+        _check_dirichlet,
         [
             {"n": n, "alpha": a, "beta": b, "n_samples": 1_000_000}
             for n in (1, 2, 3, 4)

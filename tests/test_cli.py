@@ -476,11 +476,13 @@ def test_ball_past_the_gamma_bound_exits_two(capsys, dim):
         (["reference", "--body", "diamond", "--dim", "3000000"], mixedstates, "factorial"),
         (["verify", "--suite", "norm", "--n", "3", "--alpha", "1/100", "--beta", "1/100"],
          verify, "_map_chunks"),
+        (["group", "--family", "U", "--n", "100000"], exactnum, "_power_product"),
     ],
 )
 def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, module, name):
-    # D! past the Gamma bound, and norm rows whose Dirichlet draws hold exact
-    # zeros, are refused before the factorial or the first draw
+    # D! past the Gamma bound, norm rows whose Dirichlet draws hold exact
+    # zeros, and a Gamma product past the size bound are refused before the
+    # factorial, the first draw or the product is built
     def unreachable(*args, **kwargs):
         raise AssertionError(f"{name} was reached")
 

@@ -13,8 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsgeom import exactnum
 from hsgeom.constants import EnsembleParams, c_norm, laguerre_integral
-from hsgeom.exactnum import _MAX_GAMMA_KEY, ONE, PI, ExactValue, exact_sqrt, from_rational, gamma_product
+from hsgeom.exactnum import (
+    _MAX_GAMMA_KEY,
+    _MAX_PRODUCT_BITS,
+    ONE,
+    PI,
+    ExactValue,
+    exact_sqrt,
+    from_rational,
+    gamma_product,
+)
 from hsgeom.groups import _GROUP_FAMILIES, Convention, CosetSpec, Family, vol_coset, vol_group
 from hsgeom.mixedstates import StateSpace, vol_edge, vol_mixed
 
@@ -151,6 +161,21 @@ def test_gamma_product_rejects_keys_above_the_bound():
         with pytest.raises(ValueError, match="too large"):
             gamma_product({key: 1, 4: 1})
     assert gamma_product({10**400: 0}) == ONE
+
+
+def test_gamma_product_refuses_a_product_past_the_size_bound_before_building_it(monkeypatch):
+    # Gamma(3)^k = 2^k is estimated at exactly k bits, so the bound is sharp here
+    assert gamma_product({6: _MAX_PRODUCT_BITS}) == from_rational(2**_MAX_PRODUCT_BITS)
+    assert gamma_product({6: -_MAX_PRODUCT_BITS}) == from_rational(Fraction(1, 2**_MAX_PRODUCT_BITS))
+
+    def unreachable(bases):
+        raise AssertionError("built the product")
+
+    monkeypatch.setattr(exactnum, "_power_product", unreachable)
+    # every key is within its own bound; the products are not
+    for powers in ({6: _MAX_PRODUCT_BITS + 1}, {6: -_MAX_PRODUCT_BITS - 1}, {2 * 10**5: 200}):
+        with pytest.raises(ValueError, match="exact value too large"):
+            gamma_product(powers)
 
 
 # -- every closed form that now calls it once -----------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hsgeom.constants import EnsembleParams
-from hsgeom.exactnum import ONE, PI, ExactValue
+from hsgeom.exactnum import ONE, PI, ExactValue, Record
 from hsgeom.groups import CosetSpec, Family
 from hsgeom.mixedstates import GeometrySummary, ReferenceBody, ReferenceKind, StateSpace
 from hsgeom.verify import MCEstimate
@@ -123,3 +123,15 @@ def test_record_defaults_and_canonical_fields():
     # q's numerator and denominator each decide equality
     assert ExactValue(1, Fraction(1, 3), 1, 0) != ExactValue(1, Fraction(2, 3), 1, 0)
     assert ExactValue(1, Fraction(1, 3), 1, 0) != ExactValue(1, Fraction(1, 2), 1, 0)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_is_in_the_contract():
+    # the generic field store and key carry each record's equality, hash and
+    # immutability, so a record missing from RECORDS would go untested
+    assert set(_subclasses(Record)) == {row[0] for row in RECORDS}

@@ -218,7 +218,7 @@ def test_norm_constant_all_zero_chunks_merge_as_zero(monkeypatch):
     # at alpha = 1e-3 most Dirichlet draws hold two exact zeros, so some
     # single-draw chunks have weight 0 (log weight -inf) throughout; the
     # check refuses such rows, so the refusal is lifted to reach the merge
-    monkeypatch.setattr(verify, "_check_dirichlet", lambda n, alpha: None)
+    monkeypatch.setattr(verify, "_check_dirichlet", lambda n, alpha, beta: None)
     report = check_norm_constant(3, 0.001, 2, 10, seed=0, chunks=10)
     for key in ("expected", "estimate", "stderr", "sigmas"):
         assert report[key] is None or math.isfinite(report[key]), (key, report)
@@ -237,7 +237,7 @@ def test_norm_refuses_exact_zero_dirichlet_draws_before_drawing(monkeypatch, n, 
     with pytest.raises(ValueError, match="alpha >= 0.1"):
         mc_norm_constant(n, alpha, 0.01, 1000, seed=0)
     with pytest.raises(ValueError, match="alpha >= 0.1"):
-        verify._norm_row_ok(n, alpha, Fraction(1, 100))
+        verify._check_dirichlet(n, alpha, Fraction(1, 100))
     with pytest.raises(ValueError, match="alpha >= 0.1"):
         run_suite("norm", n=n, alpha=alpha, beta=Fraction(1, 100), n_samples=1000)
 
@@ -247,7 +247,7 @@ def test_norm_takes_small_alpha_where_no_two_draws_coincide():
     (report,) = run_suite("norm", n=2, alpha=Fraction(1, 100), beta=Fraction(1, 100), n_samples=1000)
     assert report["pass"] and report["check"] == "norm/n=2/alpha=1/100/beta=1/100/samples=1000/seed=0"
     # and alpha = 0.1 is where numpy's Dirichlet sampler leaves stick-breaking
-    verify._norm_row_ok(3, Fraction(1, 10), 2)
+    verify._check_dirichlet(3, Fraction(1, 10), 2)
 
 
 def test_chunked_mean_zero_record_does_not_set_the_scale():
