@@ -168,6 +168,9 @@ def mc_norm_constant(
         # Dirichlet rows come off one sequential stream, so drawing them a
         # block at a time gives the numbers one draw of all ``size`` gives
         log_vandermonde = np.zeros(size)
+        if not pairs:
+            # n = 1: the law is the point mass at 1, and every weight is 1
+            return log_vandermonde
         gap = np.empty(min(size, _NORM_BLOCK))
         # a repeated eigenvalue has weight 0, log -inf
         with np.errstate(divide="ignore"):

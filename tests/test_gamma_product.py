@@ -7,6 +7,7 @@ over merged prime exponents; both routes must agree field by field.
 """
 
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,71 @@ def test_gamma_product_matches_per_factor_product(powers):
     for m, k in powers.items():
         expected = expected * _gamma(Fraction(m, 2)).pow_int(k)
     assert gamma_product(powers) == expected
+
+
+# a few keys up to 4 * 10^4 put most primes above sqrt(top) in blocks
+_large_powers = st.builds(
+    lambda large, small: {**small, **large},
+    st.dictionaries(st.integers(1, 40_000), st.integers(-3, 3), min_size=1, max_size=4),
+    st.dictionaries(st.integers(1, 40), st.integers(-3, 3), max_size=4),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_large_powers)
+def test_gamma_product_matches_per_factor_product_at_large_keys(powers):
+    expected = ONE
+    for m, k in powers.items():
+        expected = expected * _gamma(Fraction(m, 2)).pow_int(k)
+    assert gamma_product(powers) == expected
+
+
+def _factorial_primes(fact, twos):
+    """Primes of 2^twos * prod j!^fact[j] by trial division, grouped by nonzero exponent."""
+    exponents = {2: twos} if twos else {}
+    for i in range(2, max(fact, default=0) + 1):
+        power = sum(f for j, f in fact.items() if j >= i)  # i divides j! for each j >= i
+        p = 2
+        while i > 1:
+            while i % p == 0:
+                exponents[p] = exponents.get(p, 0) + power
+                i //= p
+            p += 1
+    grouped = {}
+    for p in sorted(exponents):
+        if exponents[p]:
+            grouped.setdefault(exponents[p], []).append(p)
+    return grouped
+
+
+# a run of keys every stride integers up to n, as Gamma(1), ..., Gamma(n) make,
+# plus scattered keys up to 300
+_factorial_maps = st.builds(
+    lambda n, stride, power, scattered: {**{j: power for j in range(0, n, stride)}, **scattered},
+    st.integers(0, 150),
+    st.integers(1, 3),
+    st.integers(-2, 2),
+    st.dictionaries(st.integers(0, 300), st.integers(-3, 3), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factorial_maps, st.integers(-5, 5))
+def test_prime_exponents_match_trial_division(fact, twos):
+    # gamma_product adds to twos only with a key of at least 2
+    twos = twos if max(fact, default=0) >= 2 else 0
+    assert exactnum._prime_exponents(fact, twos) == _factorial_primes(fact, twos)
+
+
+def test_prime_exponents_do_not_depend_on_the_order_the_prime_table_grew_in(monkeypatch):
+    small, large = ({5: 2, 7: -1, 20: 1}, 4), ({12: 1, 39_999: -1, 40_000: 2}, -3)
+    monkeypatch.setattr(exactnum, "_PRIME_TABLE", (1, array("l")))
+    small_first = [exactnum._prime_exponents(*small), exactnum._prime_exponents(*large)]
+    assert exactnum._PRIME_TABLE[0] == 40_000
+    monkeypatch.setattr(exactnum, "_PRIME_TABLE", (1, array("l")))
+    large_first = [exactnum._prime_exponents(*large), exactnum._prime_exponents(*small)]
+    assert small_first == large_first[::-1]
+    assert small_first[0] == _factorial_primes(*small)
 
 
 @settings(max_examples=100, deadline=None)

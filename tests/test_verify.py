@@ -40,6 +40,19 @@ def test_norm_constant_single_eigenvalue_exact():
     assert est.stderr == 0.0
 
 
+def test_norm_constant_draws_nothing_without_an_eigenvalue_pair(monkeypatch):
+    # one eigenvalue: the Dirichlet law is the point mass at 1, of weight 1
+    class NoDraws:
+        def dirichlet(self, *args, **kwargs):
+            raise AssertionError("drew samples")
+
+    monkeypatch.setattr(verify, "make_rng", lambda *args: NoDraws())
+    est = mc_norm_constant(1, 1.5, 2.0, 10_000, seed=1, workers=2)
+    assert (est.mean, est.stderr) == (1.0, 0.0)
+    with pytest.raises(AssertionError, match="drew samples"):
+        mc_norm_constant(2, 1.0, 2.0, 100, seed=1, chunks=1)
+
+
 def test_norm_constant_n2_golden():
     est = mc_norm_constant(2, 1.0, 2.0, 200_000, seed=2)
     assert abs(est.mean - 1 / 3) <= 3 * est.stderr
