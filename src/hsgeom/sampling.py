@@ -8,6 +8,17 @@ rectangular shape whose Wishart exponent vanishes and reproduces the linear
 eigenvalue repulsion of the real HS measure; this choice is validated
 statistically in the verify module rather than assumed.
 
+Each state is W / tr W with W = X^dag X.  For a complex X = A + iB, W is
+built from the real blocks A and B, copied component-major (entry-major,
+draw index last) so that every numpy call spans thousands of draws: row i
+of W gains, for j ascending from zero, Re a_ji a_jk + b_ji b_jk and
+Im a_ji b_jk - b_ji a_jk over its columns k >= i, and the lower triangle
+is the exact conjugate.  For the real field each entry is one contiguous
+dot of two rows of the N x (N+1) draw.  Both orders are fixed: they are the
+order and rounding in which einsum summed X^dag X before, so every draw of
+a given (seed, stream) keeps its bytes, and with them the ``sample`` output
+and the ``verify`` reports.
+
 Randomness comes from numpy's Philox counter-based generator keyed by
 ``(seed, stream)``, so independent streams for parallel chunks are cheap
 and draws are reproducible regardless of thread count.
@@ -43,23 +54,118 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
-def _ginibre(n: int, field: str, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Gaussian draws X whose Gram matrices X^dag X are the unnormalized states."""
+def _check_request(n: int, field: str, size: int) -> None:
+    """Refuse a bad argument before any draw: n first, then the field, then the count."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if field == "complex":
-        return rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
-    if field == "real":
-        # X^T X = A A^T for the N x (N+1) matrix A
-        return rng.standard_normal((size, n, n + 1)).swapaxes(1, 2)
-    raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
+    if field not in ("complex", "real"):
+        raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
+    if size < 0:
+        raise ValueError(f"need a sample count >= 0, got {size}")
 
 
-def _normalized_gram(x: np.ndarray) -> np.ndarray:
-    """X^dag X / tr(X^dag X) for each X of the stack ``x``."""
+def _ginibre(n: int, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts, each (size, n, n), of complex Gaussian draws X."""
+    return rng.standard_normal((size, n, n)), rng.standard_normal((size, n, n))
+
+
+# Entries of each part per transposing copy, which then stays in cache.  The
+# kernel runs on blocks of _COPIES_PER_BLOCK copies (2^18 entries, 4096 draws
+# at n = 8): large enough that each of its numpy calls spans many draws, small
+# enough that its rows stay in cache.
+_COPY_ENTRIES = 1 << 14
+_COPIES_PER_BLOCK = 16
+
+
+def _gram_parts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of W = X^dag X, component-major, for X = a + i b.
+
+    ``a[j, i]`` and ``b[j, i]`` hold Re X[j, i] and Im X[j, i] of every draw
+    (shape (n, n, size)), and so do the returned parts for W[i, k].  Each
+    upper entry sums, j ascending from zero, the terms
+    Re: a_ji a_jk + b_ji b_jk and Im: a_ji b_jk - b_ji a_jk, in the
+    order and rounding of the complex sum of products conj(X[j, i]) X[j, k]
+    that einsum takes.  The lower triangle is the exact conjugate.
+    """
+    n, _, size = a.shape
+    w_re, w_im = np.zeros((n, n, size)), np.zeros((n, n, size))
+    p, q = np.empty((n, size)), np.empty((n, size))
+    for i in range(n):
+        # row i: Re over columns k >= i (ge); Im over k > i (gt), its
+        # diagonal being +0.0
+        p_re, q_re, p_im, q_im = p[i:], q[i:], p[i + 1 :], q[i + 1 :]
+        re_row, im_row = w_re[i, i:], w_im[i, i + 1 :]
+        a_ge, b_ge, a_gt, b_gt = a[:, i:], b[:, i:], a[:, i + 1 :], b[:, i + 1 :]
+        for j in range(n):
+            a_ji, b_ji = a[j, i], b[j, i]
+            np.multiply(a_ji, a_ge[j], out=p_re)
+            np.multiply(b_ji, b_ge[j], out=q_re)
+            p_re += q_re
+            re_row += p_re
+            np.multiply(a_ji, b_gt[j], out=p_im)
+            np.multiply(b_ji, a_gt[j], out=q_im)
+            p_im -= q_im
+            im_row += p_im
+    for i in range(n - 1):
+        w_re[i + 1 :, i] = w_re[i, i + 1 :]
+        # 0 - x, not -x: where the sum is +0.0 the lower entry is +0.0 too
+        np.subtract(0.0, w_im[i, i + 1 :], out=w_im[i + 1 :, i])
+    return w_re, w_im
+
+
+def _normalized_gram(re: np.ndarray, im: np.ndarray, rows: bool = False) -> np.ndarray:
+    """X^dag X / tr(X^dag X) for each X = re + i im of the stack, or X X^dag / tr with ``rows``.
+
+    X X^dag is the transpose of Y^dag Y for Y = X^T, so both come from one
+    kernel: each block of draws is copied component-major and its result is
+    written back through the same axis order.
+    """
+    size, n, _ = re.shape
+    perm = (2, 1, 0) if rows else (1, 2, 0)
+    step = max(1, _COPY_ENTRIES // (n * n))
+    block = _COPIES_PER_BLOCK * step
+    out = np.empty((size, n, n), dtype=complex)
+    a, b = np.empty((n, n, min(block, size))), np.empty((n, n, min(block, size)))
+    for start in range(0, size, block):
+        count = min(block, size - start)
+        a_blk, b_blk = a[..., :count], b[..., :count]
+        for lo in range(0, count, step):
+            drawn = slice(start + lo, start + lo + step)
+            a_blk[..., lo : lo + step] = re[drawn].transpose(perm)
+            b_blk[..., lo : lo + step] = im[drawn].transpose(perm)
+        w_re, w_im = _gram_parts(a_blk, b_blk)
+        # a zero trace needs every one of at least 8 Gaussian entries to be 0.0
+        trace = w_re[0, 0].copy()
+        for i in range(1, n):
+            trace += w_re[i, i]
+        # numpy divides a complex number by a real one (trace + 0j) by
+        # multiplying both parts by its reciprocal
+        w_re *= np.divide(1.0, trace, out=trace)
+        w_im *= trace
+        for lo in range(0, count, step):
+            dest = out[start + lo : start + lo + step].transpose(perm)
+            dest.real = w_re[..., lo : lo + step]
+            dest.imag = w_im[..., lo : lo + step]
+    return out
+
+
+def _normalized_row_gram(x: np.ndarray) -> np.ndarray:
+    """A A^T / tr(A A^T) for each real A of the stack ``x`` (shape (size, n, m)).
+
+    Each entry is one contiguous dot of two rows, by the einsum kernel that
+    a contraction over contiguous rows takes; the lower triangle is a copy.
+    """
+    size, n, _ = x.shape
+    w = np.empty((size, n, n))
+    for i in range(n):
+        np.einsum("sj,skj->sk", x[:, i], x[:, i:], out=w[:, i, i:])
+        w[:, i + 1 :, i] = w[:, i, i + 1 :]
     # a zero trace needs every one of at least 6 Gaussian entries to be 0.0
-    w = np.einsum("sji,sjk->sik", x.conj(), x)
-    return w / np.einsum("sii->s", w).real[:, None, None]
+    trace = w[:, 0, 0].copy()
+    for i in range(1, n):
+        trace += w[:, i, i]
+    w /= trace[:, None, None]
+    return w
 
 
 def sample_hs_batch(n: int, field: str, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -70,18 +176,22 @@ def sample_hs_batch(n: int, field: str, rng: np.random.Generator, size: int) -> 
     n : matrix size, >= 2.
     field : 'complex' for Hermitian matrices, 'real' for real symmetric.
     rng : generator from ``make_rng`` (or any numpy Generator).
-    size : number of samples.
+    size : number of samples, >= 0.
     """
-    return _normalized_gram(_ginibre(n, field, rng, size))
+    _check_request(n, field, size)
+    if field == "real":
+        # X^T X = A A^T for the N x (N+1) matrix A
+        return _normalized_row_gram(rng.standard_normal((size, n, n + 1)))
+    return _normalized_gram(*_ginibre(n, rng, size))
 
 
 def sample_pure_partial_trace_batch(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """HS samples via partial trace of random pure states of an n x n system."""
     # A Haar-random unit vector in C^(n^2), reshaped to an n x n matrix C; the
     # norm cancels in the trace division so the Gaussian need not be
-    # normalized.  Tracing out the second factor gives C C^dag, the Gram
-    # matrix of X = C^dag.
-    return _normalized_gram(_ginibre(n, "complex", rng, size).conj().swapaxes(1, 2))
+    # normalized.  Tracing out the second factor gives C C^dag.
+    _check_request(n, "complex", size)
+    return _normalized_gram(*_ginibre(n, rng, size), rows=True)
 
 
 def eigvals_hermitian(h: np.ndarray) -> np.ndarray:

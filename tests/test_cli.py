@@ -202,6 +202,22 @@ def test_one_chunk_sample_bytes_golden(capsys, n, field, spectra_only):
     assert hashlib.sha256(out.encode()).hexdigest() == _SAMPLE_SHA256[n, field, spectra_only]
 
 
+_VERIFY_SHA256 = {
+    ("purity",): "582189744604c0ea2ebbf45bf2c16787deca62c185e86df6f5b2f3346a04e7a7",
+    ("spectral",): "27e0284ac7c738407f42f843d1f6f4d918d8ee00b0d3bc64dbc21b6539fa4d94",
+    ("spectral", "--n", "3", "--field", "complex"): "cbfc39db73291536277e228a4d2e4eec8834ff97ad75f97b73da59cba1488363",
+}
+
+
+@pytest.mark.parametrize("suite", list(_VERIFY_SHA256))
+def test_verify_report_bytes_golden(capsys, suite):
+    # the reports of the suites that draw HS states: a change in the rounding
+    # of any draw moves an estimate or a bin count, and so these bytes
+    code, out = run_cli(capsys, "verify", "--suite", *suite, "--samples", "20000", "--seed", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[suite]
+
+
 def test_sample_chunk_i_draws_stream_i(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_SAMPLE_CHUNK_ENTRIES", 20)  # 5 rows of 2 x 2 matrices
     code, out = run_cli(capsys, "sample", "--n", "2", "--samples", "12", "--seed", "4")
@@ -477,12 +493,13 @@ def test_ball_past_the_gamma_bound_exits_two(capsys, dim):
         (["verify", "--suite", "norm", "--n", "3", "--alpha", "1/100", "--beta", "1/100"],
          verify, "_map_chunks"),
         (["group", "--family", "U", "--n", "100000"], exactnum, "_power_product"),
+        (["sample", "--n", "3", "--samples", "-5"], sampling, "_ginibre"),
     ],
 )
 def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, module, name):
     # D! past the Gamma bound, norm rows whose Dirichlet draws hold exact
-    # zeros, and a Gamma product past the size bound are refused before the
-    # factorial, the first draw or the product is built
+    # zeros, a Gamma product past the size bound and a negative sample count
+    # are refused before the factorial, the first draw or the product is built
     def unreachable(*args, **kwargs):
         raise AssertionError(f"{name} was reached")
 

@@ -43,6 +43,34 @@ def test_sampled_matrices_satisfy_invariants(n, field):
         assert np.abs(rho.imag).max() == 0.0
 
 
+def _einsum_reference(n, kind, rng, size):
+    """The samplers' draws put through the einsum formula they replaced."""
+    if kind == "real":
+        x = rng.standard_normal((size, n, n + 1)).swapaxes(1, 2)
+    else:
+        x = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+        if kind == "partial trace":
+            x = x.conj().swapaxes(1, 2)
+    w = np.einsum("sji,sjk->sik", x.conj(), x)
+    return w / np.einsum("sii->s", w).real[:, None, None]
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "partial trace"])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+def test_samplers_match_the_einsum_formula_bit_for_bit(n, kind):
+    # X^dag X is summed from the real and imaginary parts in the order and
+    # rounding of einsum's complex sum of products; 4097 draws cross the
+    # blocks of the kernel and of its transposing copies at every n
+    for size in (0, 1, 5, 4097):
+        if kind == "partial trace":
+            got = sample_pure_partial_trace_batch(n, make_rng(n, size), size)
+        else:
+            got = sample_hs_batch(n, kind, make_rng(n, size), size)
+        want = _einsum_reference(n, kind, make_rng(n, size), size)
+        assert got.shape == want.shape == (size, n, n) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (n, kind, size)
+
+
 def _purity(batch):
     return np.einsum("sij,sij->s", batch, batch.conj()).real
 
@@ -67,6 +95,16 @@ def test_partial_trace_matches_ginibre_construction():
         sample_hs_batch(1, "quaternionic", make_rng(0), 4)
     with pytest.raises(ValueError, match="need n >= 2"):
         sample_pure_partial_trace_batch(1, make_rng(0), 4)
+    # a negative count is named, after the size and field checks
+    for field in ("complex", "real"):
+        with pytest.raises(ValueError, match="sample count >= 0, got -5"):
+            sample_hs_batch(3, field, make_rng(0), -5)
+    with pytest.raises(ValueError, match="sample count >= 0, got -1"):
+        sample_pure_partial_trace_batch(3, make_rng(0), -1)
+    with pytest.raises(ValueError, match="field must be"):
+        sample_hs_batch(3, "quaternionic", make_rng(0), -1)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        sample_pure_partial_trace_batch(1, make_rng(0), -1)
 
 
 def test_purity_means_both_fields():
