@@ -77,18 +77,19 @@ _COPY_ENTRIES = 1 << 14
 _COPIES_PER_BLOCK = 16
 
 
-def _gram_parts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gram_parts(a: np.ndarray, b: np.ndarray, w_re: np.ndarray, w_im: np.ndarray) -> None:
     """Real and imaginary parts of W = X^dag X, component-major, for X = a + i b.
 
     ``a[j, i]`` and ``b[j, i]`` hold Re X[j, i] and Im X[j, i] of every draw
-    (shape (n, n, size)), and so do the returned parts for W[i, k].  Each
-    upper entry sums, j ascending from zero, the terms
+    (shape (n, n, size)), and ``w_re[i, k]`` and ``w_im[i, k]`` receive those
+    of W[i, k].  Each upper entry sums, j ascending from zero, the terms
     Re: a_ji a_jk + b_ji b_jk and Im: a_ji b_jk - b_ji a_jk, in the
     order and rounding of the complex sum of products conj(X[j, i]) X[j, k]
     that einsum takes.  The lower triangle is the exact conjugate.
     """
     n, _, size = a.shape
-    w_re, w_im = np.zeros((n, n, size)), np.zeros((n, n, size))
+    w_re.fill(0.0)
+    w_im.fill(0.0)
     p, q = np.empty((n, size)), np.empty((n, size))
     for i in range(n):
         # row i: Re over columns k >= i (ge); Im over k > i (gt), its
@@ -110,7 +111,6 @@ def _gram_parts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w_re[i + 1 :, i] = w_re[i, i + 1 :]
         # 0 - x, not -x: where the sum is +0.0 the lower entry is +0.0 too
         np.subtract(0.0, w_im[i, i + 1 :], out=w_im[i + 1 :, i])
-    return w_re, w_im
 
 
 def _normalized_gram(re: np.ndarray, im: np.ndarray, rows: bool = False) -> np.ndarray:
@@ -119,21 +119,28 @@ def _normalized_gram(re: np.ndarray, im: np.ndarray, rows: bool = False) -> np.n
     X X^dag is the transpose of Y^dag Y for Y = X^T, so both come from one
     kernel: each block of draws is copied component-major and its result is
     written back through the same axis order.
+
+    The block's copies live in its rows of the result, which the write-back
+    then replaces, and its sums in its rows of ``re`` and ``im``, which are
+    used up.  The only fresh memory is then the result and two (n, block)
+    scratch arrays: the first touch of each fresh page costs a fault, and with
+    separate buffers the faults took most of a call's time at n <= 3.
     """
     size, n, _ = re.shape
     perm = (2, 1, 0) if rows else (1, 2, 0)
     step = max(1, _COPY_ENTRIES // (n * n))
     block = _COPIES_PER_BLOCK * step
     out = np.empty((size, n, n), dtype=complex)
-    a, b = np.empty((n, n, min(block, size))), np.empty((n, n, min(block, size)))
     for start in range(0, size, block):
         count = min(block, size - start)
-        a_blk, b_blk = a[..., :count], b[..., :count]
+        part = slice(start, start + count)
+        a_blk, b_blk = out[part].view(float).reshape(2, n, n, count)
         for lo in range(0, count, step):
             drawn = slice(start + lo, start + lo + step)
             a_blk[..., lo : lo + step] = re[drawn].transpose(perm)
             b_blk[..., lo : lo + step] = im[drawn].transpose(perm)
-        w_re, w_im = _gram_parts(a_blk, b_blk)
+        w_re, w_im = re[part].reshape(n, n, count), im[part].reshape(n, n, count)
+        _gram_parts(a_blk, b_blk, w_re, w_im)
         # a zero trace needs every one of at least 8 Gaussian entries to be 0.0
         trace = w_re[0, 0].copy()
         for i in range(1, n):
