@@ -60,7 +60,8 @@ def _einsum_reference(n, kind, rng, size):
 def test_samplers_match_the_einsum_formula_bit_for_bit(n, kind):
     # X^dag X is summed from the real and imaginary parts in the order and
     # rounding of einsum's complex sum of products; 4097 draws cross the
-    # blocks of the kernel and of its transposing copies at every n
+    # steps of the transposing copies at every n, and the kernel's blocks
+    # from n = 8 on
     for size in (0, 1, 5, 4097):
         if kind == "partial trace":
             got = sample_pure_partial_trace_batch(n, make_rng(n, size), size)
@@ -95,7 +96,7 @@ def test_partial_trace_matches_ginibre_construction():
         sample_hs_batch(1, "quaternionic", make_rng(0), 4)
     with pytest.raises(ValueError, match="need n >= 2"):
         sample_pure_partial_trace_batch(1, make_rng(0), 4)
-    # a negative count is named, after the size and field checks
+    # a negative count is named, after the n and field checks
     for field in ("complex", "real"):
         with pytest.raises(ValueError, match="sample count >= 0, got -5"):
             sample_hs_batch(3, field, make_rng(0), -5)
