@@ -161,8 +161,6 @@ def _cmd_sample(args):
 
 
 def _cmd_verify(args) -> tuple[list[str], int]:
-    import json
-
     from . import verify
 
     checks = verify.run_suite(
@@ -176,7 +174,7 @@ def _cmd_verify(args) -> tuple[list[str], int]:
         chunks=args.chunks,
         workers=args.workers,
     )
-    return [json.dumps(checks, indent=2) + "\n"], 0 if all(c["pass"] for c in checks) else 1
+    return [_format_records(checks, "json")], 0 if all(c["pass"] for c in checks) else 1
 
 
 # -- output formatting ---------------------------------------------------------
@@ -221,7 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, field=True):
+    def add_common(p, handler, field=True):
+        # an exact subcommand's runner: its records in --format, exit code 0
+        p.set_defaults(run=lambda args: ([_format_records(handler(args), args.format)], 0))
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", metavar="PATH", default=None)
         if field:
@@ -229,35 +229,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="HS volume of the state space")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, _cmd_volume)
 
     p = sub.add_parser("edge", help="volume of the rank-deficient edges")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rank-deficiency", type=int, default=1, metavar="K")
-    add_common(p)
+    add_common(p, _cmd_edge)
 
     p = sub.add_parser("geometry", help="radii and shape coefficients")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, _cmd_geometry)
 
     p = sub.add_parser("reference", help="volume/gamma of reference bodies (unit size)")
     p.add_argument("--body", choices=[k.value for k in mixedstates.ReferenceKind], required=True)
     p.add_argument("--dim", type=int, required=True)
-    add_common(p, field=False)
+    add_common(p, _cmd_reference, field=False)
 
     p = sub.add_parser("group", help="group and coset volumes")
     p.add_argument("--family", choices=[f.value for f in groups.Family], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--convention", choices=("A", "B", "C"), default="A")
-    add_common(p, field=False)
+    add_common(p, _cmd_group, field=False)
 
     p = sub.add_parser("constants", help="eigenvalue-density normalization constants")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", default="1")
     p.add_argument("--beta", default="2")
-    add_common(p, field=False)
+    add_common(p, _cmd_constants, field=False)
 
     p = sub.add_parser("sample", help="emit HS-distributed density matrices as JSON lines")
+    p.set_defaults(run=lambda args: (_cmd_sample(args), 0))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", choices=("complex", "real"), default="complex")
     p.add_argument("--samples", type=int, default=1)
@@ -266,6 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", default=None)
 
     p = sub.add_parser("verify", help="Monte Carlo checks against the exact formulas")
+    p.set_defaults(run=_cmd_verify)
     # checked by run_suite, so that parsing needs no numpy
     p.add_argument("--suite", required=True, help="norm, purity, spectral, hitmiss or all")
     p.add_argument("--n", type=int, default=None)
@@ -281,26 +283,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "volume": _cmd_volume,
-    "edge": _cmd_edge,
-    "geometry": _cmd_geometry,
-    "reference": _cmd_reference,
-    "group": _cmd_group,
-    "constants": _cmd_constants,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sample":
-            pieces, code = _cmd_sample(args), 0
-        elif args.command == "verify":
-            pieces, code = _cmd_verify(args)
-        else:
-            pieces, code = [_format_records(_HANDLERS[args.command](args), args.format)], 0
+        pieces, code = args.run(args)
         pieces = iter(pieces)
         # computed before --out is opened, so a refused call leaves the file intact
         first = next(pieces, "")

@@ -62,6 +62,8 @@ _BLOCK = 4096
 # call: at 4096 rows the verify plan's norm rows ran about 10% slower on two
 # workers than with one draw per chunk, and at 16384 rows they do not.
 _NORM_BLOCK = 16384
+# A check passes when its estimate lies within this many stderrs of its expectation.
+_GATE = 3.0
 
 
 def _check_draws(n_samples: int, seed: int, chunks: int, workers: int) -> None:
@@ -276,6 +278,25 @@ def _hit_fraction(n: int) -> float:
     return (vol_mixed(space) / ball).to_float()
 
 
+def _hit_or_miss_p0(n: int, n_samples: int) -> float:
+    """The exact hit fraction p0 at n, refusing a count at which no hit would pass.
+
+    No hit lies sqrt(N p0 / (1 - p0)) binomial stderrs below p0, within the
+    gate while N p0 <= _GATE**2 (1 - p0).  Such a check could not tell the
+    state space from one of zero volume, so it is refused before any draw.
+    """
+    p = _hit_fraction(n)
+    if not p:
+        raise ValueError(f"the hit-or-miss fraction at n={n} underflows to 0.0")
+    least = math.floor(_GATE**2 * (1 - p) / p) + 1
+    if 0 < n_samples < least:  # _check_draws refuses a count below 1
+        raise ValueError(
+            f"hit-or-miss at n={n} passes on zero hits with {n_samples} samples; "
+            f"it needs at least {least}"
+        )
+    return p
+
+
 def _hit_or_miss_chunk(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Whether each of ``size`` uniform points of the radius-R_N ball is a state.
 
@@ -307,16 +328,17 @@ def mc_hit_or_miss_fraction(
     The expected value is the exact volume of the state space divided by the
     volume of that ball, and the stderr is the binomial one at that exact
     fraction: the plug-in one, from the hits, is 0 with no hit and far too
-    small with one (9 sigmas at n = 4 with 10 hits expected).
+    small with one (9 sigmas at n = 4 with 10 hits expected).  A count at
+    which a run with no hit would pass is refused before the first draw.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    p = _hit_or_miss_p0(n, n_samples)
 
     def hit_count(rng: np.random.Generator, size: int) -> int:
         return int(np.count_nonzero(_hit_or_miss_chunk(n, rng, size)))
 
     hits = sum(_map_chunks(hit_count, n_samples, seed, chunks, workers))
-    p = _hit_fraction(n)
     return MCEstimate(hits / n_samples, math.sqrt(p * (1 - p) / n_samples), n_samples, seed, chunks)
 
 
@@ -484,7 +506,7 @@ def _verdict(check: str, expected: float, est: MCEstimate) -> dict:
         sigmas, ok = None, False
     elif est.stderr > 0:
         sigmas = abs(est.mean - expected) / est.stderr
-        ok = sigmas <= 3.0
+        ok = sigmas <= _GATE
     else:
         sigmas = 0.0 if est.mean == expected else None
         ok = est.mean == expected
@@ -531,16 +553,21 @@ def check_spectral(n, field, n_samples, seed, bins=20, chunks=10, workers=1) -> 
     }
 
 
+def _at_any_count(validate):
+    """The row validator of a check whose rows are valid at every sample count."""
+    return lambda n_samples, **row: validate(**row)
+
+
 # suite -> (check, row validator, default rows).  A row holds the check's
 # arguments other than the seed, chunks and workers, with its default sample
-# count.  The validator takes the row less its sample count and raises the
-# ValueError that the check would raise for it, without drawing a sample.
+# count.  The validator takes the row and raises the ValueError that the
+# check would raise for it before its draws, without drawing a sample.
 # The norm rows cover each constant entering the exact volume and area
 # formulas at every n up to 4.
 _PLANS = {
     "norm": (
         check_norm_constant,
-        _check_dirichlet,
+        _at_any_count(_check_dirichlet),
         [
             {"n": n, "alpha": a, "beta": b, "n_samples": 1_000_000}
             for n in (1, 2, 3, 4)
@@ -549,7 +576,7 @@ _PLANS = {
     ),
     "purity": (
         check_purity,
-        StateSpace,
+        _at_any_count(StateSpace),
         [
             {"n": n, "field": f, "n_samples": 100_000}
             for n, f in ((2, "complex"), (2, "real"), (3, "complex"))
@@ -557,12 +584,12 @@ _PLANS = {
     ),
     "spectral": (
         check_spectral,
-        partial(_reference_cdf, bins=20),
+        _at_any_count(partial(_reference_cdf, bins=20)),
         [{"n": 2, "field": f, "n_samples": 100_000} for f in ("complex", "real")],
     ),
     "hitmiss": (
         check_hit_or_miss,
-        StateSpace,  # the complex field
+        _hit_or_miss_p0,
         [{"n": 2, "n_samples": 100_000}, {"n": 3, "n_samples": 1_000_000}],
     ),
 }
@@ -604,8 +631,8 @@ def run_suite(
             # "is None", not falsiness: an explicit 0 must reach the validators
             row = {k: v if given[k] is None else given[k] for k, v in row.items()}
             plan.setdefault(tuple((k, v) for k, v in row.items() if k != "n_samples"), row)
-        for key, row in plan.items():
-            row_ok(**dict(key))
+        for row in plan.values():
+            row_ok(**row)
             _check_draws(row["n_samples"], **draws)
             runs.append((check, row))
     return [check(**row, **draws) for check, row in runs]

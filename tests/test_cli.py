@@ -1,5 +1,6 @@
 """CLI surface: golden output, formats, round trips, JSONL samples, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -282,6 +283,9 @@ def test_verify_all_suite_composition(capsys):
     # 16 norm combos + 3 purity + 2 spectral + 2 hit-or-miss
     assert len(checks) == 23
     assert all(c["pass"] for c in checks)
+    # the report is run_suite's list of checks as indented JSON
+    report = verify.run_suite("all", n_samples=20000, seed=0, workers=4)
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def test_verify_exit_one_on_failed_check(capsys, monkeypatch):
@@ -494,12 +498,18 @@ def test_ball_past_the_gamma_bound_exits_two(capsys, dim):
          verify, "_map_chunks"),
         (["group", "--family", "U", "--n", "100000"], exactnum, "_power_product"),
         (["sample", "--n", "3", "--samples", "-5"], sampling, "_ginibre"),
+        (["verify", "--suite", "hitmiss", "--n", "6", "--samples", "100000"], verify, "_map_chunks"),
+        (["verify", "--suite", "hitmiss", "--n", "4", "--samples", "200000"], verify, "_map_chunks"),
+        (["verify", "--suite", "hitmiss", "--n", "4"], verify, "_map_chunks"),
+        (["verify", "--suite", "all", "--samples", "200"], verify, "_map_chunks"),
     ],
 )
 def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, module, name):
     # D! past the Gamma bound, norm rows whose Dirichlet draws hold exact
-    # zeros, a Gamma product past the size bound and a negative sample count
-    # are refused before the factorial, the first draw or the product is built
+    # zeros, a Gamma product past the size bound, a negative sample count and
+    # hit-or-miss rows that would pass on zero hits are refused before the
+    # factorial, the first draw or the product is built; --suite all refuses
+    # its n = 3 hit-or-miss row at 200 samples before its first norm row runs
     def unreachable(*args, **kwargs):
         raise AssertionError(f"{name} was reached")
 
@@ -516,6 +526,19 @@ def test_domain_error_exits_two(capsys):
     assert code == 2
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_every_subcommand_parses_to_a_runner():
+    parser = cli._build_parser()
+    (subcommands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    required = {
+        "volume": ["--n", "3"], "edge": ["--n", "3"], "geometry": ["--n", "3"],
+        "reference": ["--body", "ball", "--dim", "3"], "group": ["--family", "SU", "--n", "3"],
+        "constants": ["--n", "3"], "sample": ["--n", "3"], "verify": ["--suite", "all"],
+    }
+    assert set(subcommands) == set(required)
+    for name, args in required.items():
+        assert callable(parser.parse_args([name, *args]).run), name
 
 
 def test_usage_error_exits_two():

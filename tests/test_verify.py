@@ -139,6 +139,25 @@ def test_hit_or_miss_stderr_is_binomial_at_the_exact_fraction(monkeypatch):
     assert report["sigmas"] > 10 and not report["pass"]
 
 
+def test_hit_or_miss_refuses_counts_that_pass_on_zero_hits(monkeypatch):
+    # zero hits stand for a state space of zero volume: from the smallest
+    # count that runs they fail the check, and one step of 10 below it the
+    # count is refused before any draw
+    monkeypatch.setattr(verify, "_map_chunks", lambda *args: [0])
+    for n, runs, refused, least in ((4, 351_430, 351_420, 351_423), (3, 330, 320, 330)):
+        report = check_hit_or_miss(n, runs, seed=0)
+        assert report["estimate"] == 0.0 and report["sigmas"] > 3 and not report["pass"]
+        for call in (check_hit_or_miss, mc_hit_or_miss_fraction):
+            with pytest.raises(ValueError, match=f"needs at least {least}$"):
+                call(n, refused, seed=0)
+        with pytest.raises(ValueError, match=f"needs at least {least}$"):
+            run_suite("hitmiss", n=n, n_samples=refused)
+    # at n = 2 every point of the ball is a state, so one sample can fail
+    assert not check_hit_or_miss(2, 10, seed=0)["pass"]
+    with pytest.raises(ValueError, match="underflows to 0.0"):
+        run_suite("hitmiss", n=21)
+
+
 def _eigvalsh_hit_or_miss_chunk(n, rng, size):
     """The eigensolver chunk the pivot test replaced: same draws, lambda_min >= -tol."""
     d = n * n - 1
