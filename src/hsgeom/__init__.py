@@ -29,7 +29,6 @@ _LAZY = {
             "gell_mann_basis",
             "make_rng",
             "sample_hs_batch",
-            "sample_pure_partial_trace_batch",
         ),
         "sampling",
     ),

@@ -116,9 +116,25 @@ def _cmd_group(args):
     ]
 
 
+def _exponent(option: str, text: str | None) -> Fraction | None:
+    """The rational ``--alpha`` or ``--beta`` given as ``text`` (None if not given).
+
+    Refused unless it is positive and a double can hold it: the float paths
+    would round 1e-400 to 0.0 and overflow on (10^400 + 1)/3.
+    """
+    if text is None:
+        return None
+    try:
+        value = Fraction(text)
+        if float(value) > 0:  # float() raises OverflowError past the largest double
+            return value
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"{option} must be a positive number that a double can hold, got {text!r}")
+
+
 def _cmd_constants(args):
-    alpha = Fraction(args.alpha)
-    beta = Fraction(args.beta)
+    alpha, beta = _exponent("--alpha", args.alpha), _exponent("--beta", args.beta)
     base = {"n": args.n, "alpha": str(alpha), "beta": str(beta)}
     exact_mode = (2 * alpha).denominator == 1 and beta in (1, 2)
     if exact_mode:
@@ -161,14 +177,15 @@ def _cmd_sample(args):
 
 
 def _cmd_verify(args) -> tuple[list[str], int]:
+    alpha, beta = _exponent("--alpha", args.alpha), _exponent("--beta", args.beta)
     from . import verify
 
     checks = verify.run_suite(
         args.suite,
         n=args.n,
         field=args.field,
-        alpha=Fraction(args.alpha) if args.alpha else None,
-        beta=Fraction(args.beta) if args.beta else None,
+        alpha=alpha,
+        beta=beta,
         n_samples=args.samples,
         seed=args.seed,
         chunks=args.chunks,

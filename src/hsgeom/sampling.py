@@ -1,23 +1,21 @@
 """Random density matrices distributed by the Hilbert-Schmidt measure.
 
-Two equivalent batch constructions are provided: projecting a Ginibre
-matrix (``sample_hs_batch``, which the CLI and the checks draw through) and
-partial-tracing a random pure state of a doubled system.  The
-real-symmetric ensemble uses an N x (N+1) Gaussian matrix, which is the
-rectangular shape whose Wishart exponent vanishes and reproduces the linear
-eigenvalue repulsion of the real HS measure; this choice is validated
-statistically in the verify module rather than assumed.
+Every draw comes from one construction, ``sample_hs_batch``: the state
+W / tr W with W = X^dag X for a Gaussian matrix X.  The real-symmetric
+ensemble uses an N x (N+1) Gaussian matrix, which is the rectangular shape
+whose Wishart exponent vanishes and reproduces the linear eigenvalue
+repulsion of the real HS measure; this choice is validated statistically
+in the verify module rather than assumed.
 
-Each state is W / tr W with W = X^dag X.  For a complex X = A + iB, W is
-built from the real blocks A and B, copied component-major (entry-major,
-draw index last) so that every numpy call spans thousands of draws: row i
-of W gains, for j ascending from zero, Re a_ji a_jk + b_ji b_jk and
-Im a_ji b_jk - b_ji a_jk over its columns k >= i, and the lower triangle
-is the exact conjugate.  For the real field each entry is one contiguous
-dot of two rows of the N x (N+1) draw.  Both orders are fixed: they are the
-order and rounding in which einsum summed X^dag X before, so every draw of
-a given (seed, stream) keeps its bytes, and with them the ``sample`` output
-and the ``verify`` reports.
+For a complex X = A + iB, W is built from the real blocks A and B, copied
+component-major (entry-major, draw index last) so that every numpy call
+spans thousands of draws: row i of W gains, for j ascending from zero,
+Re a_ji a_jk + b_ji b_jk and Im a_ji b_jk - b_ji a_jk over its columns
+k >= i, and the lower triangle is the exact conjugate.  For the real field
+each entry is one contiguous dot of two rows of the N x (N+1) draw.  Both
+orders are fixed: they are the order and rounding in which einsum summed
+X^dag X before, so every draw of a given (seed, stream) keeps its bytes,
+and with them the ``sample`` output and the ``verify`` reports.
 
 Randomness comes from numpy's Philox counter-based generator keyed by
 ``(seed, stream)``, so independent streams for parallel chunks are cheap
@@ -30,13 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "make_rng",
-    "sample_hs_batch",
-    "sample_pure_partial_trace_batch",
-    "eigvals_hermitian",
-    "gell_mann_basis",
-]
+__all__ = ["make_rng", "sample_hs_batch", "eigvals_hermitian", "gell_mann_basis"]
 
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
@@ -113,21 +105,18 @@ def _gram_parts(a: np.ndarray, b: np.ndarray, w_re: np.ndarray, w_im: np.ndarray
         np.subtract(0.0, w_im[i, i + 1 :], out=w_im[i + 1 :, i])
 
 
-def _normalized_gram(re: np.ndarray, im: np.ndarray, rows: bool = False) -> np.ndarray:
-    """X^dag X / tr(X^dag X) for each X = re + i im of the stack, or X X^dag / tr with ``rows``.
+def _normalized_gram(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """X^dag X / tr(X^dag X) for each X = re + i im of the stack.
 
-    X X^dag is the transpose of Y^dag Y for Y = X^T, so both come from one
-    kernel: each block of draws is copied component-major and its result is
-    written back through the same axis order.
-
-    The block's copies live in its rows of the result, which the write-back
-    then replaces, and its sums in its rows of ``re`` and ``im``, which are
-    used up.  The only fresh memory is then the result and two (n, block)
-    scratch arrays: the first touch of each fresh page costs a fault, and with
-    separate buffers the faults took most of a call's time at n <= 3.
+    Each block of draws is copied component-major and its result is written
+    back through the same axis order.  The block's copies live in its rows
+    of the result, which the write-back then replaces, and its sums in its
+    rows of ``re`` and ``im``, which are used up.  The only fresh memory is
+    then the result and two (n, block) scratch arrays: the first touch of
+    each fresh page costs a fault, and with separate buffers the faults took
+    most of a call's time at n <= 3.
     """
     size, n, _ = re.shape
-    perm = (2, 1, 0) if rows else (1, 2, 0)
     step = max(1, _COPY_ENTRIES // (n * n))
     block = _COPIES_PER_BLOCK * step
     out = np.empty((size, n, n), dtype=complex)
@@ -137,8 +126,8 @@ def _normalized_gram(re: np.ndarray, im: np.ndarray, rows: bool = False) -> np.n
         a_blk, b_blk = out[part].view(float).reshape(2, n, n, count)
         for lo in range(0, count, step):
             drawn = slice(start + lo, start + lo + step)
-            a_blk[..., lo : lo + step] = re[drawn].transpose(perm)
-            b_blk[..., lo : lo + step] = im[drawn].transpose(perm)
+            a_blk[..., lo : lo + step] = re[drawn].transpose(1, 2, 0)
+            b_blk[..., lo : lo + step] = im[drawn].transpose(1, 2, 0)
         w_re, w_im = re[part].reshape(n, n, count), im[part].reshape(n, n, count)
         _gram_parts(a_blk, b_blk, w_re, w_im)
         # a zero trace needs every one of at least 8 Gaussian entries to be 0.0
@@ -150,7 +139,7 @@ def _normalized_gram(re: np.ndarray, im: np.ndarray, rows: bool = False) -> np.n
         w_re *= np.divide(1.0, trace, out=trace)
         w_im *= trace
         for lo in range(0, count, step):
-            dest = out[start + lo : start + lo + step].transpose(perm)
+            dest = out[start + lo : start + lo + step].transpose(1, 2, 0)
             dest.real = w_re[..., lo : lo + step]
             dest.imag = w_im[..., lo : lo + step]
     return out
@@ -193,12 +182,12 @@ def sample_hs_batch(n: int, field: str, rng: np.random.Generator, size: int) -> 
 
 
 def sample_pure_partial_trace_batch(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """HS samples via partial trace of random pure states of an n x n system."""
-    # A Haar-random unit vector in C^(n^2), reshaped to an n x n matrix C; the
-    # norm cancels in the trace division so the Gaussian need not be
-    # normalized.  Tracing out the second factor gives C C^dag.
-    _check_request(n, "complex", size)
-    return _normalized_gram(*_ginibre(n, rng, size), rows=True)
+    """HS samples via partial trace of random pure states of an n x n system.
+
+    Tracing out the second factor of the pure state with coefficient matrix
+    X^dag leaves X^dag X: these are the complex ``sample_hs_batch`` draws.
+    """
+    return sample_hs_batch(n, "complex", rng, size)
 
 
 def eigvals_hermitian(h: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ merged in chunk order, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -128,21 +129,26 @@ def _chunked_mean(
     return MCEstimate(scale * mean, scale * math.sqrt(var / n_samples), n_samples, seed, chunks)
 
 
-def _check_dirichlet(n: int, alpha, beta) -> None:
-    """Refuse what ``log_c_norm`` refuses, then n >= 3 with alpha < 0.1.
+def _check_dirichlet(n: int, alpha, beta) -> float:
+    """log(1/C_n^(alpha, beta)), refusing alpha < 0.1 at n >= 3 and a 1/C off the normal doubles.
 
     Below alpha = 0.1 numpy's Generator.dirichlet breaks sticks and returns
     exact zeros (two of three in 16% of rows at alpha = 0.01).  Such a pair
     gets weight 0 where gap^beta is not small for small beta, so the
-    estimate is biased low.  At n = 2 at most one component is 0.
+    estimate is biased low.  At n = 2 at most one component is 0.  Below
+    the normal range (1/C_16^(1,2) ~ 1e-337) the estimate underflows too,
+    and would pass on 0 == 0.
     """
     alpha = float(alpha)
-    log_c_norm(n, alpha, float(beta))  # refuses n < 1 and alpha or beta <= 0
+    log_inverse = -log_c_norm(n, alpha, float(beta))  # refuses n < 1 and alpha or beta <= 0
     if n >= 3 and alpha < 0.1:
         raise ValueError(
             f"the norm check needs alpha >= 0.1 for n >= 3, got alpha={alpha}: "
             "numpy's Dirichlet sampler returns exact zeros below it"
         )
+    if not math.log(sys.float_info.min) <= log_inverse <= math.log(sys.float_info.max):
+        raise ValueError(f"the norm check needs a normal double 1/C, got e^{log_inverse:.6g}")
+    return log_inverse
 
 
 def mc_norm_constant(
@@ -154,8 +160,8 @@ def mc_norm_constant(
     the prod L^(alpha-1) factor of the target exactly and leaves only the
     eigenvalue-repulsion product as weight.  The weights are built as logs,
     beta * sum log|L_i - L_j| minus the Dirichlet constant, so neither they
-    nor their squares underflow; only an estimate below the double range
-    (1/C_16^(1,2) ~ 1e-337) reads 0.  The variance grows quickly with n: at
+    nor their squares underflow; a row whose 1/C is not a normal double is
+    refused before any draw.  The variance grows quickly with n: at
     (alpha, beta) = (1, 2) and 10^5 draws the Kish effective sample size is
     about 15 000 at n = 4, 800 at n = 8 and 180 at n = 10, so beyond n ~ 8
     a few heavy weights carry the estimate and its stderr.
@@ -331,9 +337,7 @@ def mc_hit_or_miss_fraction(
     small with one (9 sigmas at n = 4 with 10 hits expected).  A count at
     which a run with no hit would pass is refused before the first draw.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    p = _hit_or_miss_p0(n, n_samples)
+    p = _hit_or_miss_p0(n, n_samples)  # refuses n < 2 before any draw
 
     def hit_count(rng: np.random.Generator, size: int) -> int:
         return int(np.count_nonzero(_hit_or_miss_chunk(n, rng, size)))
@@ -500,11 +504,7 @@ def purity_oracle(n: int, field: str) -> Fraction:
 
 
 def _verdict(check: str, expected: float, est: MCEstimate) -> dict:
-    if expected == 0 or not math.isfinite(expected):
-        # an expectation that under- or overflowed carries no information;
-        # comparing it with an estimate that did the same would pass on 0 == 0
-        sigmas, ok = None, False
-    elif est.stderr > 0:
+    if est.stderr > 0:
         sigmas = abs(est.mean - expected) / est.stderr
         ok = sigmas <= _GATE
     else:
@@ -521,7 +521,7 @@ def _verdict(check: str, expected: float, est: MCEstimate) -> dict:
 
 
 def check_norm_constant(n, alpha, beta, n_samples, seed, chunks=10, workers=1) -> dict:
-    expected = math.exp(-log_c_norm(n, float(alpha), float(beta)))
+    expected = math.exp(_check_dirichlet(n, alpha, beta))
     est = mc_norm_constant(n, float(alpha), float(beta), n_samples, seed, chunks, workers)
     name = f"norm/n={n}/alpha={alpha}/beta={beta}/samples={n_samples}/seed={seed}"
     return _verdict(name, expected, est)
@@ -617,9 +617,6 @@ def run_suite(
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
-    explicit_norm = suite in ("norm", "all") and (alpha is not None or beta is not None)
-    if explicit_norm and None in (n, alpha, beta):
-        raise ValueError("norm suite with explicit parameters needs --n, --alpha and --beta")
     given = dict(n=n, field=field, alpha=alpha, beta=beta, n_samples=n_samples)
     draws = dict(seed=seed, chunks=chunks, workers=workers)
     runs: list[tuple] = []

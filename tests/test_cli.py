@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsgeom import cli, exactnum, mixedstates, sampling, verify
+from hsgeom import cli, constants, exactnum, mixedstates, sampling, verify
 
 
 def run_cli(capsys, *argv):
@@ -300,16 +300,6 @@ def test_verify_exit_one_on_failed_check(capsys, monkeypatch):
     assert json.loads(out)[0]["pass"] is False
 
 
-def test_verify_exit_one_on_vacuous_norm_check(capsys):
-    # expected and estimate both underflow to 0.0; that must not count as a pass
-    code, out = run_cli(
-        capsys, "verify", "--suite", "norm", "--n", "16", "--alpha", "1", "--beta", "2",
-        "--samples", "1000",
-    )
-    assert code == 1
-    assert json.loads(out)[0]["pass"] is False
-
-
 def test_verify_unknown_suite_exits_two(capsys, tmp_path):
     target = tmp_path / "report.json"
     target.write_text("kept")
@@ -489,6 +479,23 @@ def test_ball_past_the_gamma_bound_exits_two(capsys, dim):
     assert "Gamma argument too large" in captured.err
 
 
+# a positive alpha that rounds to 0.0, a zero denominator, and a positive
+# alpha past the largest double
+_UNREPRESENTABLE = ("1e-400", "1/0", f"{10**400 + 1}/3")
+
+
+@pytest.mark.parametrize("text", _UNREPRESENTABLE)
+@pytest.mark.parametrize("command", [["constants", "--n", "3"], ["verify", "--suite", "norm"]])
+@pytest.mark.parametrize("option", ["--alpha", "--beta"])
+def test_unrepresentable_exponents_are_named_in_one_error_line(capsys, command, option, text):
+    code = cli.main([*command, option, text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: {option} must be a positive number that a double can hold, got {text!r}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, module, name",
     [
@@ -502,14 +509,30 @@ def test_ball_past_the_gamma_bound_exits_two(capsys, dim):
         (["verify", "--suite", "hitmiss", "--n", "4", "--samples", "200000"], verify, "_map_chunks"),
         (["verify", "--suite", "hitmiss", "--n", "4"], verify, "_map_chunks"),
         (["verify", "--suite", "all", "--samples", "200"], verify, "_map_chunks"),
+        (["verify", "--suite", "norm", "--n", "2", "--alpha", "1e-310", "--beta", "1",
+          "--samples", "1000"], verify, "_map_chunks"),
+        (["verify", "--suite", "norm", "--n", "16", "--alpha", "1", "--beta", "2",
+          "--samples", "1000"], verify, "_map_chunks"),
+        *(
+            (argv, module, name)
+            for text in _UNREPRESENTABLE
+            for argv, module, name in (
+                (["constants", "--n", "3", "--alpha", text], constants, "log_c_norm"),
+                (["verify", "--suite", "norm", "--n", "3", "--alpha", text, "--beta", "1",
+                  "--samples", "1000"], verify, "_map_chunks"),
+            )
+        ),
     ],
 )
 def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, module, name):
     # D! past the Gamma bound, norm rows whose Dirichlet draws hold exact
-    # zeros, a Gamma product past the size bound, a negative sample count and
-    # hit-or-miss rows that would pass on zero hits are refused before the
-    # factorial, the first draw or the product is built; --suite all refuses
-    # its n = 3 hit-or-miss row at 200 samples before its first norm row runs
+    # zeros or whose 1/C is not a normal double (e^714 at n = 2, alpha =
+    # 1e-310; 1e-337 at n = 16), a Gamma product past the size bound, a
+    # negative sample count, hit-or-miss rows that would pass on zero hits
+    # and an alpha that no double holds are refused before the factorial,
+    # the first draw, the product or the constant is computed; --suite all
+    # refuses its n = 3 hit-or-miss row at 200 samples before its first norm
+    # row runs
     def unreachable(*args, **kwargs):
         raise AssertionError(f"{name} was reached")
 

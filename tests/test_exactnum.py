@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -62,11 +63,21 @@ def test_division_by_zero():
         ONE / ZERO
 
 
+def test_arithmetic_with_a_non_number_is_a_type_error():
+    # a float or a string is not coerced: each operand order raises
+    for other in (1.5, "2"):
+        for op in (operator.mul, operator.truediv):
+            for left, right in ((ONE, other), (other, ONE)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+
+
 def test_zero_is_canonical_and_absorbing():
     assert ZERO == ExactValue(0, Fraction(1), 1, 0)
     assert ZERO * PI == ZERO
     assert ZERO / (3 * PI) == ZERO
     assert -ZERO == ZERO
+    assert exact_sqrt(0) == ZERO and parse("0") == ZERO
 
 
 def test_noncanonical_construction_rejected():
@@ -127,6 +138,10 @@ def test_squarefree_strips_powers_of_two_like_trial_division():
     for k in range(301):
         for m in (1, 3, 9, 15, 45, 49, 105, 36481, 2 * 3 * 5 * 7 * 11):
             assert _squarefree(2**k * m) == _squarefree_by_trial_division(2**k * m), (k, m)
+    with pytest.raises(ValueError, match="radicand must be positive"):
+        _squarefree(0)
+    with pytest.raises(ValueError, match="square root of negative"):
+        exact_sqrt(-1)
     assert exact_sqrt(Fraction(36481, 2**36480)) == ExactValue(1, Fraction(191, 2**18240), 1, 0)
 
 

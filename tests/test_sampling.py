@@ -49,8 +49,6 @@ def _einsum_reference(n, kind, rng, size):
         x = rng.standard_normal((size, n, n + 1)).swapaxes(1, 2)
     else:
         x = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
-        if kind == "partial trace":
-            x = x.conj().swapaxes(1, 2)
     w = np.einsum("sji,sjk->sik", x.conj(), x)
     return w / np.einsum("sii->s", w).real[:, None, None]
 
@@ -61,13 +59,15 @@ def test_samplers_match_the_einsum_formula_bit_for_bit(n, kind):
     # X^dag X is summed from the real and imaginary parts in the order and
     # rounding of einsum's complex sum of products; 4097 draws cross the
     # steps of the transposing copies at every n, and the kernel's blocks
-    # from n = 8 on
+    # from n = 8 on; the partial trace of the pure state with coefficient
+    # matrix X^dag is the complex draw X^dag X
     for size in (0, 1, 5, 4097):
         if kind == "partial trace":
             got = sample_pure_partial_trace_batch(n, make_rng(n, size), size)
+            want = _einsum_reference(n, "complex", make_rng(n, size), size)
         else:
             got = sample_hs_batch(n, kind, make_rng(n, size), size)
-        want = _einsum_reference(n, kind, make_rng(n, size), size)
+            want = _einsum_reference(n, kind, make_rng(n, size), size)
         assert got.shape == want.shape == (size, n, n) and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), (n, kind, size)
 
@@ -191,6 +191,9 @@ def test_gell_mann_basis_orthonormal_traceless(n):
 
 
 def test_gell_mann_n2_is_rescaled_pauli():
+    # n = 2 is the smallest basis: at n = 1 there is no traceless direction
+    with pytest.raises(ValueError, match="need n >= 2"):
+        gell_mann_basis(1)
     basis = gell_mann_basis(2)
     s = 1 / math.sqrt(2)
     np.testing.assert_allclose(basis[0], np.array([[0, s], [s, 0]]))

@@ -250,7 +250,9 @@ def test_norm_constant_all_zero_chunks_merge_as_zero(monkeypatch):
     # at alpha = 1e-3 most Dirichlet draws hold two exact zeros, so some
     # single-draw chunks have weight 0 (log weight -inf) throughout; the
     # check refuses such rows, so the refusal is lifted to reach the merge
-    monkeypatch.setattr(verify, "_check_dirichlet", lambda n, alpha, beta: None)
+    monkeypatch.setattr(
+        verify, "_check_dirichlet", lambda n, alpha, beta: -log_c_norm(n, float(alpha), float(beta))
+    )
     report = check_norm_constant(3, 0.001, 2, 10, seed=0, chunks=10)
     for key in ("expected", "estimate", "stderr", "sigmas"):
         assert report[key] is None or math.isfinite(report[key]), (key, report)
@@ -280,6 +282,39 @@ def test_norm_takes_small_alpha_where_no_two_draws_coincide():
     assert report["pass"] and report["check"] == "norm/n=2/alpha=1/100/beta=1/100/samples=1000/seed=0"
     # and alpha = 0.1 is where numpy's Dirichlet sampler leaves stick-breaking
     verify._check_dirichlet(3, Fraction(1, 10), 2)
+
+
+@pytest.mark.parametrize("n, alpha, beta", [(16, 1, 2), (2, 1e-310, 1)])
+def test_norm_refuses_an_expectation_off_the_normal_doubles(monkeypatch, n, alpha, beta):
+    # 1/C_16^(1,2) ~ 1e-337 is subnormal, where an estimate that underflowed
+    # too would pass on 0 == 0; 1/C_2^(1e-310,1) ~ e^714 overflows exp
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(verify, "_map_chunks", unreachable)
+    for call in (check_norm_constant, mc_norm_constant):
+        with pytest.raises(ValueError, match="normal double 1/C"):
+            call(n, alpha, beta, 1000, seed=0)
+    with pytest.raises(ValueError, match="normal double 1/C"):
+        run_suite("norm", n=n, alpha=alpha, beta=beta, n_samples=1000)
+
+
+def test_norm_expectation_is_the_validators_log():
+    # 1/C_15^(1,2) ~ 1e-289: at (alpha, beta) = (1, 2) the largest n that runs
+    log_inverse = verify._check_dirichlet(15, 1, 2)
+    assert log_inverse == -log_c_norm(15, 1.0, 2.0)
+    report = check_norm_constant(15, 1, 2, 1000, seed=0)
+    assert report["expected"] == math.exp(log_inverse) > 0
+
+
+def test_hit_or_miss_refuses_n_below_two_before_drawing(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(verify, "_map_chunks", unreachable)
+    for call in (mc_hit_or_miss_fraction, check_hit_or_miss):
+        with pytest.raises(ValueError, match="state space needs n >= 2"):
+            call(1, 1000, seed=0)
 
 
 def test_chunked_mean_zero_record_does_not_set_the_scale():
@@ -556,11 +591,10 @@ def test_check_reports_shape():
 
 
 def test_verdict_refuses_vacuous_pass():
-    # 1/C_16^(1,2) ~ 1e-337 underflows to 0.0; the log weights do not, but
-    # the estimate they scale back to does
-    report = check_norm_constant(16, 1, 2, 1000, seed=0)
-    assert report["expected"] == 0.0 and report["stderr"] == 0.0
-    assert report["pass"] is False and report["sigmas"] is None
+    # 1/C_16^(1,2) ~ 1e-337 is below the normal doubles; the log weights are
+    # not, but the estimate they scale back to is, and 0 == 0 would pass
+    with pytest.raises(ValueError, match="normal double 1/C"):
+        check_norm_constant(16, 1, 2, 1000, seed=0)
     # exact zero-variance cases with a meaningful expectation still pass
     report = check_norm_constant(1, 1, 2, 1000, seed=0)
     assert report["expected"] == 1.0 and report["stderr"] == 0.0 and report["pass"] is True
@@ -609,8 +643,10 @@ def test_run_suite_composition():
     assert len(checks) == 4
     with pytest.raises(ValueError):
         run_suite("nonsense")
-    with pytest.raises(ValueError):
-        run_suite("norm", alpha=1, n_samples=100, seed=0)  # missing n and beta
+    # alpha alone replaces it in every norm row, like any other argument
+    assert names(run_suite("norm", alpha=1, n_samples=100)) == [
+        f"norm/n={n}/alpha=1/beta={b}/samples=100/seed=0" for n in (1, 2, 3, 4) for b in (2, 1)
+    ]
 
 
 def test_run_suite_validates_every_row_before_the_first_check(monkeypatch):
