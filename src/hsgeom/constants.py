@@ -82,15 +82,23 @@ def log_c_norm(n: int, alpha: float, beta: float) -> float:
     """Natural log of C_n^(alpha, beta) for arbitrary positive alpha, beta.
 
     Runs entirely through lgamma, so it is usable far beyond the exact-mode
-    parameter range and never overflows.
+    parameter range.  Where a log-Gamma term passes the largest double
+    (alpha = 1e308 at n = 2), or the sum of them does, it refuses the pair.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha <= 0 or beta <= 0:
         raise ValueError(f"alpha and beta must be positive, got ({alpha}, {beta})")
-    total = math.lgamma(alpha * n + beta * n * (n - 1) / 2.0)
-    for j in range(1, n + 1):
-        total -= math.lgamma(1 + j * beta / 2.0)
-        total -= math.lgamma(alpha + (j - 1) * beta / 2.0)
-        total += math.lgamma(1 + beta / 2.0)
+    try:
+        total = math.lgamma(alpha * n + beta * n * (n - 1) / 2.0)
+        for j in range(1, n + 1):
+            total -= math.lgamma(1 + j * beta / 2.0)
+            total -= math.lgamma(alpha + (j - 1) * beta / 2.0)
+            total += math.lgamma(1 + beta / 2.0)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(
+            f"alpha={alpha} and beta={beta} are too large at n={n}: log C overflows a double"
+        )
     return total

@@ -61,7 +61,8 @@ class MCEstimate(Record):
 _BLOCK = 4096
 # The norm kernel's blocks are larger because each one is a Generator.dirichlet
 # call: at 4096 rows the verify plan's norm rows ran about 10% slower on two
-# workers than with one draw per chunk, and at 16384 rows they do not.
+# workers than with one draw per chunk, and at 16384 rows they do not.  The
+# lattice rule (_lattice) takes blocks of as many points.
 _NORM_BLOCK = 16384
 # A check passes when its estimate lies within this many stderrs of its expectation.
 _GATE = 3.0
@@ -154,10 +155,11 @@ def _check_dirichlet(n: int, alpha, beta) -> float:
 def mc_norm_constant(
     n: int, alpha: float, beta: float, n_samples: int, seed: int, chunks: int = 10, workers: int = 1
 ) -> MCEstimate:
-    """Importance-sampling estimate of 1/C_n^(alpha, beta).
+    """Estimate of 1/C_n^(alpha, beta): a lattice rule at n = 2..4, alpha >= 1, else Dirichlet draws.
 
-    Eigenvalues are drawn from Dirichlet(alpha, ..., alpha), which matches
-    the prod L^(alpha-1) factor of the target exactly and leaves only the
+    The lattice rule is ``_lattice.norm_constant``.  Elsewhere eigenvalues
+    are drawn from Dirichlet(alpha, ..., alpha), which matches the
+    prod L^(alpha-1) factor of the target exactly and leaves only the
     eigenvalue-repulsion product as weight.  The weights are built as logs,
     beta * sum log|L_i - L_j| minus the Dirichlet constant, so neither they
     nor their squares underflow; a row whose 1/C is not a normal double is
@@ -167,6 +169,10 @@ def mc_norm_constant(
     a few heavy weights carry the estimate and its stderr.
     """
     _check_dirichlet(n, alpha, beta)
+    if 2 <= n <= 4 and alpha >= 1:
+        from ._lattice import norm_constant  # compiled only by processes that run such a row
+
+        return norm_constant(n, alpha, beta, n_samples, seed, chunks, workers)
     # Dirichlet density = Gamma(n a)/Gamma(a)^n * prod L^(a-1); only its
     # constant part needs undoing.
     log_dirichlet_const = math.lgamma(n * alpha) - n * math.lgamma(alpha)

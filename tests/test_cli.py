@@ -513,6 +513,9 @@ def test_unrepresentable_exponents_are_named_in_one_error_line(capsys, command, 
           "--samples", "1000"], verify, "_map_chunks"),
         (["verify", "--suite", "norm", "--n", "16", "--alpha", "1", "--beta", "2",
           "--samples", "1000"], verify, "_map_chunks"),
+        (["constants", "--n", "2", "--alpha", "1e308", "--beta", "1/3"], verify, "_map_chunks"),
+        (["verify", "--suite", "norm", "--n", "2", "--alpha", "1e308", "--beta", "1",
+          "--samples", "1000"], verify, "_map_chunks"),
         *(
             (argv, module, name)
             for text in _UNREPRESENTABLE
@@ -527,7 +530,8 @@ def test_unrepresentable_exponents_are_named_in_one_error_line(capsys, command, 
 def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, module, name):
     # D! past the Gamma bound, norm rows whose Dirichlet draws hold exact
     # zeros or whose 1/C is not a normal double (e^714 at n = 2, alpha =
-    # 1e-310; 1e-337 at n = 16), a Gamma product past the size bound, a
+    # 1e-310; 1e-337 at n = 16), an alpha whose log-Gamma overflows (1e308,
+    # in constants and verify), a Gamma product past the size bound, a
     # negative sample count, hit-or-miss rows that would pass on zero hits
     # and an alpha that no double holds are refused before the factorial,
     # the first draw, the product or the constant is computed; --suite all
@@ -541,6 +545,22 @@ def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, m
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--n", "2", "--alpha", "1e308", "--beta", "1/3"],
+        ["verify", "--suite", "norm", "--n", "2", "--alpha", "1e308", "--beta", "1", "--samples", "1000"],
+    ],
+)
+def test_an_alpha_whose_log_gamma_overflows_is_named(capsys, argv):
+    # lgamma(1e308) passes the largest double: the error line names the pair
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: alpha=1e+308 and beta=")
+    assert captured.err.endswith("are too large at n=2: log C overflows a double\n")
 
 
 def test_domain_error_exits_two(capsys):

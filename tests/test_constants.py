@@ -71,6 +71,17 @@ def test_parameter_validation():
         log_c_norm(0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "n, alpha, beta",
+    [(2, 1e308, 1 / 3), (2, 1.0, 1e308), (3, 1e305, 2.0), (2000, 1e305, 1.0), (2, math.inf, 1.0)],
+)
+def test_log_c_norm_refuses_a_pair_whose_log_gamma_overflows(n, alpha, beta):
+    # lgamma(1e308) raises OverflowError, lgamma(inf) is inf, and inf - inf is nan
+    with pytest.raises(ValueError, match="too large .* log C overflows a double"):
+        log_c_norm(n, alpha, beta)
+    assert math.isfinite(log_c_norm(2, 1e200, 1 / 3))
+
+
 def test_float_path_matches_exact_log10():
     for n in range(1, 11):
         for twice_alpha in (1, 2, 3, 4, 6):

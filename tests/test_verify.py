@@ -12,7 +12,7 @@ from scipy.stats import chi2
 
 from hsgeom.constants import EnsembleParams, c_norm, log_c_norm
 from hsgeom.exactnum import from_rational
-from hsgeom import verify
+from hsgeom import _lattice, verify
 from hsgeom.sampling import POSITIVITY_TOL, gell_mann_basis, make_rng
 from hsgeom.verify import (
     MCEstimate,
@@ -44,6 +44,9 @@ def test_norm_constant_draws_nothing_without_an_eigenvalue_pair(monkeypatch):
     # one eigenvalue: the Dirichlet law is the point mass at 1, of weight 1
     class NoDraws:
         def dirichlet(self, *args, **kwargs):
+            raise AssertionError("drew samples")
+
+        def random(self, *args, **kwargs):
             raise AssertionError("drew samples")
 
     monkeypatch.setattr(verify, "make_rng", lambda *args: NoDraws())
@@ -299,6 +302,129 @@ def test_norm_refuses_an_expectation_off_the_normal_doubles(monkeypatch, n, alph
         run_suite("norm", n=n, alpha=alpha, beta=beta, n_samples=1000)
 
 
+# the default norm rows that take the lattice rule
+_LATTICE_ROWS = [(n, a, b) for n in (2, 3, 4) for a, b in ((1, 2), (3, 2), (1, 1), (2, 1))]
+
+
+def test_lattice_rows_draw_shifts_and_no_dirichlet_variates(monkeypatch):
+    drawn = []
+
+    class ShiftsOnly:
+        def __init__(self, *args):
+            self.rng = make_rng(*args)
+
+        def dirichlet(self, *args, **kwargs):
+            raise AssertionError("drew Dirichlet variates")
+
+        def random(self, shape):
+            drawn.append(shape)
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(verify, "make_rng", ShiftsOnly)
+    for n, alpha in ((2, 1.0), (3, 1.5), (4, 3.0)):
+        drawn.clear()
+        mc_norm_constant(n, alpha, 2.0, 20_000, seed=0, chunks=10)
+        # ceil(40 / 10) shifts per chunk, one uniform per lattice dimension each
+        assert drawn == [(4, n - 1)] * 10
+
+
+@pytest.mark.parametrize(
+    "samples, chunks, sizes",
+    [
+        (1001, 7, [24] * 5 + [23]),  # 143 points per chunk over ceil(40/7) = 6 shifts
+        (6400, 64, [100]),  # more chunks than shifts: one shift each
+        (20, 10, [1, 1]),  # fewer points than shifts: one point each
+    ],
+)
+def test_lattice_chunks_split_points_over_shifts_within_one(monkeypatch, samples, chunks, sizes):
+    seen = []
+    means = _lattice.shifted_means
+
+    def recorded(n, alpha, beta, points, shifts):
+        seen.extend([points] * len(shifts))
+        return means(n, alpha, beta, points, shifts)
+
+    monkeypatch.setattr(_lattice, "shifted_means", recorded)
+    mc_norm_constant(3, 1.0, 2.0, samples, seed=0, chunks=chunks)
+    assert seen == sizes * chunks
+
+
+def test_lattice_estimates_identical_for_any_worker_count():
+    for samples, chunks in ((6400, 1), (6400, 10), (6400, 64), (1001, 7)):
+        runs = [
+            mc_norm_constant(4, 2.0, 1.0, samples, seed=5, chunks=chunks, workers=w)
+            for w in (1, 2, 8)
+        ]
+        assert runs[0] == runs[1] == runs[2], (samples, chunks)
+        reports = [check_norm_constant(3, 1, 2, samples, 5, chunks, w) for w in (1, 2, 8)]
+        assert reports[0] == reports[1] == reports[2]
+
+
+def test_korobov_vector_is_computed_once_from_its_arguments():
+    _lattice.korobov_vector.cache_clear()
+    z = _lattice.korobov_vector(25_000, 3)
+    assert _lattice.korobov_vector(25_000, 3) is z  # cached
+    _lattice.korobov_vector.cache_clear()
+    assert _lattice.korobov_vector(25_000, 3) == z
+    a = z[1]
+    assert z == (1, a, a * a % 25_000) and math.gcd(a, 25_000) == 1 and 2 <= a <= 12_500
+    assert _lattice.korobov_vector(25_000, 1) == (1,)
+    assert _lattice.korobov_vector(3, 2) == (1, 1)  # no multiplier in 2 .. 1
+    # the multiplier minimizes P_2 over the candidates it was chosen from
+    x = np.arange(997)[:, None] * np.array(_lattice.korobov_vector(997, 2)) % 997 / 997
+    p2 = np.prod(1 + 2 * np.pi**2 * (x * x - x + 1 / 6), axis=1).mean() - 1
+    for b in (2, 3, 250, 498):
+        y = np.arange(997)[:, None] * np.array([1, b]) % 997 / 997
+        assert p2 <= np.prod(1 + 2 * np.pi**2 * (y * y - y + 1 / 6), axis=1).mean() - 1
+
+
+def _lattice_floor(n, alpha, beta):
+    return _lattice._FLOOR * max(1.0, math.lgamma(n * alpha + beta * n * (n - 1) / 2))
+
+
+def test_lattice_n2_rows_report_the_rounding_floor():
+    # at n = 2 the spread of the shifts reaches rounding, about 1e-16 of the
+    # mean, at (1, 1) and (3, 2); the kink that the tent transform leaves at
+    # (1, 2) and (2, 1) keeps theirs near 1e-9.  No row reports less than the floor.
+    for alpha, beta in ((1, 2), (3, 2), (1, 1), (2, 1)):
+        est = mc_norm_constant(2, alpha, beta, 1_000_000, seed=0)
+        floor = _lattice_floor(2, alpha, beta) * est.mean
+        assert est.stderr >= floor > 0
+        if (alpha, beta) in ((1, 1), (3, 2)):
+            assert est.stderr == pytest.approx(floor, rel=1e-3)
+
+
+def test_lattice_spread_survives_a_tiny_constant():
+    # 1/C_2^(300, 1) ~ 1.6e-183: the squares of the replicates' absolute
+    # deviations (~1e-188) underflow to 0, which left only the floor, and
+    # the check failed by 1.4 million sigmas; relative deviations keep the spread
+    report = check_norm_constant(2, 300, 1, 200_000, seed=0)
+    assert report["pass"]
+    assert report["stderr"] > 1e3 * _lattice_floor(2, 300, 1) * report["estimate"]
+
+
+@pytest.mark.parametrize("n, scale", [(3, 1e-5), (4, 1e-3)])
+def test_lattice_rows_detect_a_constant_off_by_a_small_factor(monkeypatch, n, scale):
+    # the Dirichlet rows, at a relative stderr of 1.5e-3 (n = 3) and 2.4e-3
+    # (n = 4) at (1, 2), saw neither deviation
+    assert check_norm_constant(n, 1, 2, 1_000_000, seed=0)["pass"]
+    monkeypatch.setattr(verify, "log_c_norm", lambda *args: log_c_norm(*args) + math.log1p(scale))
+    report = check_norm_constant(n, 1, 2, 1_000_000, seed=0)
+    assert not report["pass"] and report["sigmas"] > 5
+
+
+def test_lattice_rows_false_fail_at_the_student_t_rate():
+    # 40 replicates: the 3-sigma gate fails a true row with probability
+    # P(|t_39| > 3) ~ 0.5%, about 1.1 of these 240 rows
+    failures = [
+        (seed, row)
+        for seed in range(20)
+        for row in _LATTICE_ROWS
+        if not check_norm_constant(*row, 1_000_000, seed=seed)["pass"]
+    ]
+    assert len(failures) <= 3, failures
+
+
 def test_norm_expectation_is_the_validators_log():
     # 1/C_15^(1,2) ~ 1e-289: at (alpha, beta) = (1, 2) the largest n that runs
     log_inverse = verify._check_dirichlet(15, 1, 2)
@@ -330,13 +456,26 @@ def test_chunked_mean_zero_record_does_not_set_the_scale():
 
 
 def test_stderr_scales_like_sqrt_n():
+    # alpha < 1 keeps iid Dirichlet draws
     ratios = []
     for seed in range(5):
-        small = mc_norm_constant(2, 1.0, 2.0, 40_000, seed=seed)
-        large = mc_norm_constant(2, 1.0, 2.0, 80_000, seed=seed + 100)
+        small = mc_norm_constant(2, 0.5, 2.0, 40_000, seed=seed)
+        large = mc_norm_constant(2, 0.5, 2.0, 80_000, seed=seed + 100)
         ratios.append(small.stderr / large.stderr)
     mean_ratio = sum(ratios) / len(ratios)
     assert math.sqrt(2) * 0.8 <= mean_ratio <= math.sqrt(2) * 1.2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lattice_stderr_falls_faster_than_sqrt_n(n):
+    # a shifted lattice rule converges faster than iid draws: at (alpha, beta)
+    # = (1, 2) doubling the points cut the stderr 3.4 to 6.2 times over five
+    # seeds (an odd beta leaves a kink: 1.1 to 1.7 at n = 4, (2, 1))
+    alpha, beta = 1.0, 2.0
+    for seed in range(3):
+        small = mc_norm_constant(n, alpha, beta, 40_000, seed=seed)
+        large = mc_norm_constant(n, alpha, beta, 80_000, seed=seed + 100)
+        assert large.stderr <= small.stderr / math.sqrt(2)
 
 
 def test_chunking_validation():
@@ -516,22 +655,42 @@ def test_reports_match_golden():
             "sigmas": abs(estimate - expected) / stderr,
             "pass": True,
         }
-    # recorded with whole-chunk Dirichlet draws: the block-at-a-time kernel
-    # moves no weight
+    # recorded with the shifted lattice rule, 40 shifts of 25 000 points
     assert check_norm_constant(4, 2, 1, 1_000_000, seed=0) == {
         "check": "norm/n=4/alpha=2/beta=1/samples=1000000/seed=0",
         "expected": 5.41992729492732e-09,
-        "estimate": 5.414097371603656e-09,
-        "stderr": 1.0291547278283824e-11,
-        "sigmas": 0.5664768538707252,
+        "estimate": 5.420122894246376e-09,
+        "stderr": 2.1404379532436508e-13,
+        "sigmas": 0.9138284936487873,
         "pass": True,
     }
     assert check_norm_constant(3, 3, 2, 1_000_000, seed=0) == {
         "check": "norm/n=3/alpha=3/beta=2/samples=1000000/seed=0",
         "expected": 3.964289678575367e-08,
-        "estimate": 3.982589771454133e-08,
-        "stderr": 1.0354082200047566e-10,
-        "sigmas": 1.7674278149619327,
+        "estimate": 3.964289678574125e-08,
+        "stderr": 2.534126162084154e-19,
+        "sigmas": 0.04898858951436681,
+        "pass": True,
+    }
+
+
+def test_dirichlet_norm_reports_match_golden():
+    # rows off the lattice (n >= 5 or alpha < 1) keep their Dirichlet draws
+    # and their bytes: recorded before the lattice rule was added
+    assert check_norm_constant(5, 1, 2, 100_000, seed=0) == {
+        "check": "norm/n=5/alpha=1/beta=2/samples=100000/seed=0",
+        "expected": 1.6042075331639485e-17,
+        "estimate": 1.612987647199189e-17,
+        "stderr": 1.8015415552812082e-19,
+        "sigmas": 0.48736672265492015,
+        "pass": True,
+    }
+    assert check_norm_constant(2, 0.5, 2, 100_000, seed=0) == {
+        "check": "norm/n=2/alpha=0.5/beta=2/samples=100000/seed=0",
+        "expected": 1.5707963267948968,
+        "estimate": 1.5695042649720254,
+        "stderr": 0.003512952171905635,
+        "sigmas": 0.36779943467617615,
         "pass": True,
     }
 
@@ -557,6 +716,22 @@ def test_chunks_hold_one_block_of_derived_arrays():
     block = verify._NORM_BLOCK * (n + 1) * 8  # a block of Dirichlet rows and its gaps
     peak = _traced_peak(mc_norm_constant, n, 2.0, 1.0, size, 0, 1)
     assert peak <= 2 * size * 8 + block
+
+
+def test_norm_chunks_hold_one_block_of_derived_arrays():
+    # a lattice chunk of 10^6 points in 40 shifts of 25 000 holds one block
+    # of the unshifted lattice, one of the shifted one and two of weights,
+    # (2n + 1) rows in all, and the generating vector search about six;
+    # a Dirichlet chunk holds its log weights whole and one block of draws
+    n, size = 4, 100_000
+    make_rng(0, 1)  # before tracing: the first one imports numpy.random
+    _lattice.korobov_vector(25_000, n - 1)  # searched before tracing, as it is cached
+    peak = _traced_peak(mc_norm_constant, n, 2.0, 1.0, 1_000_000, 0, 1)
+    assert peak <= 12 * verify._NORM_BLOCK * 8
+    _lattice.korobov_vector.cache_clear()
+    assert _traced_peak(_lattice.korobov_vector, 25_000, n - 1) <= 7 * verify._NORM_BLOCK * 8
+    peak = _traced_peak(mc_norm_constant, n, 0.5, 1.0, size, 0, 1)
+    assert peak <= 2 * size * 8 + verify._NORM_BLOCK * (n + 1) * 8
 
 
 def test_spectral_fit_validation():
