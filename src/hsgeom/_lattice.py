@@ -1,13 +1,14 @@
-"""Randomly shifted rank-1 lattice rules on the simplex, for the norm check.
+"""Replicate means of the norm check's weight: shifted lattice rules or Dirichlet draws.
 
-``verify.mc_norm_constant`` averages the weight of its rows at
-2 <= n <= 4 and alpha >= 1 over the points of a lattice rule (Cranley &
-Patterson 1976; Sloan & Joe, Lattice Methods for Multiple Integration,
-1994) instead of drawing Dirichlet variates: a lattice point costs no
-random numbers.  It imports this module on the first such row, so that a
-process that runs none does not compile it.  The rule runs through the same
-``_map_chunks`` records as every other check, so its estimates do not
-depend on the worker count.
+``verify.mc_norm_constant`` imports this module on its first row with
+n >= 2, so that a process that runs none does not compile it.  Such a row is
+the mean of 40 replicate means, and its stderr their spread (39 degrees of
+freedom: the 3-sigma gate fails a true row about 0.5% of the time).  The
+points of a replicate are those of a randomly shifted rank-1 lattice rule
+(Cranley & Patterson 1976; Sloan & Joe, Lattice Methods for Multiple
+Integration, 1994) or Dirichlet(alpha) draws, a block at a time, so a
+Dirichlet chunk holds one block.  Each chunk of ``_map_chunks`` returns its
+list of means, so an estimate does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .verify import _NORM_BLOCK, MCEstimate, _map_chunks
 
 # Korobov multipliers tried per generating vector
 _CANDIDATES = 100
-# Replicate shifts per row, and the relative rounding floor of the stderr
-# per unit of the largest log-Gamma term of log C (see norm_constant).
-_SHIFTS = 40
+# Replicates per row, and the relative rounding floor of the stderr per
+# unit of the largest log-Gamma term of log C (see norm_constant).
+_REPLICATES = 40
 _FLOOR = 1e-14
 # the m-th roots that stick-breaking takes for m >= 2 at n <= 4
 _ROOTS = {2: np.sqrt, 3: np.cbrt}
@@ -76,6 +77,23 @@ def _p2_factor(residues: np.ndarray, points: int, out: np.ndarray | None = None)
     return y
 
 
+def accumulate(top: float, total: float, log_w: np.ndarray) -> tuple[float, float]:
+    """The sum exp(top) * total, started at (-inf, 0.0), plus the weights of logs ``log_w``.
+
+    The sum is scaled by its largest log so far, so no weight underflows.
+    ``log_w`` is overwritten.  A block of weights 0 (logs -inf) leaves the
+    sum as it is: exp(-inf - -inf) is nan.
+    """
+    peak = float(log_w.max())
+    if peak == -math.inf:
+        return top, total
+    if peak > top:
+        total *= math.exp(top - peak)
+        top = peak
+    log_w -= top
+    return top, total + float(np.exp(log_w, out=log_w).sum())
+
+
 def shifted_means(n: int, alpha: float, beta: float, points: int, shifts: np.ndarray) -> list[float]:
     """Mean of prod L^(alpha-1) |L_i - L_j|^beta / (n-1)! over ``points`` lattice points, per shift.
 
@@ -88,8 +106,8 @@ def shifted_means(n: int, alpha: float, beta: float, points: int, shifts: np.nda
     of the first k of them, L_k = Q_k - Q_{k+1} and the last L is what is
     left.  The uniform law on the simplex has density (n-1)!, hence that
     divisor.  Each block of the unshifted lattice is built once and serves
-    every shift in turn; weights are built as logs and summed scaled by the
-    largest log of their shift so far.
+    every shift in turn; weights are built as logs and summed by
+    ``accumulate``, one sum per shift.
     """
     if not len(shifts):
         return []
@@ -130,47 +148,74 @@ def shifted_means(n: int, alpha: float, beta: float, points: int, shifts: np.nda
                     np.log(lam.prod(axis=0, out=gap), out=gap)
                     gap *= alpha - 1
                     log_w += gap
-                peak = float(log_w.max())
-                if peak == -math.inf:
-                    continue
-                if peak > tops[s]:
-                    totals[s] *= math.exp(tops[s] - peak)
-                    tops[s] = peak
-                log_w -= tops[s]
-                totals[s] += float(np.exp(log_w, out=log_w).sum())
+                tops[s], totals[s] = accumulate(tops[s], totals[s], log_w)
     scale = points * math.factorial(d)
     return [math.exp(top) * total / scale for top, total in zip(tops, totals)]
 
 
-def replicates(
-    n: int, alpha: float, beta: float, shifts: int, rng: np.random.Generator, size: int
-) -> list[float]:
-    """One chunk's replicate means: ``size`` lattice points over min(shifts, size) uniform shifts.
+def dirichlet_mean(
+    n: int, alpha: float, beta: float, rng: np.random.Generator, points: int
+) -> float:
+    """Mean of prod |L_i - L_j|^beta / D(L) over ``points`` Dirichlet(alpha, ..., alpha) draws L.
 
-    The shifts are drawn first, in one call, and are the chunk's only random
-    numbers; the first size % count of them take one point more than the
-    rest, so no two differ by more than one.
+    The density D = Gamma(n alpha)/Gamma(alpha)^n prod L^(alpha-1) matches
+    the prod L^(alpha-1) of the target, so only the repulsion product is
+    left, built as logs: its product underflows at large n.  Drawn
+    _NORM_BLOCK rows at a time, the stream gives the numbers one call gives.
     """
-    count = min(shifts, size)
-    deltas = rng.random((count, n - 1))
+    log_const = math.lgamma(n * alpha) - n * math.lgamma(alpha)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    top, total = -math.inf, 0.0
+    log_w, gap = np.empty((2, min(points, _NORM_BLOCK)))
+    # a repeated eigenvalue has weight 0, log -inf
+    with np.errstate(divide="ignore"):
+        for start in range(0, points, _NORM_BLOCK):
+            rows = min(_NORM_BLOCK, points - start)
+            lam = rng.dirichlet([alpha] * n, rows).T  # (n, rows)
+            logs, part = log_w[:rows], gap[:rows]
+            logs[:] = 0
+            for i, j in pairs:
+                logs += np.log(np.abs(np.subtract(lam[i], lam[j], out=part), out=part), out=part)
+            logs *= beta
+            logs -= log_const
+            top, total = accumulate(top, total, logs)
+            del lam  # before the next block is drawn
+    return math.exp(top) * total / points
+
+
+def replicates(
+    n: int, alpha: float, beta: float, most: int, rng: np.random.Generator, size: int
+) -> list[float]:
+    """One chunk's replicate means: ``size`` points over min(most, size) replicates.
+
+    The first size % count replicates take one point more than the rest.  A
+    lattice chunk draws its shifts first, in one call, and no other random
+    numbers; a Dirichlet chunk takes its draws in stream order.
+    """
+    count = min(most, size)
     points, extra = divmod(size, count)
-    return [
-        *shifted_means(n, alpha, beta, points + 1, deltas[:extra]),
-        *shifted_means(n, alpha, beta, points, deltas[extra:]),
-    ]
+    if 2 <= n <= 4 and alpha >= 1:
+        deltas = rng.random((count, n - 1))
+        return [
+            *shifted_means(n, alpha, beta, points + 1, deltas[:extra]),
+            *shifted_means(n, alpha, beta, points, deltas[extra:]),
+        ]
+    return [dirichlet_mean(n, alpha, beta, rng, points + (r < extra)) for r in range(count)]
 
 
 def norm_constant(
     n: int, alpha: float, beta: float, n_samples: int, seed: int, chunks: int, workers: int
 ) -> MCEstimate:
-    """1/C_n^(alpha, beta) by a randomly shifted rank-1 lattice rule.
+    """1/C_n^(alpha, beta), n >= 2, as the mean of replicate means.
 
-    ``verify.mc_norm_constant`` takes it at 2 <= n <= 4 and alpha >= 1 only:
-    below alpha = 1 the weight L^(alpha-1) is unbounded (of infinite
-    variance at alpha <= 1/2), and from n = 5 on the lattice gained a
-    variance ratio of only 9 (n = 5) and 1 (n = 6) over Dirichlet draws.
+    The points of a replicate are those of a randomly shifted lattice rule
+    at 2 <= n <= 4 and alpha >= 1, and Dirichlet draws elsewhere: below
+    alpha = 1 the weight L^(alpha-1) of a lattice point is unbounded (of
+    infinite variance at alpha <= 1/2), and from n = 5 on the lattice
+    gained a variance ratio of only 9 (n = 5) and 1 (n = 6) over Dirichlet
+    draws.
 
-    Each chunk splits its points over ceil(_SHIFTS / chunks) uniform shifts
+    Each chunk splits its points over ceil(_REPLICATES / chunks) replicates
     (``replicates``), so a row has R >= 40 replicate means m_r whenever it
     has that many points, each an unbiased estimate.  The estimate is their
     mean m, and the stderr their spread sqrt(sum (m_r - m)^2 / (R (R - 1))),
@@ -189,8 +234,8 @@ def norm_constant(
     half-integer alpha and beta = 1 and 2 that the normal-double refusal
     admits; the floor is 45 eps times it.
     """
-    shifts = math.ceil(_SHIFTS / max(chunks, 1))  # _map_chunks refuses chunks < 1
-    chunk = partial(replicates, n, alpha, beta, shifts)
+    most = math.ceil(_REPLICATES / max(chunks, 1))  # _map_chunks refuses chunks < 1
+    chunk = partial(replicates, n, alpha, beta, most)
     records = _map_chunks(chunk, n_samples, seed, chunks, workers)
     means = np.array([m for record in records for m in record])
     count = len(means)

@@ -59,10 +59,10 @@ class MCEstimate(Record):
 # positivity test's matrix entries and elimination temporaries stay within
 # a 2 MB L2 cache up to n = 5.
 _BLOCK = 4096
-# The norm kernel's blocks are larger because each one is a Generator.dirichlet
-# call: at 4096 rows the verify plan's norm rows ran about 10% slower on two
-# workers than with one draw per chunk, and at 16384 rows they do not.  The
-# lattice rule (_lattice) takes blocks of as many points.
+# The norm check's blocks of lattice points or Dirichlet draws (_lattice), so
+# a Dirichlet chunk holds one block.  Each Dirichlet block is one
+# Generator.dirichlet call: at 4096 rows Dirichlet rows ran about 10% slower
+# on two workers than with one call per chunk, and at 16384 rows they do not.
 _NORM_BLOCK = 16384
 # A check passes when its estimate lies within this many stderrs of its expectation.
 _GATE = 3.0
@@ -96,38 +96,19 @@ def _map_chunks(chunk_fn, n_samples: int, seed: int, chunks: int, workers: int) 
     return [one(i) for i in range(chunks)]
 
 
-def _chunked_mean(
-    chunk_fn, n_samples: int, seed: int, chunks: int, workers: int, logs: bool = False
-) -> MCEstimate:
-    """Mean/stderr of the values ``chunk_fn(rng, size)`` returns (their logs if ``logs``).
+def _chunked_mean(chunk_fn, n_samples: int, seed: int, chunks: int, workers: int) -> MCEstimate:
+    """Mean/stderr of the values ``chunk_fn(rng, size)``; a chunk's record is (sum v, sum v^2)."""
 
-    A chunk's record is (shift, sum v, sum v^2) of its values v scaled by
-    exp(-shift).  Logs take the chunk's largest as the shift, so no sum
-    underflows; the merge rescales every record to the largest shift, an
-    exact multiplication by 1.0 when every shift is 0.  The values belong
-    to the record: logs are scaled and exponentiated in place.
-    """
-
-    def record(rng: np.random.Generator, size: int) -> tuple[float, float, float]:
+    def record(rng: np.random.Generator, size: int) -> tuple[float, float]:
         values = np.asarray(chunk_fn(rng, size), dtype=float)
-        shift = 0.0
-        if logs:
-            shift = float(values.max())
-            # exp(-inf - -inf) is nan: a chunk of all-zero values (logs -inf) stays zero
-            if shift > -math.inf:
-                values -= shift
-            np.exp(values, out=values)
-        return shift, float(values.sum()), float(np.square(values).sum())
+        return float(values.sum()), float(np.square(values).sum())
 
     records = _map_chunks(record, n_samples, seed, chunks, workers)
-    # a zero record adds nothing, so its shift must not set the common scale
-    top = max((shift for shift, _, ss in records if ss), default=0.0)
-    total = math.fsum(s * math.exp(shift - top) for shift, s, _ in records)
-    total_sq = math.fsum(ss * math.exp(2 * (shift - top)) for shift, _, ss in records)
+    total = math.fsum(s for s, _ in records)
+    total_sq = math.fsum(ss for _, ss in records)
     mean = total / n_samples
     var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1) if n_samples > 1 else 0.0
-    scale = math.exp(top)
-    return MCEstimate(scale * mean, scale * math.sqrt(var / n_samples), n_samples, seed, chunks)
+    return MCEstimate(mean, math.sqrt(var / n_samples), n_samples, seed, chunks)
 
 
 def _check_dirichlet(n: int, alpha, beta) -> float:
@@ -155,51 +136,23 @@ def _check_dirichlet(n: int, alpha, beta) -> float:
 def mc_norm_constant(
     n: int, alpha: float, beta: float, n_samples: int, seed: int, chunks: int = 10, workers: int = 1
 ) -> MCEstimate:
-    """Estimate of 1/C_n^(alpha, beta): a lattice rule at n = 2..4, alpha >= 1, else Dirichlet draws.
+    """Estimate of 1/C_n^(alpha, beta): exactly 1 +- 0 at n = 1, else 40 replicate means.
 
-    The lattice rule is ``_lattice.norm_constant``.  Elsewhere eigenvalues
-    are drawn from Dirichlet(alpha, ..., alpha), which matches the
-    prod L^(alpha-1) factor of the target exactly and leaves only the
-    eigenvalue-repulsion product as weight.  The weights are built as logs,
-    beta * sum log|L_i - L_j| minus the Dirichlet constant, so neither they
-    nor their squares underflow; a row whose 1/C is not a normal double is
-    refused before any draw.  The variance grows quickly with n: at
-    (alpha, beta) = (1, 2) and 10^5 draws the Kish effective sample size is
-    about 15 000 at n = 4, 800 at n = 8 and 180 at n = 10, so beyond n ~ 8
-    a few heavy weights carry the estimate and its stderr.
+    The replicates (``_lattice.norm_constant``) take lattice points at
+    n = 2..4 and alpha >= 1 and Dirichlet(alpha) draws elsewhere, and the
+    stderr is their spread: with 39 degrees of freedom, the 3-sigma gate
+    fails a true row about 0.5% of the time.  The Dirichlet variance grows
+    quickly with n: at (alpha, beta) = (1, 2) and 10^5 draws the Kish
+    effective sample size is about 15 000 at n = 4, 800 at n = 8 and 180 at
+    n = 10, so beyond n ~ 8 a few heavy weights carry the row.
     """
     _check_dirichlet(n, alpha, beta)
-    if 2 <= n <= 4 and alpha >= 1:
-        from ._lattice import norm_constant  # compiled only by processes that run such a row
+    if n == 1:
+        _check_draws(n_samples, seed, chunks, workers)
+        return MCEstimate(1.0, 0.0, n_samples, seed, chunks)
+    from ._lattice import norm_constant  # compiled only by processes that run such a row
 
-        return norm_constant(n, alpha, beta, n_samples, seed, chunks, workers)
-    # Dirichlet density = Gamma(n a)/Gamma(a)^n * prod L^(a-1); only its
-    # constant part needs undoing.
-    log_dirichlet_const = math.lgamma(n * alpha) - n * math.lgamma(alpha)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
-        # Dirichlet rows come off one sequential stream, so drawing them a
-        # block at a time gives the numbers one draw of all ``size`` gives
-        log_vandermonde = np.zeros(size)
-        if not pairs:
-            # n = 1: the law is the point mass at 1, and every weight is 1
-            return log_vandermonde
-        gap = np.empty(min(size, _NORM_BLOCK))
-        # a repeated eigenvalue has weight 0, log -inf
-        with np.errstate(divide="ignore"):
-            for start in range(0, size, _NORM_BLOCK):
-                rows = min(_NORM_BLOCK, size - start)
-                lam = rng.dirichlet([alpha] * n, rows).T  # (n, rows)
-                logs, part = log_vandermonde[start : start + rows], gap[:rows]
-                for i, j in pairs:
-                    np.log(np.abs(np.subtract(lam[i], lam[j], out=part), out=part), out=part)
-                    logs += part
-        log_vandermonde *= beta
-        log_vandermonde -= log_dirichlet_const
-        return log_vandermonde
-
-    return _chunked_mean(chunk, n_samples, seed, chunks, workers, logs=True)
+    return norm_constant(n, alpha, beta, n_samples, seed, chunks, workers)
 
 
 def mc_purity(

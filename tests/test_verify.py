@@ -49,9 +49,17 @@ def test_norm_constant_draws_nothing_without_an_eigenvalue_pair(monkeypatch):
         def random(self, *args, **kwargs):
             raise AssertionError("drew samples")
 
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
     monkeypatch.setattr(verify, "make_rng", lambda *args: NoDraws())
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", no_pool)
     est = mc_norm_constant(1, 1.5, 2.0, 10_000, seed=1, workers=2)
     assert (est.mean, est.stderr) == (1.0, 0.0)
+    # but its draw counts are refused as every other row's are
+    for samples, chunks, seed in ((10_001, 10, 1), (0, 10, 1), (100, 10, -1)):
+        with pytest.raises(ValueError):
+            mc_norm_constant(1, 1.5, 2.0, samples, seed=seed, chunks=chunks)
     with pytest.raises(AssertionError, match="drew samples"):
         mc_norm_constant(2, 1.0, 2.0, 100, seed=1, chunks=1)
 
@@ -302,8 +310,10 @@ def test_norm_refuses_an_expectation_off_the_normal_doubles(monkeypatch, n, alph
         run_suite("norm", n=n, alpha=alpha, beta=beta, n_samples=1000)
 
 
-# the default norm rows that take the lattice rule
+# the default norm rows that take the lattice rule, and those of
+# `verify --suite norm --alpha 1/2` that take Dirichlet draws
 _LATTICE_ROWS = [(n, a, b) for n in (2, 3, 4) for a, b in ((1, 2), (3, 2), (1, 1), (2, 1))]
+_HALF_ALPHA_ROWS = [(n, 0.5, b) for n in (2, 3, 4) for b in (2, 1)]
 
 
 def test_lattice_rows_draw_shifts_and_no_dirichlet_variates(monkeypatch):
@@ -403,10 +413,11 @@ def test_lattice_spread_survives_a_tiny_constant():
     assert report["stderr"] > 1e3 * _lattice_floor(2, 300, 1) * report["estimate"]
 
 
-@pytest.mark.parametrize("n, scale", [(3, 1e-5), (4, 1e-3)])
+@pytest.mark.parametrize("n, scale", [(3, 1e-5), (4, 1e-3), (5, 3e-2)])
 def test_lattice_rows_detect_a_constant_off_by_a_small_factor(monkeypatch, n, scale):
-    # the Dirichlet rows, at a relative stderr of 1.5e-3 (n = 3) and 2.4e-3
-    # (n = 4) at (1, 2), saw neither deviation
+    # Dirichlet draws at n = 3 and 4, at a relative stderr of 1.5e-3 and
+    # 2.4e-3 at (1, 2), saw neither lattice deviation; n = 5 keeps its
+    # Dirichlet draws, at a relative stderr of about 3e-3 here
     assert check_norm_constant(n, 1, 2, 1_000_000, seed=0)["pass"]
     monkeypatch.setattr(verify, "log_c_norm", lambda *args: log_c_norm(*args) + math.log1p(scale))
     report = check_norm_constant(n, 1, 2, 1_000_000, seed=0)
@@ -415,14 +426,16 @@ def test_lattice_rows_detect_a_constant_off_by_a_small_factor(monkeypatch, n, sc
 
 def test_lattice_rows_false_fail_at_the_student_t_rate():
     # 40 replicates: the 3-sigma gate fails a true row with probability
-    # P(|t_39| > 3) ~ 0.5%, about 1.1 of these 240 rows
-    failures = [
-        (seed, row)
-        for seed in range(20)
-        for row in _LATTICE_ROWS
-        if not check_norm_constant(*row, 1_000_000, seed=seed)["pass"]
-    ]
-    assert len(failures) <= 3, failures
+    # P(|t_39| > 3) ~ 0.5%, about 1.1 of these 240 lattice rows and 0.6 of
+    # the 120 Dirichlet rows at alpha = 1/2, whose replicates are the same
+    for rows, samples in ((_LATTICE_ROWS, 1_000_000), (_HALF_ALPHA_ROWS, 100_000)):
+        failures = [
+            (seed, row)
+            for seed in range(20)
+            for row in rows
+            if not check_norm_constant(*row, samples, seed=seed)["pass"]
+        ]
+        assert len(failures) <= 3, failures
 
 
 def test_norm_expectation_is_the_validators_log():
@@ -443,16 +456,20 @@ def test_hit_or_miss_refuses_n_below_two_before_drawing(monkeypatch):
             call(1, 1000, seed=0)
 
 
-def test_chunked_mean_zero_record_does_not_set_the_scale():
-    # log values near -400: their squares lie below the double range unless
-    # rescaled to their own largest, not to the all-zero chunk's shift
-    chunk_logs = iter([[-np.inf, -np.inf], [-400.0, -401.0], [-402.0, -400.5]])
-    est = verify._chunked_mean(lambda rng, size: np.array(next(chunk_logs)), 6, 0, 3, 1, logs=True)
-    scaled = np.exp(np.array([-np.inf, -np.inf, -400.0, -401.0, -402.0, -400.5]) + 400.0)
-    assert est.mean == pytest.approx(math.exp(-400.0) * scaled.mean(), rel=1e-12)
-    assert est.stderr == pytest.approx(math.exp(-400.0) * scaled.std(ddof=1) / math.sqrt(6), rel=1e-9)
-    est = verify._chunked_mean(lambda rng, size: np.full(size, -np.inf), 4, 0, 2, 1, logs=True)
-    assert (est.mean, est.stderr) == (0.0, 0.0)
+def test_log_sum_zero_block_does_not_set_the_scale():
+    # the norm check's log-sum accumulator: a block of weights 0 (logs -inf)
+    # leaves the sum as it is, at the start and later, and logs near -400
+    # keep their digits, held scaled by the largest log so far
+    top, total = -math.inf, 0.0
+    for block in ([-np.inf, -np.inf], [-401.0, -402.0], [-np.inf], [-400.0, -400.5]):
+        before = (top, total)
+        top, total = _lattice.accumulate(top, total, np.array(block))
+        if max(block) == -np.inf:
+            assert (top, total) == before
+    assert top == -400.0
+    logs = (-401.0, -402.0, -400.0, -400.5)
+    assert total == pytest.approx(math.fsum(math.exp(x + 400) for x in logs), rel=1e-15)
+    assert math.exp(top) * total == pytest.approx(math.fsum(map(math.exp, logs)), rel=1e-15)
 
 
 def test_stderr_scales_like_sqrt_n():
@@ -675,22 +692,23 @@ def test_reports_match_golden():
 
 
 def test_dirichlet_norm_reports_match_golden():
-    # rows off the lattice (n >= 5 or alpha < 1) keep their Dirichlet draws
-    # and their bytes: recorded before the lattice rule was added
+    # rows off the lattice (n >= 5 or alpha < 1) keep the Dirichlet draws of
+    # the rows recorded before the lattice rule was added; recorded with 40
+    # replicate means per row, whose spread is the stderr
     assert check_norm_constant(5, 1, 2, 100_000, seed=0) == {
         "check": "norm/n=5/alpha=1/beta=2/samples=100000/seed=0",
         "expected": 1.6042075331639485e-17,
-        "estimate": 1.612987647199189e-17,
-        "stderr": 1.8015415552812082e-19,
-        "sigmas": 0.48736672265492015,
+        "estimate": 1.6129876471991887e-17,
+        "stderr": 1.879903447566698e-19,
+        "sigmas": 0.46705132897144064,
         "pass": True,
     }
     assert check_norm_constant(2, 0.5, 2, 100_000, seed=0) == {
         "check": "norm/n=2/alpha=0.5/beta=2/samples=100000/seed=0",
         "expected": 1.5707963267948968,
         "estimate": 1.5695042649720254,
-        "stderr": 0.003512952171905635,
-        "sigmas": 0.36779943467617615,
+        "stderr": 0.003474315418683976,
+        "sigmas": 0.3718896148354755,
         "pass": True,
     }
 
@@ -712,17 +730,19 @@ def test_chunks_hold_one_block_of_derived_arrays():
     draws = size * d * 8 + size * 8  # the normals and the uniforms
     rng = make_rng(0, 1)  # before tracing: the first one imports numpy.random
     assert _traced_peak(_hit_or_miss_chunk, 3, rng, size) <= 1.75 * draws
-    n = 4
-    block = verify._NORM_BLOCK * (n + 1) * 8  # a block of Dirichlet rows and its gaps
-    peak = _traced_peak(mc_norm_constant, n, 2.0, 1.0, size, 0, 1)
-    assert peak <= 2 * size * 8 + block
+    # a Dirichlet chunk (n = 5) holds one block of draws and two rows of
+    # logs, n + 2 rows, whether it takes 10^5 or 10^6 draws
+    n = 5
+    for size in (100_000, 1_000_000):
+        peak = _traced_peak(mc_norm_constant, n, 1.0, 2.0, size, 0, 1)
+        assert peak <= (n + 3) * verify._NORM_BLOCK * 8, size
 
 
 def test_norm_chunks_hold_one_block_of_derived_arrays():
     # a lattice chunk of 10^6 points in 40 shifts of 25 000 holds one block
     # of the unshifted lattice, one of the shifted one and two of weights,
     # (2n + 1) rows in all, and the generating vector search about six;
-    # a Dirichlet chunk holds its log weights whole and one block of draws
+    # a Dirichlet chunk holds one block, n + 2 rows
     n, size = 4, 100_000
     make_rng(0, 1)  # before tracing: the first one imports numpy.random
     _lattice.korobov_vector(25_000, n - 1)  # searched before tracing, as it is cached
@@ -731,7 +751,7 @@ def test_norm_chunks_hold_one_block_of_derived_arrays():
     _lattice.korobov_vector.cache_clear()
     assert _traced_peak(_lattice.korobov_vector, 25_000, n - 1) <= 7 * verify._NORM_BLOCK * 8
     peak = _traced_peak(mc_norm_constant, n, 0.5, 1.0, size, 0, 1)
-    assert peak <= 2 * size * 8 + verify._NORM_BLOCK * (n + 1) * 8
+    assert peak <= (n + 3) * verify._NORM_BLOCK * 8
 
 
 def test_spectral_fit_validation():
