@@ -307,7 +307,11 @@ def main(argv=None) -> int:
         pieces = iter(pieces)
         # computed before --out is opened, so a refused call leaves the file intact
         first = next(pieces, "")
-        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        try:
+            target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        except OSError as exc:  # only the open: a closed pipe below is an OSError too
+            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+        with target as out:
             out.write(first)
             out.writelines(pieces)  # one write per piece
             out.flush()

@@ -205,7 +205,7 @@ def test_criterion_5_measure_verification():
         tr = np.einsum("sii->s", w)
         return np.linalg.eigvalsh(w / tr[:, None, None])
 
-    _, p_corrupt = spectral_fit_test(2, "real", 100_000, 20, seed=SEED, sampler=corrupted)
+    _, p_corrupt = spectral_fit_test(2, "real", 100_000, seed=SEED, sampler=corrupted)
     if not p_corrupt < 0.001:
         failures.append(f"negative control not rejected: p={p_corrupt}")
     _finish(5, "measure verification", failures, started, 120.0)

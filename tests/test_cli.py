@@ -207,13 +207,17 @@ _VERIFY_SHA256 = {
     ("purity",): "582189744604c0ea2ebbf45bf2c16787deca62c185e86df6f5b2f3346a04e7a7",
     ("spectral",): "27e0284ac7c738407f42f843d1f6f4d918d8ee00b0d3bc64dbc21b6539fa4d94",
     ("spectral", "--n", "3", "--field", "complex"): "cbfc39db73291536277e228a4d2e4eec8834ff97ad75f97b73da59cba1488363",
+    # every lattice norm row, both Dirichlet paths (n >= 5, alpha < 1) and the hit-or-miss rows
+    ("all",): "fe73324bcb051767fbef5227d490276c30bb3a1a2ce166b4f22c99c28bb414d2",
+    ("norm", "--n", "5"): "420b05e27a8a82f9185283059ddd8bfc077af607c5cac9d1df62d812d1aeb341",
+    ("norm", "--alpha", "1/2"): "fb0bd0571bb847a54de049a1a5dbbbbd139ce293bd903f7f472be6847ebccab3",
 }
 
 
 @pytest.mark.parametrize("suite", list(_VERIFY_SHA256))
 def test_verify_report_bytes_golden(capsys, suite):
-    # the reports of the suites that draw HS states: a change in the rounding
-    # of any draw moves an estimate or a bin count, and so these bytes
+    # a change in the rounding of any draw or weight moves an estimate, a
+    # stderr or a bin count, and so these bytes
     code, out = run_cli(capsys, "verify", "--suite", *suite, "--samples", "20000", "--seed", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[suite]
@@ -362,6 +366,32 @@ def test_closed_pipe_exits_without_traceback():
     assert head.startswith(b'{"n": 3, "field": "complex", "spectrum": [')
     assert err == b""
     assert proc.returncode == 1
+
+
+_ONE_CALL_PER_SUBCOMMAND = [
+    ["volume", "--n", "3"],
+    ["edge", "--n", "3"],
+    ["geometry", "--n", "3"],
+    ["reference", "--body", "ball", "--dim", "3"],
+    ["group", "--family", "SU", "--n", "3"],
+    ["constants", "--n", "3"],
+    ["sample", "--n", "2"],
+    ["verify", "--suite", "purity", "--n", "2", "--field", "complex", "--samples", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_CALL_PER_SUBCOMMAND, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_refused_with_one_error_line(capsys, tmp_path, argv, where):
+    # a path in a missing directory, or a directory, fails only the open:
+    # the call exits 2 with the error line, not with a traceback and exit 1
+    out = tmp_path / "missing" / "x.txt" if where == "missing directory" else tmp_path
+    code = cli.main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {str(out)!r}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lazy_package_names_resolve():
