@@ -85,11 +85,18 @@ def ball_volume(k: int) -> ExactValue:
 # so that they join the one big product instead of multiplying it afterwards.
 
 
+def _sqrt_two_power(k: int, powers: Counter) -> ExactValue:
+    """sqrt(2)^k: 2^(k // 2) goes into ``powers``, and the sqrt(2)^(k % 2) left is returned."""
+    powers[6] += k // 2
+    return exact_sqrt(2) if k % 2 else ONE
+
+
 def _unitary(n: int, conv: Convention) -> tuple[ExactValue, Counter]:
-    # a_X * 2^n * pi^(n(n+1)/2) / (Gamma(1) Gamma(2) ... Gamma(n))
+    # a_X * 2^n * pi^(n(n+1)/2) / (Gamma(1) Gamma(2) ... Gamma(n)), where
+    # a_A = 2^(n(n-1)/2), a_B = 1 and a_C = 2^(-n/2)
     powers = Counter({2 * k: -1 for k in range(1, n + 1)})
     powers[6] += n + (n * (n - 1) // 2 if conv is Convention.A else 0)
-    scale = exact_sqrt(Fraction(1, 2**n)) if conv is Convention.C else ONE
+    scale = _sqrt_two_power(-n, powers) if conv is Convention.C else ONE
     return scale * ExactValue(1, Fraction(1), 1, n * (n + 1)), powers
 
 
@@ -101,7 +108,7 @@ def _orthogonal(n: int, conv: Convention) -> tuple[ExactValue, Counter]:
     powers[6] += n
     prefactor = ExactValue(1, Fraction(1), 1, n * (n + 1) // 2)
     if conv is Convention.A:
-        prefactor = prefactor * exact_sqrt(Fraction(2) ** (n * (n - 1) // 2))
+        prefactor = prefactor * _sqrt_two_power(n * (n - 1) // 2, powers)
     return prefactor, powers
 
 

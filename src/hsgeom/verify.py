@@ -64,6 +64,9 @@ _BLOCK = 4096
 # Dirichlet chunk holds one block.  Each Dirichlet block is one
 # Generator.dirichlet call: at 4096 rows Dirichlet rows ran about 10% slower
 # on two workers than with one call per chunk, and at 16384 rows they do not.
+# The unshifted lattice is built, and cached, one block at a time
+# (``_lattice_block``); lattice rows run on one thread (``_on_lattice``).
+# The block size sets the order of the sums, so a report's bytes depend on it.
 _NORM_BLOCK = 16384
 # A check passes when its estimate lies within this many stderrs of its expectation.
 _GATE = 3.0
@@ -349,6 +352,42 @@ def accumulate(top: float, total: float, log_w: np.ndarray) -> tuple[float, floa
     return top, total + float(np.exp(log_w, out=log_w).sum())
 
 
+def _on_lattice(n: int, alpha: float) -> bool:
+    """Whether a norm row takes shifted lattice points, not Dirichlet draws.
+
+    Such a row also runs its chunks on the calling thread at any worker
+    count: each block of each shift is about 30 numpy calls of 5-25 us, and
+    two threads spent their time handing the interpreter lock to each other
+    at every call (the twelve default lattice rows ran slower on two
+    workers than on one).  A Dirichlet block is one long
+    Generator.dirichlet call, which does scale on threads.
+    """
+    return 2 <= n <= 4 and alpha >= 1
+
+
+# Unshifted lattice blocks kept: the three dimensions of the default norm
+# rows, two blocks each (25 000 points a replicate), of at most
+# 3 * _NORM_BLOCK doubles (384 KiB) an entry.
+_LATTICE_BLOCKS = 8
+
+
+@lru_cache(maxsize=_LATTICE_BLOCKS)
+def _lattice_block(points: int, dim: int, start: int) -> np.ndarray:
+    """2 (i z mod points) / points - 2, in [-2, 0), for the block of points i from ``start``.
+
+    Shape (dim, rows), with z = korobov_vector(points, dim).  The block is
+    the same for every shift, chunk and (alpha, beta) row at these
+    arguments, so it is built once and shared, read-only.
+    """
+    index = np.arange(start, min(start + _NORM_BLOCK, points))
+    doubled = np.empty((dim, len(index)))
+    for k, zk in enumerate(korobov_vector(points, dim)):  # exact in int64 below 3e9 points
+        np.multiply(index * zk % points, 2 / points, out=doubled[k])
+    doubled -= 2
+    doubled.setflags(write=False)
+    return doubled
+
+
 def shifted_means(n: int, alpha: float, beta: float, points: int, shifts: np.ndarray) -> list[float]:
     """Mean of prod L^(alpha-1) |L_i - L_j|^beta / (n-1)! over ``points`` lattice points, per shift.
 
@@ -360,26 +399,22 @@ def shifted_means(n: int, alpha: float, beta: float, points: int, shifts: np.nda
     (1 - c_k is the inverse Beta(1, m) CDF of u_k), so with Q_k the product
     of the first k of them, L_k = Q_k - Q_{k+1} and the last L is what is
     left.  The uniform law on the simplex has density (n-1)!, hence that
-    divisor.  Each block of the unshifted lattice is built once and serves
-    every shift in turn; weights are built as logs and summed by
-    ``accumulate``, one sum per shift.
+    divisor.  Each block of the unshifted lattice comes from the shared
+    ``_lattice_block`` and serves every shift in turn; weights are built as
+    logs and summed by ``accumulate``, one sum per shift.
     """
     if not len(shifts):
         return []
     d = n - 1
-    z = korobov_vector(points, d)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     tops, totals = [-math.inf] * len(shifts), [0.0] * len(shifts)
+    work = np.empty((n + 2, min(points, _NORM_BLOCK)))  # the eigenvalues, then two rows of logs
     # a point with two equal eigenvalues, or (alpha > 1) a zero one, has weight 0, log -inf
     with np.errstate(divide="ignore"):
         for start in range(0, points, _NORM_BLOCK):
-            index = np.arange(start, min(start + _NORM_BLOCK, points))
-            # 2 (i z_k mod points) / points - 2, in [-2, 0): the block before any shift
-            doubled = np.empty((d, len(index)))
-            for k, zk in enumerate(z):  # exact in int64 below 3e9 points
-                np.multiply(index * zk % points, 2 / points, out=doubled[k])
-            doubled -= 2
-            lam, log_w, gap = np.empty((n, len(index))), np.empty(len(index)), np.empty(len(index))
+            doubled = _lattice_block(points, d, start)
+            rows = doubled.shape[1]
+            lam, log_w, gap = work[:n, :rows], work[n, :rows], work[n + 1, :rows]
             c = lam[1:]
             for s, shift in enumerate(shifts):
                 # 1 - u = |2 frac(x) - 1| = ||2x - 2| - 1| for x = doubled / 2 + 1 + shift in [0, 2)
@@ -449,7 +484,7 @@ def replicates(
     """
     count = min(most, size)
     points, extra = divmod(size, count)
-    if 2 <= n <= 4 and alpha >= 1:
+    if _on_lattice(n, alpha):
         deltas = rng.random((count, n - 1))
         return [
             *shifted_means(n, alpha, beta, points + 1, deltas[:extra]),
@@ -476,7 +511,8 @@ def mc_norm_constant(
 
     Each chunk of ``_map_chunks`` splits its points over
     ceil(_REPLICATES / chunks) replicates (``replicates``) and returns their
-    means, so an estimate does not depend on the worker count, and a row has
+    means, so an estimate does not depend on the worker count (lattice rows
+    run their chunks on the calling thread, ``_on_lattice``), and a row has
     R >= 40 replicate means m_r whenever it has that many points, each an
     unbiased estimate.  The estimate is their mean m, and the stderr their
     spread sqrt(sum (m_r - m)^2 / (R (R - 1))), which has R - 1 degrees of
@@ -499,7 +535,7 @@ def mc_norm_constant(
     if n == 1:
         return MCEstimate(1.0, 0.0, n_samples, seed, chunks)
     chunk = partial(replicates, n, alpha, beta, math.ceil(_REPLICATES / chunks))
-    records = _map_chunks(chunk, n_samples, seed, chunks, workers)
+    records = _map_chunks(chunk, n_samples, seed, chunks, 1 if _on_lattice(n, alpha) else workers)
     means = np.array([m for record in records for m in record])
     count = len(means)
     mean = math.fsum(means) / count

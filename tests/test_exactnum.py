@@ -4,6 +4,7 @@ import decimal
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -332,4 +333,9 @@ def test_render_golden_strings():
 def test_parse_rejects_junk():
     for bad in ["", "sqrt(2)", "1/0", "2*pi", "1*sqrt(4)", "0*sqrt(2)", "-0", "1.5", "1/2/3"]:
         with pytest.raises(ValueError):
+            parse(bad)
+    # well formed, and naming a value, but never written by str: refused by name
+    for bad in ["2/4", "1/1", "0/5", "007", "1/2*sqrt(1)", "3*pi^(0/2)", "0/0", "-0/3",
+                "1*pi^(-0/2)", "2*sqrt(03)", " 1/2", "1/2\n"]:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse(bad)

@@ -200,6 +200,15 @@ def test_prime_exponents_do_not_depend_on_the_order_the_prime_table_grew_in(monk
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.one_of(_powers, _large_powers))
+def test_gamma_product_is_in_lowest_terms(powers):
+    # its Fraction is built without a gcd, on the proof that the sides are coprime
+    q = gamma_product(powers).q
+    assert math.gcd(q.numerator, q.denominator) == 1
+    assert q == Fraction(q.numerator, q.denominator)
+
+
+@settings(max_examples=100, deadline=None)
 @given(_powers)
 def test_gamma_product_of_negated_powers_is_the_inverse(powers):
     assert gamma_product(powers) * gamma_product({m: -k for m, k in powers.items()}) == ONE

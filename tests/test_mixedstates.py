@@ -1,5 +1,6 @@
 """State-space volumes, edges, radii and reference bodies against independent routes."""
 
+import hashlib
 import math
 from fractions import Fraction
 from math import factorial
@@ -274,3 +275,17 @@ def test_simplex_and_diamond_past_the_gamma_bound_refuse_before_the_factorial(mo
             reference_body(kind, 2**20)
         with pytest.raises(Reached):
             reference_body(kind, 2**20 - 1)
+
+
+# sha256 of the newline-joined str() of vol_edge at n = 40, k = 0 .. 39
+_EDGE_SHA256 = {
+    "complex": "d65b06fa31078ab3f4868375310c7097b1fd963b04e32b24cb0b75182fde52b2",
+    "real": "c9dc180d50d92998497e836cc1607af7d27e150ab9782bbb9485635785f6e786",
+}
+
+
+@pytest.mark.parametrize("field", list(_EDGE_SHA256))
+def test_edge_strings_golden(field):
+    space = StateSpace(40, field)
+    text = "\n".join(str(vol_edge(space, k)) for k in range(40))
+    assert hashlib.sha256(text.encode()).hexdigest() == _EDGE_SHA256[field]

@@ -370,6 +370,41 @@ def test_lattice_estimates_identical_for_any_worker_count():
         assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("n, alpha, lattice", [(2, 1.0, True), (4, 3.0, True), (5, 1.0, False), (3, 0.5, False)])
+def test_only_dirichlet_norm_rows_start_a_thread_pool(monkeypatch, n, alpha, lattice):
+    # lattice chunks are many short numpy calls, which two threads only
+    # slow down; a Dirichlet block is one long call, which threads share
+    pools = []
+    pool = verify.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", counted)
+    est = mc_norm_constant(n, alpha, 1.0, 4000, seed=4, workers=4)
+    assert pools == ([] if lattice else [{"max_workers": 4}])
+    assert est == mc_norm_constant(n, alpha, 1.0, 4000, seed=4, workers=1)
+
+
+def test_lattice_block_is_built_once_and_read_only():
+    # two rows of one n, 10 chunks of 4 replicates of 25 000 points: two blocks
+    verify._lattice_block.cache_clear()
+    for alpha, beta in ((1.0, 2.0), (3.0, 2.0)):
+        mc_norm_constant(3, alpha, beta, 1_000_000, seed=0)
+    info = verify._lattice_block.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * 10 * 2 - 2)
+    assert info.maxsize == verify._LATTICE_BLOCKS
+    points, z = 25_000, verify.korobov_vector(25_000, 2)
+    for start in (0, verify._NORM_BLOCK):
+        block = verify._lattice_block(points, 2, start)
+        index = np.arange(start, min(start + verify._NORM_BLOCK, points))
+        assert np.array_equal(block, [index * zk % points * (2 / points) - 2 for zk in z])
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
+
+
 def test_korobov_vector_is_computed_once_from_its_arguments():
     verify.korobov_vector.cache_clear()
     z = verify.korobov_vector(25_000, 3)
@@ -740,14 +775,18 @@ def test_chunks_hold_one_block_of_derived_arrays():
 
 def test_norm_chunks_hold_one_block_of_derived_arrays():
     # a lattice chunk of 10^6 points in 40 shifts of 25 000 holds one block
-    # of the unshifted lattice, one of the shifted one and two of weights,
-    # (2n + 1) rows in all, and the generating vector search about six;
+    # of the shifted lattice and two of weights, n + 2 rows, besides what is
+    # cached: the generating vector, whose search takes about six rows, and
+    # each block of the unshifted lattice, n - 1 rows, built with three more;
     # a Dirichlet chunk holds one block, n + 2 rows
     n, size = 4, 100_000
     make_rng(0, 1)  # before tracing: the first one imports numpy.random
     verify.korobov_vector(25_000, n - 1)  # searched before tracing, as it is cached
+    verify._lattice_block.cache_clear()
+    assert _traced_peak(verify._lattice_block, 25_000, n - 1, 0) <= (n + 3) * verify._NORM_BLOCK * 8
+    verify._lattice_block(25_000, n - 1, verify._NORM_BLOCK)  # the last block, cached too
     peak = _traced_peak(mc_norm_constant, n, 2.0, 1.0, 1_000_000, 0, 1)
-    assert peak <= 12 * verify._NORM_BLOCK * 8
+    assert peak <= (n + 3) * verify._NORM_BLOCK * 8
     verify.korobov_vector.cache_clear()
     assert _traced_peak(verify.korobov_vector, 25_000, n - 1) <= 7 * verify._NORM_BLOCK * 8
     peak = _traced_peak(mc_norm_constant, n, 0.5, 1.0, size, 0, 1)
