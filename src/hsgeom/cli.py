@@ -151,17 +151,13 @@ def _cmd_constants(args):
     return [_record("c_norm", value=value, log10=log_c / _LN10, **base)]
 
 
-# matrix entries per chunk of ``sample``: a few MB of draws whatever --samples is
-_SAMPLE_CHUNK_ENTRIES = 1 << 18
-
-
 def _cmd_sample(args):
     """The JSON lines of ``--samples`` draws, one line per piece; chunk i draws from stream i."""
     import json
 
     from . import sampling  # numpy loads only for the sampling subcommands
 
-    rows = max(1, _SAMPLE_CHUNK_ENTRIES // (args.n * args.n or 1))  # the sampler refuses n = 0
+    rows = sampling.block_rows(args.n)
     # --samples 0 (or less) still draws one chunk, so the sampler checks every argument
     for stream, start in enumerate(range(0, max(args.samples, 1), rows)):
         rng = sampling.make_rng(args.seed, stream)
@@ -317,7 +313,7 @@ def main(argv=None) -> int:
             out.flush()
         return code
     except (ValueError, ZeroDivisionError, MemoryError) as exc:
-        # MemoryError: a verify --samples per --chunks too large to allocate
+        # MemoryError: a single matrix (one block) at an --n too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from array import array
 from bisect import bisect_right
 from decimal import (
@@ -479,13 +478,25 @@ def _check_gamma_key(m: int) -> None:
         raise ValueError(f"Gamma argument too large for an exact value: twice it exceeds {_MAX_GAMMA_KEY}")
 
 
-# A Fraction from a numerator and a positive denominator known to be coprime,
-# built without their gcd: Python 3.12 replaced the _normalize flag with this method.
-_coprime_fraction = (
-    Fraction._from_coprime_ints
-    if sys.version_info >= (3, 12)
-    else lambda num, den: Fraction(num, den, _normalize=False)
-)
+def _coprime_constructor(cls=Fraction):
+    """A builder of a ``cls`` from a numerator and a positive denominator known to be coprime.
+
+    It skips their gcd through a private hook of ``fractions``, chosen by
+    feature, not version: ``_from_coprime_ints`` (Python 3.12 on), else the
+    ``_normalize=False`` flag it replaced, else the public constructor, so a
+    Python with neither still imports the package.
+    """
+    from_coprime = getattr(cls, "_from_coprime_ints", None)
+    if callable(from_coprime):
+        return from_coprime
+    try:
+        cls(1, 1, _normalize=False)
+    except TypeError:
+        return cls
+    return lambda num, den: cls(num, den, _normalize=False)
+
+
+_coprime_fraction = _coprime_constructor()
 
 
 # Most bits gamma_product builds in a numerator or denominator: about 10^7

@@ -33,6 +33,15 @@ __all__ = ["make_rng", "sample_hs_batch", "eigvals_hermitian", "gell_mann_basis"
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 
+# Matrix entries per block of draws, for every caller that streams HS states
+# (``hsgeom sample`` and the verify chunks): a few MB whatever the count.
+BLOCK_ENTRIES = 1 << 18
+
+
+def block_rows(n: int) -> int:
+    """Matrices per block of BLOCK_ENTRIES entries at size n: at least one."""
+    return max(1, BLOCK_ENTRIES // (n * n or 1))  # the sampler refuses n = 0
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for the given (seed, stream) pair.

@@ -27,6 +27,7 @@ from .groups import ball_volume
 from .mixedstates import StateSpace, vol_mixed
 from .sampling import (
     POSITIVITY_TOL,
+    block_rows,
     gell_mann_basis,
     make_rng,
     sample_hs_batch,
@@ -55,10 +56,11 @@ class MCEstimate(Record):
         self._set(mean, stderr, n_samples, seed, chunks)
 
 
-# Rows per block of a chunk's derived arrays.  A chunk holds its draws and
-# its values whole and computes everything else one block at a time.  The
-# positivity test's matrix entries and elimination temporaries stay within
-# a 2 MB L2 cache up to n = 5.
+# Rows per hit-or-miss block.  A chunk draws, scales and tests one block at
+# a time, so it holds one block whatever its size; the positivity test's
+# matrix entries and elimination temporaries stay within a 2 MB L2 cache up
+# to n = 5.  Purity and spectral chunks draw HS states in blocks of
+# ``block_rows(n)`` matrices, the budget of ``hsgeom sample``.
 _BLOCK = 4096
 # The norm check's blocks of lattice points or Dirichlet draws, so a
 # Dirichlet chunk holds one block.  Each Dirichlet block is one
@@ -84,6 +86,11 @@ def _check_draws(n_samples: int, seed: int, chunks: int, workers: int) -> None:
         raise ValueError("seed and stream must be nonnegative and below 2**64")
 
 
+def _blocks(size: int, rows: int):
+    """The row counts of ``size`` rows taken ``rows`` at a time, the last one short."""
+    return (min(rows, size - start) for start in range(0, size, rows))
+
+
 def _map_chunks(chunk_fn, n_samples: int, seed: int, chunks: int, workers: int) -> list:
     """Each chunk's record ``chunk_fn(make_rng(seed, chunk), n_samples // chunks)``, in chunk order.
 
@@ -105,12 +112,20 @@ def _map_chunks(chunk_fn, n_samples: int, seed: int, chunks: int, workers: int) 
 def mc_purity(
     n: int, field: str, n_samples: int, seed: int, chunks: int = 10, workers: int = 1
 ) -> MCEstimate:
-    """Mean purity tr(rho^2) of HS-distributed states; a chunk's record is (sum p, sum p^2)."""
+    """Mean purity tr(rho^2) of HS-distributed states; a chunk's record is (sum p, sum p^2).
+
+    A chunk draws ``block_rows(n)`` states at a time and adds each block's
+    sums to its record, so it holds one block whatever its size.
+    """
 
     def record(rng: np.random.Generator, size: int) -> tuple[float, float]:
-        rho = sample_hs_batch(n, field, rng, size)
-        purity = np.einsum("sij,sij->s", rho, rho.conj()).real
-        return float(purity.sum()), float(np.square(purity).sum())
+        total = total_sq = 0.0
+        for rows in _blocks(size, block_rows(n)):
+            rho = sample_hs_batch(n, field, rng, rows)
+            purity = np.einsum("sij,sij->s", rho, rho.conj()).real
+            total += float(purity.sum())
+            total_sq += float(np.square(purity).sum())
+        return total, total_sq
 
     records = _map_chunks(record, n_samples, seed, chunks, workers)
     total = math.fsum(s for s, _ in records)
@@ -201,6 +216,8 @@ def _hit_or_miss_p0(n: int, n_samples: int) -> float:
     p = _hit_fraction(n)
     if not p:
         raise ValueError(f"the hit-or-miss fraction at n={n} underflows to 0.0")
+    if not 0 < p <= 1:  # a faulty exact volume: its binomial stderr would be undefined
+        raise ValueError(f"the hit-or-miss fraction at n={n} is p0={p!r}, outside (0, 1]")
     least = math.floor(_GATE**2 * (1 - p) / p) + 1
     if 0 < n_samples < least:  # _check_draws refuses a count below 1
         raise ValueError(
@@ -210,22 +227,20 @@ def _hit_or_miss_p0(n: int, n_samples: int) -> float:
     return p
 
 
-def _hit_or_miss_chunk(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Whether each of ``size`` uniform points of the radius-R_N ball is a state.
+def _hit_or_miss_chunk(n: int, rng: np.random.Generator, size: int) -> int:
+    """How many of ``size`` uniform points of the radius-R_N ball are states.
 
-    The normals and then the uniforms are drawn whole, in stream order; each
-    block of rows is scaled onto the ball in place and tested.
+    One _BLOCK of rows at a time, the block's normals and then its uniforms
+    are drawn, in stream order, scaled onto the ball in place and tested
+    while in cache, so a chunk holds one block whatever its size.
     """
     d = n * n - 1
-    g = rng.standard_normal((size, d))
-    u = rng.random(size)
     radius = math.sqrt((n - 1) / n)
-    hits = np.empty(size, dtype=bool)
-    for start in range(0, size, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        block = g[rows]
-        block *= (radius * u[rows] ** (1.0 / d) / np.linalg.norm(block, axis=1))[:, None]
-        hits[rows] = _is_state(block)
+    hits = 0
+    for rows in _blocks(size, _BLOCK):
+        block = rng.standard_normal((rows, d))
+        block *= (radius * rng.random(rows) ** (1.0 / d) / np.linalg.norm(block, axis=1))[:, None]
+        hits += int(np.count_nonzero(_is_state(block)))
     return hits
 
 
@@ -245,11 +260,7 @@ def mc_hit_or_miss_fraction(
     which a run with no hit would pass is refused before the first draw.
     """
     p = _hit_or_miss_p0(n, n_samples)  # refuses n < 2 before any draw
-
-    def hit_count(rng: np.random.Generator, size: int) -> int:
-        return int(np.count_nonzero(_hit_or_miss_chunk(n, rng, size)))
-
-    hits = sum(_map_chunks(hit_count, n_samples, seed, chunks, workers))
+    hits = sum(_map_chunks(partial(_hit_or_miss_chunk, n), n_samples, seed, chunks, workers))
     return MCEstimate(hits / n_samples, math.sqrt(p * (1 - p) / n_samples), n_samples, seed, chunks)
 
 
@@ -632,7 +643,8 @@ def spectral_fit_test(
     its reference CDF F; F(t) is uniform under the reference law, so every
     bin has probability exactly 1/_BINS.  ``sampler(rng, size) -> (size, k)``
     returns rows whose maxima are the top eigenvalues; it is called once
-    per chunk, and a chunk's record is its counts.  The default draws HS
+    per block of ``block_rows(n)`` draws of a chunk, in order, and a chunk's
+    record is the sum of its blocks' counts.  The default draws HS
     states and gives each one's top eigenvalue from its entries
     (``_top_eigenvalue``, k = 1), with no eigensolver; a sampler returning
     full spectra (k = n) can replace it to test another generator
@@ -648,9 +660,12 @@ def spectral_fit_test(
             return _top_eigenvalue(sample_hs_batch(n, field, rng, size))[:, None]
 
     def histogram(rng: np.random.Generator, size: int) -> np.ndarray:
-        u = cdf(np.asarray(sampler(rng, size)).max(axis=-1))
-        # clipped first: rounding can put t an ulp outside the CDF's support
-        return np.bincount(np.clip(u * _BINS, 0, _BINS - 1).astype(np.intp), minlength=_BINS)
+        counts = np.zeros(_BINS, dtype=np.intp)
+        for rows in _blocks(size, block_rows(n)):
+            u = cdf(np.asarray(sampler(rng, rows)).max(axis=-1))
+            # clipped first: rounding can put t an ulp outside the CDF's support
+            counts += np.bincount(np.clip(u * _BINS, 0, _BINS - 1).astype(np.intp), minlength=_BINS)
+        return counts
 
     counts = sum(_map_chunks(histogram, n_samples, seed, chunks, workers))
     expected = n_samples / _BINS

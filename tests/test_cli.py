@@ -224,7 +224,7 @@ def test_verify_report_bytes_golden(capsys, suite):
 
 
 def test_sample_chunk_i_draws_stream_i(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_SAMPLE_CHUNK_ENTRIES", 20)  # 5 rows of 2 x 2 matrices
+    monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 20)  # 5 rows of 2 x 2 matrices
     code, out = run_cli(capsys, "sample", "--n", "2", "--samples", "12", "--seed", "4")
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
@@ -252,7 +252,7 @@ def test_sample_memory_is_bounded_by_a_chunk(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * cli._SAMPLE_CHUNK_ENTRIES * 16
+    assert peak <= 6 * sampling.BLOCK_ENTRIES * 16
 
 
 def test_verify_purity_json_and_exit_zero(capsys):
@@ -484,9 +484,9 @@ def test_verify_zero_arguments_exit_two(capsys, argv):
     ],
 )
 def test_allocation_failure_exits_two(capsys, monkeypatch, argv, module, name):
-    # a stand-in refuses the allocation, as numpy does for verify's count,
-    # so the test asks the machine for no memory; sample streams such a
-    # count in chunks, so its stand-in stands for any failed allocation
+    # a stand-in refuses the allocation, so the test asks the machine for no
+    # memory; verify and sample stream such a count in blocks, so each
+    # stand-in stands for any failed allocation, such as one block at a huge n
     def refuse(*args, **kwargs):
         raise MemoryError(
             "Unable to allocate 582. TiB for an array with shape (10000000000000, 8) and data type float64"

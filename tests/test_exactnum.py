@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsgeom.exactnum import (
+    _coprime_constructor,
+    _coprime_fraction,
     _squarefree,
     ExactValue,
     ONE,
@@ -339,3 +341,22 @@ def test_parse_rejects_junk():
                 "1*pi^(-0/2)", "2*sqrt(03)", " 1/2", "1/2\n"]:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse(bad)
+
+
+def test_coprime_fraction_is_chosen_by_feature():
+    class PublicOnly(Fraction):
+        # neither private hook, as on a Python that drops both
+        _from_coprime_ints = None
+
+        def __new__(cls, numerator=0, denominator=None):
+            return super().__new__(cls, numerator, denominator)
+
+    method = getattr(Fraction, "_from_coprime_ints", None)
+    if callable(method):  # Python 3.12 on; before it, the _normalize flag
+        assert _coprime_fraction == method
+    assert _coprime_constructor(PublicOnly) is PublicOnly
+    pairs = [(0, 1), (1, 1), (-3, 4), (2**89 - 1, 3**50), (-(10**40) - 1, 10**39)]
+    for build in (_coprime_fraction, _coprime_constructor(PublicOnly)):
+        for num, den in pairs:
+            value = build(num, den)
+            assert value == Fraction(num, den) and (value.numerator, value.denominator) == (num, den)

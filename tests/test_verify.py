@@ -12,8 +12,8 @@ from scipy.stats import chi2
 
 from hsgeom.constants import EnsembleParams, c_norm, log_c_norm
 from hsgeom.exactnum import from_rational
-from hsgeom import verify
-from hsgeom.sampling import POSITIVITY_TOL, gell_mann_basis, make_rng
+from hsgeom import cli, verify
+from hsgeom.sampling import POSITIVITY_TOL, block_rows, gell_mann_basis, make_rng
 from hsgeom.verify import (
     MCEstimate,
     _chi2_sf,
@@ -140,7 +140,9 @@ def test_hit_or_miss_n4():
 
 def test_hit_or_miss_stderr_is_binomial_at_the_exact_fraction(monkeypatch):
     # one hit against about 10 expected: the plug-in stderr read 9.2 sigmas
-    report = check_hit_or_miss(4, 400_000, 903000, 10, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_map_chunks", lambda *args: [1] + [0] * 9)
+        report = check_hit_or_miss(4, 400_000, 903000, 10, 2)
     assert report["estimate"] == 2.5e-06
     assert report["sigmas"] == pytest.approx(2.888, abs=1e-3) and report["pass"]
     # negative control: against twice the true volume the n = 3 check fails
@@ -169,24 +171,53 @@ def test_hit_or_miss_refuses_counts_that_pass_on_zero_hits(monkeypatch):
         run_suite("hitmiss", n=21)
 
 
+def test_hit_or_miss_refuses_a_fraction_above_one_before_any_draw(monkeypatch, capsys):
+    # a faulty exact volume larger than the ball: its binomial stderr
+    # sqrt(p0 (1 - p0) / N) was a bare math domain error after every draw
+    def no_draws(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(verify, "_hit_fraction", lambda n: 1.02)
+    monkeypatch.setattr(verify, "_map_chunks", no_draws)
+    message = r"fraction at n=3 is p0=1\.02, outside \(0, 1\]$"
+    with pytest.raises(ValueError, match=message):
+        check_hit_or_miss(3, 1_000_000, seed=0)
+    with pytest.raises(ValueError, match=message):
+        run_suite("hitmiss", n=3)
+    assert cli.main(["verify", "--suite", "hitmiss", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: the hit-or-miss fraction at n=3")
+    assert len(captured.err.splitlines()) == 1
+
+
 def _eigvalsh_hit_or_miss_chunk(n, rng, size):
-    """The eigensolver chunk the pivot test replaced: same draws, lambda_min >= -tol."""
+    """The eigensolver test the pivot test replaced: the same draws block by block, lambda_min >= -tol."""
     d = n * n - 1
     radius = math.sqrt((n - 1) / n)
-    g = rng.standard_normal((size, d))
-    u = rng.random(size)
-    scale = radius * u ** (1.0 / d) / np.linalg.norm(g, axis=1)
-    rho = np.eye(n) / n + np.einsum("s,sd,dij->sij", scale, g, gell_mann_basis(n))
-    lowest = np.linalg.eigvalsh(rho)[:, 0]
-    return (lowest >= -POSITIVITY_TOL).astype(float)
+    hits = []
+    for start in range(0, size, verify._BLOCK):
+        rows = min(verify._BLOCK, size - start)
+        g = rng.standard_normal((rows, d))
+        u = rng.random(rows)
+        scale = radius * u ** (1.0 / d) / np.linalg.norm(g, axis=1)
+        rho = np.eye(n) / n + np.einsum("s,sd,dij->sij", scale, g, gell_mann_basis(n))
+        hits.append(np.linalg.eigvalsh(rho)[:, 0] >= -POSITIVITY_TOL)
+    return np.concatenate(hits)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_pivot_test_matches_eigensolver_draw_by_draw(n):
+def test_pivot_test_matches_eigensolver_draw_by_draw(n, monkeypatch):
+    # 5 000 draws are one full block and a short one; the chunk's pivot
+    # test is recorded block by block
+    tested = []
+    is_state = verify._is_state
+    monkeypatch.setattr(verify, "_is_state", lambda tau: tested.append(is_state(tau)) or tested[-1])
     for seed in range(30):
-        new = _hit_or_miss_chunk(n, make_rng(seed, 1), 5_000)
+        tested.clear()
+        count = _hit_or_miss_chunk(n, make_rng(seed, 1), 5_000)
         reference = _eigvalsh_hit_or_miss_chunk(n, make_rng(seed, 1), 5_000)
-        np.testing.assert_array_equal(new, reference)
+        np.testing.assert_array_equal(np.concatenate(tested), reference)
+        assert count == np.count_nonzero(reference)
 
 
 def _with_spectrum(spectrum, rng, field="complex"):
@@ -692,11 +723,11 @@ def test_reports_match_golden():
             "sigmas": None,
             "pass": True,
         }
-    # recorded with whole-chunk hit-or-miss scaling: the block-at-a-time
-    # kernel moves no hit.  The stderr is the binomial one at the exact fraction.
+    # recorded with hit-or-miss chunks drawn one block of 4096 rows at a
+    # time.  The stderr is the binomial one at the exact fraction.
     for n, samples, expected, estimate in (
-        (4, 400_000, 2.560951750023203e-05, 1.75e-05),
-        (3, 1_000_000, 0.02658192888640783, 0.02655),
+        (4, 400_000, 2.560951750023203e-05, 3.25e-05),
+        (3, 1_000_000, 0.02658192888640783, 0.026385),
     ):
         stderr = math.sqrt(expected * (1 - expected) / samples)
         assert check_hit_or_miss(n, samples, seed=0) == {
@@ -759,18 +790,39 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_chunks_hold_one_block_of_derived_arrays():
-    # 10^5 draws is not a multiple of either block, so the last block is short
-    size = 100_000
+    # a hit-or-miss chunk holds one block of normals, the matrix entries
+    # and pivots built from it, about 5.5 blocks of d doubles, whether it
+    # takes 10^5 or 10^6 draws; neither is a multiple of either block, so
+    # the last block is short
     d = 3 * 3 - 1
-    draws = size * d * 8 + size * 8  # the normals and the uniforms
     rng = make_rng(0, 1)  # before tracing: the first one imports numpy.random
-    assert _traced_peak(_hit_or_miss_chunk, 3, rng, size) <= 1.75 * draws
+    for size in (100_000, 1_000_000):
+        assert _traced_peak(_hit_or_miss_chunk, 3, rng, size) <= 8 * verify._BLOCK * d * 8, size
     # a Dirichlet chunk (n = 5) holds one block of draws and two rows of
     # logs, n + 2 rows, whether it takes 10^5 or 10^6 draws
     n = 5
     for size in (100_000, 1_000_000):
         peak = _traced_peak(mc_norm_constant, n, 1.0, 2.0, size, 0, 1)
         assert peak <= (n + 3) * verify._NORM_BLOCK * 8, size
+
+
+@pytest.mark.parametrize(
+    "estimate, n, sizes",
+    [
+        # 3 and 25 blocks of 4096 states
+        (lambda size: mc_purity(8, "complex", size, 0, 1), 8, (10_000, 100_000)),
+        # 2 and 18 blocks of 29 127 states
+        (lambda size: spectral_fit_test(3, "complex", size, 0, chunks=1), 3, (50_000, 500_000)),
+    ],
+)
+def test_purity_and_spectral_chunks_hold_one_block_of_states(estimate, n, sizes):
+    # a block of block_rows(n) complex states is 4 MB; with the sampler's
+    # and the statistic's temporaries a chunk peaked at about 3.2 of them
+    make_rng(0, 1)  # before tracing: the first one imports numpy.random
+    block = block_rows(n) * n * n * 16
+    for size in sizes:
+        assert size > block_rows(n)  # more than one block
+        assert _traced_peak(estimate, size) <= 4 * block, size
 
 
 def test_norm_chunks_hold_one_block_of_derived_arrays():
