@@ -15,6 +15,13 @@ import pytest
 from hsgeom import cli, constants, exactnum, mixedstates, sampling, verify
 
 
+# what int.__str__ raises past the default limit of 4300 digits
+_DIGIT_LIMIT_ERROR = (
+    "Exceeds the limit (4300 digits) for integer string conversion; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -221,6 +228,56 @@ def test_verify_report_bytes_golden(capsys, suite):
     code, out = run_cli(capsys, "verify", "--suite", *suite, "--samples", "20000", "--seed", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[suite]
+
+
+# sha256 of an exact subcommand's text, json and csv output, concatenated:
+# geometry at n = 100, 200 and 500, and the largest n (or dim) each other
+# subcommand prints whole under the default 4300-digit limit
+_EXACT_SHA256 = {
+    ("geometry", "--n", "100"): "a1435bdf04f2a99ea4d3539d44cd6bbc81096d42a927d3d6454743027dbac758",
+    ("geometry", "--n", "100", "--field", "real"): "87a7ff61e79eecc8e0b9bcf62c1c940d4e7613ecc0c5a7e3ae69be6dc9163452",
+    ("geometry", "--n", "200"): "5752b81bc535806e5d584d873a6215824a95a3aa82906a15e4f234a826e4e392",
+    ("geometry", "--n", "200", "--field", "real"): "a028d44fe8048a29acd77ca0a3ce49ea7cc9bdcdd4c69227693ed5322af5f840",
+    ("geometry", "--n", "500"): "5ccfaeb51cf50c7e57ee72f8532fa979e064a712ed983bdf470c0e541331de46",
+    ("geometry", "--n", "500", "--field", "real"): "23f8e7bb68a9b4bdaee8457e15ef0d5c8686dd6c60527bb7a0f0f4586b6578a4",
+    ("volume", "--n", "44"): "5204f52cfaebaa4bc0c22b07c52d02264167fb016a3ca741693fafbb84b3ab39",
+    ("volume", "--n", "61", "--field", "real"): "d12592a57af913d30a306af68acad4470ba0faf283e0a4f4844ea4717efa314b",
+    ("edge", "--n", "44"): "744461069908c91d7416d0a97d8a59432be5b73b41915d8ec55d4768367a2df3",
+    ("edge", "--n", "61", "--field", "real"): "0d8dddefa07b356b001a6c4e6f4baa1ca19ec5ae3012e8026686d577dc15a172",
+    ("constants", "--n", "48"): "b0dbe94f1d26682641304bb4bd530fead1cf2c526015b61071dae064bf87dedd",
+    ("group", "--family", "U", "--n", "90"): "aa63e812b227a5d5c4ac658874cd0ea1b368e2045985ae0dfbf372bc5cbdaca1",
+    ("group", "--family", "O", "--n", "122"): "d4da2497da7b31396bee1a320183ca517044750c6a8df055509b53d818dffbad",
+    ("reference", "--body", "ball", "--dim", "3116"): "b2991b534ae379bcc986b30a97c3366f4793fbaa0037bd0e1977327b12e7c0ae",
+    ("reference", "--body", "simplex", "--dim", "1487"): "b82109d044ece2da2470797e27da148740d31460cce79c89a47b5820908facb0",
+}
+
+
+@pytest.mark.parametrize("argv", list(_EXACT_SHA256))
+def test_exact_output_bytes_golden(capsys, argv):
+    digest = hashlib.sha256()
+    for fmt in ("text", "json", "csv"):
+        code, out = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == _EXACT_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--n", "45"],
+        ["volume", "--n", "62", "--field", "real"],
+        ["edge", "--n", "45"],
+        ["constants", "--n", "49"],
+        ["group", "--family", "U", "--n", "91"],
+        ["reference", "--body", "simplex", "--dim", "1488"],
+    ],
+)
+def test_one_past_the_largest_printable_size_exits_two(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {_DIGIT_LIMIT_ERROR}\n"
 
 
 def test_sample_chunk_i_draws_stream_i(capsys, monkeypatch):

@@ -26,6 +26,8 @@ from hsgeom.exactnum import (
     gamma_product,
     parse,
 )
+from hsgeom.constants import EnsembleParams, c_norm
+from hsgeom.groups import CosetSpec, Family, vol_group
 from hsgeom.mixedstates import StateSpace, geometry, vol_mixed
 
 # Frozen with mpmath at 40 significant digits: pi*sqrt(2)/3 and
@@ -171,6 +173,34 @@ def test_log10_survives_huge_values():
     assert v.log10() == pytest.approx(
         math.lgamma(400) / math.log(10) + 500 * math.log10(math.pi), rel=1e-12
     )
+
+
+# to_float() and log10() of values too long to print under the default
+# 4300-digit limit, as the values built in full gave them
+_UNPRINTABLE_FLOATS = {
+    ("vol_mixed", 60, "complex"): (0.0, -7772.379849689245),
+    ("vol_mixed", 60, "real"): (0.0, -3684.3518957528718),
+    ("vol_mixed", 200, "complex"): (0.0, -117752.4686935243),
+    ("vol_mixed", 200, "real"): (0.0, -56176.49955224551),
+    ("vol_mixed", 1000, "complex"): (0.0, -3992332.666276592),
+    ("vol_mixed", 1000, "real"): (0.0, -1922990.7385177952),
+    ("c_norm", 200, (Fraction(3, 2), 1)): (math.inf, 50579.905716852576),
+    ("vol_group", 2000, "U"): (0.0, -3702816.4619746534),
+}
+
+
+def _unprintable(kind, n, arg) -> ExactValue:
+    if kind == "vol_mixed":
+        return vol_mixed(StateSpace(n, arg))
+    if kind == "c_norm":
+        return c_norm(EnsembleParams(n, *arg))
+    return vol_group(CosetSpec(Family(arg), n))
+
+
+@pytest.mark.parametrize("key", list(_UNPRINTABLE_FLOATS))
+def test_floats_of_unprintable_values_golden(key):
+    v = _unprintable(*key)
+    assert (repr(v.to_float()), repr(v.log10())) == tuple(map(repr, _UNPRINTABLE_FLOATS[key]))
 
 
 def _nearest_double(v: ExactValue) -> float:
