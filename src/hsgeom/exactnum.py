@@ -17,12 +17,17 @@ module, in the private context ``_CTX``: 40 significant digits, far below a
 double's rounding, and an exponent range wide enough that no intermediate
 overflows or underflows.  Every operation goes through that context, so
 the caller's ``decimal.getcontext()`` never changes a result.
+
+A Gamma product is held as prime blocks raised to powers until something
+reads its rational part, so a float, a log10 or a refused string never
+builds integers of millions of digits (see ``ExactValue``).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from array import array
 from bisect import bisect_right
 from decimal import (
@@ -68,6 +73,13 @@ _HALF_LOG10_PI = _CTX.divide(_CTX.log10(_PI), 2)
 # Numerator and denominator are cut to their top bits before they become
 # Decimals, a conversion quadratic in the digits; the cut errs by < 2^-191.
 _TOP_BITS = 192
+# What int.__str__ raises for an integer with more digits than the limit.
+_DIGIT_LIMIT_ERROR = (
+    "Exceeds the limit ({} digits) for integer string conversion; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
+# A little above log2(10) = 3.3219280949, so 2^(k * _LOG2_10_UP) > 10^k.
+_LOG2_10_UP = 3.3219281
 
 
 def _ln(x: Decimal) -> Decimal:
@@ -83,6 +95,49 @@ def _ln(x: Decimal) -> Decimal:
     eps = _CTX.subtract(_CTX.multiply(m, _CTX.exp(y)), 1)
     ln_m = _CTX.subtract(_CTX.subtract(eps, _CTX.divide(_CTX.multiply(eps, eps), 2)), y)
     return _CTX.add(ln_m, _CTX.multiply(e, _LN10))
+
+
+def _top(x: int) -> tuple[int, int]:
+    """x cut to its top ``_TOP_BITS`` bits, and the bits cut: x ~ top * 2^shift."""
+    shift = max(x.bit_length() - _TOP_BITS, 0)
+    return x >> shift, shift
+
+
+def _power_top(blocks) -> tuple[Decimal, int]:
+    """prod x^e over (block x, power e) pairs as (m, s), the product being about m * 2^s.
+
+    Each power is taken of the block's top bits at 40 digits, with the guard
+    digits ``decimal`` adds for an integer power, so m errs by about one part
+    in 10^39 per block.
+    """
+    m, s = Decimal(1), 0
+    for x, e in blocks:
+        top, shift = _top(x)
+        m = _CTX.multiply(m, _CTX.power(top, e))
+        s += e * shift
+    return m, s
+
+
+def _refuse_long_sides(parts) -> None:
+    """Raise int.__str__'s ValueError if a side of a deferred q certainly has too many digits.
+
+    ``parts`` is a deferred value's (cofactor, num, den).  Its numerator is
+    at least prod x^e over ``num`` divided by the cofactor's denominator
+    (the most the gcd with it can take out), and likewise for its
+    denominator.  log2 of that product, summed in doubles and cut by a
+    relative 1e-9 that covers their rounding, is a lower bound.  Where it
+    does not show more digits than ``sys.get_int_max_str_digits()``, or the
+    interpreter has no limit, nothing is refused: the build and
+    ``int.__str__`` decide.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    cofactor, num, den = parts
+    for blocks, divisor in ((num, cofactor.denominator), (den, cofactor.numerator)):
+        log2 = sum(e * math.log2(x) for x, e in blocks) * (1 - 1e-9) - divisor.bit_length()
+        if log2 >= limit * _LOG2_10_UP:
+            raise ValueError(_DIGIT_LIMIT_ERROR.format(limit))
 
 
 def _squarefree(n: int) -> tuple[int, int]:
@@ -115,9 +170,10 @@ class Record:
     """Base of the package's immutable records.
 
     A subclass lists its fields in ``__slots__`` and stores them in its own
-    ``__init__`` with one ``_set`` call.  Equality and hashing compare
-    ``_key``, the fields in ``__slots__`` order.  Records are equal only to
-    records of their own type, assignment and deletion raise
+    ``__init__`` with one ``_set`` call; a slot named with a leading
+    underscore holds private state and is no field.  Equality and hashing
+    compare ``_key``, the fields in ``__slots__`` order.  Records are equal
+    only to records of their own type, assignment and deletion raise
     AttributeError, and the repr lists the fields in ``__slots__`` order.
     """
 
@@ -127,8 +183,11 @@ class Record:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    def _fields(self) -> list[str]:
+        return [name for name in self.__slots__ if not name.startswith("_")]
+
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -145,7 +204,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -156,9 +215,21 @@ class ExactValue(Record):
     terms; ``r`` a squarefree positive integer; ``p`` an integer half-exponent
     of pi.  Zero is uniquely (0, 1, 1, 0).  Two values are equal iff all four
     fields match, so ``==`` is exact algebraic equality.
+
+    A value from ``gamma_product`` is deferred: q is held as a small built
+    cofactor times prod x^e over the numerator's (block x, power e) pairs,
+    over the same product for the denominator, and is built the first time
+    something reads it: ``str``, ``==``, ``hash``, ``repr``, the field
+    itself, or a product of two deferred values.  Products with built
+    values, quotients by them, inverses, powers and negation stay deferred.
+    Until q is built, ``log10`` and ``to_float`` take the magnitude from the
+    blocks' top bits, and ``str`` refuses at once a side with certainly more
+    digits than ``sys.get_int_max_str_digits()`` allows.  The q built is the
+    one a built value of the same number holds, so strings and equality do
+    not depend on whether a value was deferred.
     """
 
-    __slots__ = ("sign", "q", "r", "p")
+    __slots__ = ("sign", "q", "r", "p", "_parts")
 
     # Stored and keyed by hand, not through ``_set`` and the generic ``_key``:
     # every *, / and pow_int builds an ExactValue and the exact answers are
@@ -169,6 +240,7 @@ class ExactValue(Record):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_parts", None)
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
         if sign == 0:
@@ -179,6 +251,36 @@ class ExactValue(Record):
             raise ValueError(f"q must be positive, got {q}")
         if r < 1 or _squarefree(r)[0] != 1:
             raise ValueError(f"r must be a squarefree positive integer, got {r}")
+
+    @classmethod
+    def _deferred(cls, sign: int, r: int, p: int, cofactor: Fraction, num: list, den: list) -> "ExactValue":
+        """sign * cofactor * prod(num) / prod(den) * sqrt(r) * pi^(p/2), with q not built.
+
+        ``num`` and ``den`` hold (block, power > 0) pairs whose products are
+        coprime; ``cofactor`` is a positive Fraction.
+        """
+        v = object.__new__(cls)
+        object.__setattr__(v, "sign", sign)
+        object.__setattr__(v, "r", r)
+        object.__setattr__(v, "p", p)
+        object.__setattr__(v, "_parts", (cofactor, num, den))
+        return v
+
+    def __getattr__(self, name):
+        # Reached only for a slot that was never set: q of a deferred value.
+        # The two products are coprime and so are the cofactor's integers,
+        # so only a gcd with the small cofactor is left to take out.
+        parts = self._parts if name == "q" else None
+        if parts is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cofactor, num, den = parts
+        a, b = cofactor.numerator, cofactor.denominator
+        n, d = _power_product(num), _power_product(den)
+        g, h = math.gcd(a, d), math.gcd(b, n)
+        q = _coprime_fraction(a // g * (n // h), b // h * (d // g))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_parts", None)
+        return q
 
     def _key(self) -> tuple:
         # q is a Fraction in lowest terms, so its two integers decide it
@@ -206,12 +308,15 @@ class ExactValue(Record):
         # the remaining factors are coprime and squarefree, so no trial
         # division is needed here.
         g = math.gcd(self.r, other.r)
-        return ExactValue(
-            sign,
-            self.q * other.q * g,
-            (self.r // g) * (other.r // g),
-            self.p + other.p,
-        )
+        r, p = (self.r // g) * (other.r // g), self.p + other.p
+        # a deferred factor takes a built one's rational into its cofactor;
+        # two deferred factors are both built
+        mine, theirs = self._parts, other._parts
+        if mine is not None and theirs is None:
+            return ExactValue._deferred(sign, r, p, mine[0] * other.q * g, *mine[1:])
+        if theirs is not None and mine is None:
+            return ExactValue._deferred(sign, r, p, theirs[0] * self.q * g, *theirs[1:])
+        return ExactValue(sign, self.q * other.q * g, r, p)
 
     __rmul__ = __mul__
 
@@ -219,6 +324,10 @@ class ExactValue(Record):
         if self.sign == 0:
             raise ZeroDivisionError("division by exact zero")
         # 1/sqrt(r) = sqrt(r)/r keeps the radicand unchanged.
+        parts = self._parts
+        if parts is not None:
+            cofactor, num, den = parts
+            return ExactValue._deferred(self.sign, self.r, -self.p, 1 / (cofactor * self.r), den, num)
         return ExactValue(self.sign, 1 / (self.q * self.r), self.r, -self.p)
 
     def __truediv__(self, other) -> "ExactValue":
@@ -236,6 +345,9 @@ class ExactValue(Record):
     def __neg__(self) -> "ExactValue":
         if self.sign == 0:
             return ZERO
+        parts = self._parts
+        if parts is not None:
+            return ExactValue._deferred(-self.sign, self.r, self.p, *parts)
         return ExactValue(-self.sign, self.q, self.r, self.p)
 
     def pow_int(self, k: int) -> "ExactValue":
@@ -249,23 +361,39 @@ class ExactValue(Record):
             raise ZeroDivisionError("zero to a negative power")
         if k < 0:
             return self._inverse().pow_int(-k)
-        return ExactValue(
-            self.sign if k % 2 else 1,
-            self.q**k * Fraction(self.r) ** (k // 2),
-            self.r if k % 2 else 1,
-            self.p * k,
-        )
+        sign, r = (self.sign, self.r) if k % 2 else (1, 1)
+        scale = Fraction(self.r) ** (k // 2)
+        parts = self._parts
+        if parts is not None:
+            cofactor, num, den = parts
+            return ExactValue._deferred(
+                sign,
+                r,
+                self.p * k,
+                cofactor**k * scale,
+                [(x, e * k) for x, e in num],
+                [(x, e * k) for x, e in den],
+            )
+        return ExactValue(sign, self.q**k * scale, r, self.p * k)
 
     __pow__ = pow_int
 
     # -- conversion ---------------------------------------------------------
 
     def _magnitude(self) -> Decimal:
-        """q * sqrt(r) in ``_CTX``, from the top bits of numerator and denominator."""
-        num, den = self.q.numerator, self.q.denominator
-        a = max(num.bit_length() - _TOP_BITS, 0)
-        b = max(den.bit_length() - _TOP_BITS, 0)
-        m = _CTX.divide(num >> a, den >> b)
+        """q * sqrt(r) in ``_CTX``, from the top bits of numerator and denominator.
+
+        While q is not built, each side is the product of its blocks' top
+        bits raised to their powers, times an integer of the cofactor.
+        """
+        parts = self._parts
+        if parts is None:
+            (num, a), (den, b) = _top(self.q.numerator), _top(self.q.denominator)
+        else:
+            cofactor, num_blocks, den_blocks = parts
+            num, a = _power_top([(cofactor.numerator, 1), *num_blocks])
+            den, b = _power_top([(cofactor.denominator, 1), *den_blocks])
+        m = _CTX.divide(num, den)
         if a != b:
             m = _CTX.multiply(m, _CTX.power(2, a - b))
         if self.r != 1:
@@ -278,10 +406,20 @@ class ExactValue(Record):
         A rational may lie exactly halfway between two doubles, so it is
         divided exactly.  Any other value is irrational; it is formed at 40
         digits and rounded to a double once, so subnormal results are the
-        nearest subnormal too.
+        nearest subnormal too.  A deferred value whose magnitude lies a
+        decade or more outside the double range is 0.0 or inf without
+        building q; any other is built first.
         """
         if self.sign == 0:
             return 0.0
+        if self._parts is not None:
+            v = self._magnitude()
+            if self.p:
+                v = _CTX.multiply(v, _CTX.power(_SQRT_PI, self.p))
+            if v.adjusted() > 308:  # >= 1e309, past the largest double 1.8e308
+                return self.sign * math.inf
+            if v.adjusted() < -324:  # < 1e-324, below half the least subnormal 4.9e-324
+                return self.sign * 0.0
         if self.r == 1 and self.p == 0:
             try:
                 return self.sign * float(self.q)
@@ -311,6 +449,8 @@ class ExactValue(Record):
         """Canonical grammar ``[-]a/b[*sqrt(r)][*pi^(p/2)]``, unit factors omitted."""
         if self.sign == 0:
             return "0"
+        if self._parts is not None:
+            _refuse_long_sides(self._parts)
         parts = [
             str(self.q.numerator)
             if self.q.denominator == 1
@@ -473,11 +613,6 @@ def _prime_exponents(fact: dict[int, int], twos: int) -> dict[int, list[int]]:
 _MAX_GAMMA_KEY = 1 << 21
 
 
-def _check_gamma_key(m: int) -> None:
-    if m > _MAX_GAMMA_KEY:
-        raise ValueError(f"Gamma argument too large for an exact value: twice it exceeds {_MAX_GAMMA_KEY}")
-
-
 def _coprime_constructor(cls=Fraction):
     """A builder of a ``cls`` from a numerator and a positive denominator known to be coprime.
 
@@ -523,13 +658,18 @@ def gamma_product(powers) -> ExactValue:
     largest factorial, or up to the end of its dense run of small
     factorials, one at a time, and the primes above in blocks that share
     one exponent.  The cost of that step grows with the number of keys and
-    blocks, not with the number of primes.  Numerator and denominator are
-    then each built once by binary powering over balanced products
-    (Borwein, "On the complexity of calculating factorials", J. Algorithms
-    6, 1985).  Each prime goes to one side, with its net exponent, so the
-    two sides are coprime and the Fraction is built from them without a gcd,
-    which took 7.2 of the 18.7 ms of c_norm at n = 197, alpha = 3/2 (2-core
-    Xeon VM).
+    blocks, not with the number of primes.  The primes of each block are
+    multiplied into one integer, and each goes to one side with its net
+    exponent, so the two sides are coprime.
+
+    The value returned is deferred (see ``ExactValue``): it keeps the two
+    lists of (block, power) pairs, so a log10, a float or a refused string
+    costs no powering.  Only a read of q builds numerator and denominator,
+    each once by binary powering over balanced products (Borwein, "On the
+    complexity of calculating factorials", J. Algorithms 6, 1985), and the
+    Fraction from them without a gcd, which took 7.2 of the 18.7 ms of
+    c_norm at n = 197, alpha = 3/2 (2-core Xeon VM).  The blocks that
+    built vol_mixed at n = 1000 took 5.9 s to power out in full.
     """
     fact: dict[int, int] = {}  # j -> power of j!
     twos = half_pi = 0
@@ -538,7 +678,8 @@ def gamma_product(powers) -> ExactValue:
             raise ValueError(f"gamma_product needs positive integer keys and integer powers, got {m}: {k}")
         if not k:
             continue
-        _check_gamma_key(m)
+        if m > _MAX_GAMMA_KEY:
+            raise ValueError(f"Gamma argument too large for an exact value: twice it exceeds {_MAX_GAMMA_KEY}")
         if m % 2 == 0:
             fact[m // 2 - 1] = fact.get(m // 2 - 1, 0) + k
         else:
@@ -556,7 +697,7 @@ def gamma_product(powers) -> ExactValue:
             raise ValueError(
                 f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits"
             )
-    return ExactValue(1, _coprime_fraction(_power_product(num), _power_product(den)), 1, half_pi)
+    return ExactValue._deferred(1, 1, half_pi, Fraction(1), num, den)
 
 
 _GRAMMAR = re.compile(

@@ -19,10 +19,9 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from fractions import Fraction
-from math import factorial
 
 from .constants import EnsembleParams, c_norm_powers
-from .exactnum import ExactValue, PI, Record, _check_gamma_key, exact_sqrt, from_rational, gamma_product
+from .exactnum import ExactValue, PI, Record, exact_sqrt, from_rational, gamma_exact, gamma_product
 from .groups import (
     Convention,
     CosetSpec,
@@ -225,9 +224,8 @@ def reference_body(kind: ReferenceKind | str, dim: int, side=1) -> ReferenceBody
         return ReferenceBody(kind, scaled * sphere_volume(dim), None)
     # Regular simplex of side L: L^D sqrt(D+1) / (sqrt(2^D) D!); a diamond is
     # two simplices glued along a face, with 2D instead of D+1 boundary faces.
-    # D! = Gamma(D + 1) is held to gamma_product's bound before it is built.
-    _check_gamma_key(2 * dim + 2)
-    simplex_vol = scaled * exact_sqrt(Fraction(dim + 1, 2**dim)) / factorial(dim)
+    # D! = Gamma(D + 1) comes first, so a D past its bound is refused at once.
+    simplex_vol = scaled / gamma_exact(dim + 1) * exact_sqrt(Fraction(dim + 1, 2**dim))
     slope = exact_sqrt(Fraction(2 * dim, dim + 1))
     if kind is ReferenceKind.SIMPLEX:
         return ReferenceBody(kind, simplex_vol, slope * (dim * (dim + 1)) / scale)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsgeom import cli, constants, exactnum, mixedstates, sampling, verify
+from hsgeom import cli, constants, exactnum, sampling, verify
 
 
 # what int.__str__ raises past the default limit of 4300 digits
@@ -269,6 +269,8 @@ def test_exact_output_bytes_golden(capsys, argv):
         ["volume", "--n", "62", "--field", "real"],
         ["edge", "--n", "45"],
         ["constants", "--n", "49"],
+        # the Laguerre integral (4186 digits) prints before C_60 is refused
+        ["constants", "--n", "60"],
         ["group", "--family", "U", "--n", "91"],
         ["reference", "--body", "simplex", "--dim", "1488"],
     ],
@@ -586,8 +588,13 @@ def test_unrepresentable_exponents_are_named_in_one_error_line(capsys, command, 
 @pytest.mark.parametrize(
     "argv, module, name",
     [
-        (["reference", "--body", "simplex", "--dim", "1048576"], mixedstates, "factorial"),
-        (["reference", "--body", "diamond", "--dim", "3000000"], mixedstates, "factorial"),
+        (["reference", "--body", "simplex", "--dim", "1048576"], exactnum, "_power_product"),
+        (["reference", "--body", "diamond", "--dim", "3000000"], exactnum, "_power_product"),
+        # answers of more than 4300 digits, refused from their prime blocks
+        (["volume", "--n", "1024"], exactnum, "_power_product"),
+        (["constants", "--n", "61"], exactnum, "_power_product"),
+        (["reference", "--body", "ball", "--dim", "20000"], exactnum, "_power_product"),
+        (["reference", "--body", "simplex", "--dim", "30000"], exactnum, "_power_product"),
         (["verify", "--suite", "norm", "--n", "3", "--alpha", "1/100", "--beta", "1/100"],
          verify, "_map_chunks"),
         (["group", "--family", "U", "--n", "100000"], exactnum, "_power_product"),
@@ -615,15 +622,15 @@ def test_unrepresentable_exponents_are_named_in_one_error_line(capsys, command, 
     ],
 )
 def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, module, name):
-    # D! past the Gamma bound, norm rows whose Dirichlet draws hold exact
-    # zeros or whose 1/C is not a normal double (e^714 at n = 2, alpha =
-    # 1e-310; 1e-337 at n = 16), an alpha whose log-Gamma overflows (1e308,
-    # in constants and verify), a Gamma product past the size bound, a
-    # negative sample count, hit-or-miss rows that would pass on zero hits
-    # and an alpha that no double holds are refused before the factorial,
-    # the first draw, the product or the constant is computed; --suite all
-    # refuses its n = 3 hit-or-miss row at 200 samples before its first norm
-    # row runs
+    # D! past the Gamma bound, answers too long to print, norm rows whose
+    # Dirichlet draws hold exact zeros or whose 1/C is not a normal double
+    # (e^714 at n = 2, alpha = 1e-310; 1e-337 at n = 16), an alpha whose
+    # log-Gamma overflows (1e308, in constants and verify), a Gamma product
+    # past the size bound, a negative sample count, hit-or-miss rows that
+    # would pass on zero hits and an alpha that no double holds are refused
+    # before the factorial, the first draw, the product or the constant is
+    # computed; --suite all refuses its n = 3 hit-or-miss row at 200 samples
+    # before its first norm row runs
     def unreachable(*args, **kwargs):
         raise AssertionError(f"{name} was reached")
 
@@ -632,6 +639,26 @@ def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, m
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    if tuple(argv) in _REFUSED_LINES:
+        assert captured.err == f"error: {_REFUSED_LINES[tuple(argv)]}\n"
+
+
+# the error lines of refusals whose work used to run before them
+_REFUSED_LINES = {
+    ("reference", "--body", "simplex", "--dim", "1048576"):
+        "Gamma argument too large for an exact value: twice it exceeds 2097152",
+    ("reference", "--body", "diamond", "--dim", "3000000"):
+        "Gamma argument too large for an exact value: twice it exceeds 2097152",
+    **{
+        argv: _DIGIT_LIMIT_ERROR
+        for argv in (
+            ("volume", "--n", "1024"),
+            ("constants", "--n", "61"),
+            ("reference", "--body", "ball", "--dim", "20000"),
+            ("reference", "--body", "simplex", "--dim", "30000"),
+        )
+    },
+}
 
 
 @pytest.mark.parametrize(

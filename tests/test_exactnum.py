@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsgeom import exactnum
 from hsgeom.exactnum import (
     _coprime_constructor,
     _coprime_fraction,
@@ -390,3 +392,124 @@ def test_coprime_fraction_is_chosen_by_feature():
         for num, den in pairs:
             value = build(num, den)
             assert value == Fraction(num, den) and (value.numerator, value.denominator) == (num, den)
+
+
+# -- deferred values: q is built only when something reads it --------------------
+
+
+def _unreachable_power_product(bases):
+    raise AssertionError("built the product")
+
+
+def test_a_deferred_value_keeps_the_record_contract():
+    # Gamma(5/2)^2 / Gamma(4) = (3/4 sqrt(pi))^2 / 6
+    v = gamma_product({5: 2, 8: -1})
+    built = ExactValue(1, Fraction(3, 32), 1, 2)
+    assert v._parts is not None
+    assert v == built and built == v and hash(v) == hash(built)
+    assert v._parts is None  # == read q
+    w = gamma_product({5: 2, 8: -1})
+    assert repr(w) == "ExactValue(sign=1, q=Fraction(3, 32), r=1, p=2)"
+    u = gamma_product({5: 2, 8: -1})
+    assert type(u.q) is Fraction and u.q == Fraction(3, 32)
+    for value in (gamma_product({5: 2, 8: -1}), built):
+        for name in ("sign", "q", "r", "p", "_parts", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            del value.q
+    with pytest.raises(AttributeError, match="'ExactValue' object has no attribute 'numerator'"):
+        gamma_product({5: 1}).numerator
+
+
+def test_products_with_built_values_stay_deferred(monkeypatch):
+    sqrt_pi = gamma_exact(Fraction(1, 2))
+    factor = 3 * exact_sqrt(6) * PI / 7
+    # Gamma(7/2) = 15/8 sqrt(pi), Gamma(6) = 120
+    want = ExactValue(1, Fraction(15, 8 * 120), 1, 1)
+    monkeypatch.setattr(exactnum, "_power_product", _unreachable_power_product)
+    results = {
+        "mul": gamma_product({7: 1, 12: -1}) * factor,
+        "rmul": factor * gamma_product({7: 1, 12: -1}),
+        "div": gamma_product({7: 1, 12: -1}) / factor,
+        "rdiv": factor / gamma_product({7: 1, 12: -1}),
+        "neg": -gamma_product({7: 1, 12: -1}),
+        "pow": gamma_product({7: 1, 12: -1}).pow_int(3),
+        "inverse": gamma_product({7: 1, 12: -1}).pow_int(-2),
+    }
+    assert all(v._parts is not None for v in results.values())
+    monkeypatch.undo()
+    assert results == {
+        "mul": want * factor,
+        "rmul": factor * want,
+        "div": want / factor,
+        "rdiv": factor / want,
+        "neg": -want,
+        "pow": want.pow_int(3),
+        "inverse": want.pow_int(-2),
+    }
+    # a product of two deferred values builds both
+    product = gamma_exact(5) * sqrt_pi
+    assert product._parts is None and product == ExactValue(1, Fraction(24), 1, 1)
+
+
+def test_deferred_values_read_their_floats_without_building(monkeypatch):
+    huge, tiny = c_norm(EnsembleParams(200, Fraction(3, 2), 1)), vol_mixed(StateSpace(200, "real"))
+    monkeypatch.setattr(exactnum, "_power_product", _unreachable_power_product)
+    assert huge.to_float() == math.inf and (-huge).to_float() == -math.inf
+    assert tiny.to_float() == 0.0 and math.copysign(1.0, (-tiny).to_float()) == -1.0
+    assert tiny.log10() == pytest.approx(-56176.49955224551, rel=1e-15)
+    with pytest.raises(ValueError, match="log10 requires a positive value"):
+        (-tiny).log10()
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit"
+)
+
+
+@pytest.fixture
+def digit_limit():
+    """Sets the interpreter's int<->str digit limit, and restores it afterwards."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@needs_digit_limit
+def test_the_digit_limit_refuses_one_digit_short_and_renders_at_the_count(digit_limit):
+    def fresh():
+        return vol_mixed(StateSpace(60))
+
+    digit_limit(0)
+    text = str(fresh())
+    digits = max(len(side) for side in re.findall(r"\d+", text.split("*")[0]))
+    assert digits > 4300
+    digit_limit(digits)
+    assert str(fresh()) == text
+    digit_limit(digits - 1)
+    with pytest.raises(ValueError) as refused:
+        str(fresh())
+    with pytest.raises(ValueError) as reference:
+        str(10 ** (digits - 1))  # digits - 1 + 1 digits: int.__str__'s own refusal
+    assert str(refused.value) == str(reference.value)
+
+
+@needs_digit_limit
+def test_a_value_far_over_the_limit_is_refused_from_its_blocks(monkeypatch, digit_limit):
+    digit_limit(4300)
+    value = vol_mixed(StateSpace(1024))
+    monkeypatch.setattr(exactnum, "_power_product", _unreachable_power_product)
+    with pytest.raises(ValueError) as refused:
+        str(value)
+    with pytest.raises(ValueError) as reference:
+        str(10**4300)
+    assert str(refused.value) == str(reference.value)
+
+
+@needs_digit_limit
+def test_without_a_limit_every_value_renders_and_parses_back(digit_limit):
+    digit_limit(0)
+    for field in ("complex", "real"):
+        v = vol_mixed(StateSpace(60, field))
+        assert parse(str(v)) == v == vol_mixed(StateSpace(60, field))

@@ -10,7 +10,7 @@ import pytest
 
 from hsgeom.constants import EnsembleParams, c_norm
 from hsgeom.exactnum import ExactValue, ONE, PI, exact_sqrt, from_rational, gamma_exact
-from hsgeom import mixedstates
+from hsgeom import exactnum
 from hsgeom.groups import Convention, CosetSpec, Family, vol_coset
 from hsgeom.mixedstates import (
     ReferenceKind,
@@ -262,19 +262,22 @@ def test_reference_side_scaling():
 
 def test_simplex_and_diamond_past_the_gamma_bound_refuse_before_the_factorial(monkeypatch):
     # D! = Gamma(D + 1) has key 2D + 2: D = 2^20 is the first dimension past
-    # gamma_product's bound, refused before an unbounded factorial is built
-    class Reached(Exception):
-        pass
+    # gamma_product's bound, refused at once; D = 2^20 - 1 is held as prime
+    # blocks, read in log space and refused as a string without building D!
+    def unreachable(bases):
+        raise AssertionError("built the product")
 
-    def factorial_reached(dim):
-        raise Reached
-
-    monkeypatch.setattr(mixedstates, "factorial", factorial_reached)
-    for kind in ("simplex", "diamond"):
+    monkeypatch.setattr(exactnum, "_power_product", unreachable)
+    d = 2**20 - 1
+    for kind, copies in (("simplex", 1), ("diamond", 2)):
         with pytest.raises(ValueError, match="Gamma argument too large"):
             reference_body(kind, 2**20)
-        with pytest.raises(Reached):
-            reference_body(kind, 2**20 - 1)
+        volume = reference_body(kind, d).volume
+        want = math.log10(copies) + (math.log(d + 1) / 2 - d / 2 * math.log(2) - math.lgamma(d + 1)) / math.log(10)
+        assert volume.log10() == pytest.approx(want, rel=1e-12)
+        assert volume.to_float() == 0.0
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(volume)
 
 
 # sha256 of the newline-joined str() of vol_edge at n = 40, k = 0 .. 39
