@@ -70,6 +70,7 @@ _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 _SQRT_PI = _CTX.sqrt(_PI)
 _LN10 = _CTX.ln(10)
 _HALF_LOG10_PI = _CTX.divide(_CTX.log10(_PI), 2)
+_LOG2_SQRT_PI = math.log2(math.pi) / 2
 # Numerator and denominator are cut to their top bits before they become
 # Decimals, a conversion quadratic in the digits; the cut errs by < 2^-191.
 _TOP_BITS = 192
@@ -118,6 +119,11 @@ def _power_top(blocks) -> tuple[Decimal, int]:
     return m, s
 
 
+def _log2(blocks) -> float:
+    """log2 of prod x^e over (integer x, power e) pairs, summed in doubles."""
+    return sum(e * math.log2(x) for x, e in blocks)
+
+
 def _refuse_long_sides(parts) -> None:
     """Raise int.__str__'s ValueError if a side of a deferred q certainly has too many digits.
 
@@ -135,8 +141,7 @@ def _refuse_long_sides(parts) -> None:
         return
     cofactor, num, den = parts
     for blocks, divisor in ((num, cofactor.denominator), (den, cofactor.numerator)):
-        log2 = sum(e * math.log2(x) for x, e in blocks) * (1 - 1e-9) - divisor.bit_length()
-        if log2 >= limit * _LOG2_10_UP:
+        if _log2(blocks) * (1 - 1e-9) - divisor.bit_length() >= limit * _LOG2_10_UP:
             raise ValueError(_DIGIT_LIMIT_ERROR.format(limit))
 
 
@@ -269,7 +274,8 @@ class ExactValue(Record):
     def __getattr__(self, name):
         # Reached only for a slot that was never set: q of a deferred value.
         # The two products are coprime and so are the cofactor's integers,
-        # so only a gcd with the small cofactor is left to take out.
+        # so only a gcd with the small cofactor is left to take out.  Two
+        # threads that read q at once both build it, to the same Fraction.
         parts = self._parts if name == "q" else None
         if parts is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -406,19 +412,22 @@ class ExactValue(Record):
         A rational may lie exactly halfway between two doubles, so it is
         divided exactly.  Any other value is irrational; it is formed at 40
         digits and rounded to a double once, so subnormal results are the
-        nearest subnormal too.  A deferred value whose magnitude lies a
-        decade or more outside the double range is 0.0 or inf without
+        nearest subnormal too.  A deferred value whose log2, summed over its
+        blocks, lies well outside the double range is 0.0 or inf without
         building q; any other is built first.
         """
         if self.sign == 0:
             return 0.0
-        if self._parts is not None:
-            v = self._magnitude()
-            if self.p:
-                v = _CTX.multiply(v, _CTX.power(_SQRT_PI, self.p))
-            if v.adjusted() > 308:  # >= 1e309, past the largest double 1.8e308
+        deferred = self._parts
+        if deferred is not None:
+            cofactor, num, den = deferred
+            log2 = _log2(num) - _log2(den) + math.log2(cofactor.numerator) - math.log2(cofactor.denominator)
+            log2 += math.log2(self.r) / 2 + self.p * _LOG2_SQRT_PI
+            # doubles end at 2^1024 and round to 0.0 below 2^-1075; the
+            # margins cover the rounding of the sum many times over
+            if log2 > 1030:
                 return self.sign * math.inf
-            if v.adjusted() < -324:  # < 1e-324, below half the least subnormal 4.9e-324
+            if log2 < -1080:
                 return self.sign * 0.0
         if self.r == 1 and self.p == 0:
             try:
@@ -449,8 +458,9 @@ class ExactValue(Record):
         """Canonical grammar ``[-]a/b[*sqrt(r)][*pi^(p/2)]``, unit factors omitted."""
         if self.sign == 0:
             return "0"
-        if self._parts is not None:
-            _refuse_long_sides(self._parts)
+        deferred = self._parts
+        if deferred is not None:
+            _refuse_long_sides(deferred)
         parts = [
             str(self.q.numerator)
             if self.q.denominator == 1

@@ -533,6 +533,24 @@ def test_verify_zero_arguments_exit_two(capsys, argv):
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
+# exact error lines of refusals below that come before any product is built
+_REFUSED_LINES = {
+    ("reference", "--body", "simplex", "--dim", "1048576"):
+        "Gamma argument too large for an exact value: twice it exceeds 2097152",
+    ("reference", "--body", "diamond", "--dim", "3000000"):
+        "Gamma argument too large for an exact value: twice it exceeds 2097152",
+    **{
+        argv: _DIGIT_LIMIT_ERROR
+        for argv in (
+            ("volume", "--n", "1024"),
+            ("constants", "--n", "61"),
+            ("reference", "--body", "ball", "--dim", "20000"),
+            ("reference", "--body", "simplex", "--dim", "30000"),
+        )
+    },
+}
+
+
 @pytest.mark.parametrize(
     "argv, module, name",
     [
@@ -641,24 +659,6 @@ def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, m
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     if tuple(argv) in _REFUSED_LINES:
         assert captured.err == f"error: {_REFUSED_LINES[tuple(argv)]}\n"
-
-
-# the error lines of refusals whose work used to run before them
-_REFUSED_LINES = {
-    ("reference", "--body", "simplex", "--dim", "1048576"):
-        "Gamma argument too large for an exact value: twice it exceeds 2097152",
-    ("reference", "--body", "diamond", "--dim", "3000000"):
-        "Gamma argument too large for an exact value: twice it exceeds 2097152",
-    **{
-        argv: _DIGIT_LIMIT_ERROR
-        for argv in (
-            ("volume", "--n", "1024"),
-            ("constants", "--n", "61"),
-            ("reference", "--body", "ball", "--dim", "20000"),
-            ("reference", "--body", "simplex", "--dim", "30000"),
-        )
-    },
-}
 
 
 @pytest.mark.parametrize(
