@@ -372,14 +372,8 @@ class ExactValue(Record):
         parts = self._parts
         if parts is not None:
             cofactor, num, den = parts
-            return ExactValue._deferred(
-                sign,
-                r,
-                self.p * k,
-                cofactor**k * scale,
-                [(x, e * k) for x, e in num],
-                [(x, e * k) for x, e in den],
-            )
+            num, den = [(x, e * k) for x, e in num], [(x, e * k) for x, e in den]
+            return ExactValue._deferred(sign, r, self.p * k, cofactor**k * scale, num, den)
         return ExactValue(sign, self.q**k * scale, r, self.p * k)
 
     __pow__ = pow_int
