@@ -139,10 +139,10 @@ def _cmd_constants(args):
     exact_mode = (2 * alpha).denominator == 1 and beta in (1, 2)
     if exact_mode:
         params = constants.EnsembleParams(args.n, alpha, int(beta))
-        return [
-            _record("laguerre_integral", exact=constants.laguerre_integral(params), **base),
-            _record("c_norm", exact=constants.c_norm(params), **base),
-        ]
+        # C_N first: where it is too long to print, it is refused from its
+        # blocks before the integral is built
+        c_norm = _record("c_norm", exact=constants.c_norm(params), **base)
+        return [_record("laguerre_integral", exact=constants.laguerre_integral(params), **base), c_norm]
     log_c = constants.log_c_norm(args.n, float(alpha), float(beta))
     try:
         value = math.exp(log_c)

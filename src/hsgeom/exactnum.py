@@ -18,9 +18,10 @@ double's rounding, and an exponent range wide enough that no intermediate
 overflows or underflows.  Every operation goes through that context, so
 the caller's ``decimal.getcontext()`` never changes a result.
 
-A Gamma product is held as prime blocks raised to powers until something
-reads its rational part, so a float, a log10 or a refused string never
-builds integers of millions of digits (see ``ExactValue``).
+Every value holds its rational part as a cofactor times prime blocks
+raised to powers, built only when something reads it, so a float, a log10
+or a refused string never builds integers of millions of digits (see
+``ExactValue``).
 """
 
 from __future__ import annotations
@@ -98,12 +99,6 @@ def _ln(x: Decimal) -> Decimal:
     return _CTX.add(ln_m, _CTX.multiply(e, _LN10))
 
 
-def _top(x: int) -> tuple[int, int]:
-    """x cut to its top ``_TOP_BITS`` bits, and the bits cut: x ~ top * 2^shift."""
-    shift = max(x.bit_length() - _TOP_BITS, 0)
-    return x >> shift, shift
-
-
 def _power_top(blocks) -> tuple[Decimal, int]:
     """prod x^e over (block x, power e) pairs as (m, s), the product being about m * 2^s.
 
@@ -113,8 +108,8 @@ def _power_top(blocks) -> tuple[Decimal, int]:
     """
     m, s = Decimal(1), 0
     for x, e in blocks:
-        top, shift = _top(x)
-        m = _CTX.multiply(m, _CTX.power(top, e))
+        shift = max(x.bit_length() - _TOP_BITS, 0)
+        m = _CTX.multiply(m, _CTX.power(x >> shift, e))
         s += e * shift
     return m, s
 
@@ -125,16 +120,16 @@ def _log2(blocks) -> float:
 
 
 def _refuse_long_sides(parts) -> None:
-    """Raise int.__str__'s ValueError if a side of a deferred q certainly has too many digits.
+    """Raise int.__str__'s ValueError if a side of q certainly has too many digits.
 
-    ``parts`` is a deferred value's (cofactor, num, den).  Its numerator is
+    ``parts`` is a value's (cofactor, num, den).  Its numerator is
     at least prod x^e over ``num`` divided by the cofactor's denominator
     (the most the gcd with it can take out), and likewise for its
     denominator.  log2 of that product, summed in doubles and cut by a
     relative 1e-9 that covers their rounding, is a lower bound.  Where it
     does not show more digits than ``sys.get_int_max_str_digits()``, or the
     interpreter has no limit, nothing is refused: the build and
-    ``int.__str__`` decide.
+    ``int.__str__`` decide.  A value without blocks is never refused here.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
@@ -221,31 +216,24 @@ class ExactValue(Record):
     of pi.  Zero is uniquely (0, 1, 1, 0).  Two values are equal iff all four
     fields match, so ``==`` is exact algebraic equality.
 
-    A value from ``gamma_product`` is deferred: q is held as a small built
-    cofactor times prod x^e over the numerator's (block x, power e) pairs,
-    over the same product for the denominator, and is built the first time
-    something reads it: ``str``, ``==``, ``hash``, ``repr``, the field
-    itself, or a product of two deferred values.  Products with built
-    values, quotients by them, inverses, powers and negation stay deferred.
-    Until q is built, ``log10`` and ``to_float`` take the magnitude from the
-    blocks' top bits, and ``str`` refuses at once a side with certainly more
-    digits than ``sys.get_int_max_str_digits()`` allows.  The q built is the
-    one a built value of the same number holds, so strings and equality do
-    not depend on whether a value was deferred.
+    Every value holds q as ``_parts = (cofactor, num, den)``: a Fraction
+    times prod x^e over the numerator's (block x, power e) pairs, over the
+    same product for the denominator.  Without blocks q is the cofactor.
+    With blocks, as from ``gamma_product``, q is built the first time
+    something reads it (``str``, ``==``, ``hash``, ``repr``, the field
+    itself), and the value then holds (q, (), ()).  Blocks of two values
+    need not be coprime, so a product of two values with blocks first
+    builds the one with smaller blocks.  ``log10`` and ``to_float`` read
+    the top bits of cofactor and blocks, and ``str`` refuses at once a side
+    with certainly more digits than ``sys.get_int_max_str_digits()`` allows.
+    The q built does not depend on how or when the value was made.
     """
 
     __slots__ = ("sign", "q", "r", "p", "_parts")
 
-    # Stored and keyed by hand, not through ``_set`` and the generic ``_key``:
-    # every *, / and pow_int builds an ExactValue and the exact answers are
-    # compared with ==, where the generic forms cost 0.79 against 0.61 us.
     def __init__(self, sign: int, q: Fraction, r: int, p: int):
         q, r, p = Fraction(q), int(r), int(p)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_parts", None)
+        self._set(sign, q, r, p, (q, (), ()))
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
         if sign == 0:
@@ -258,34 +246,39 @@ class ExactValue(Record):
             raise ValueError(f"r must be a squarefree positive integer, got {r}")
 
     @classmethod
-    def _deferred(cls, sign: int, r: int, p: int, cofactor: Fraction, num: list, den: list) -> "ExactValue":
-        """sign * cofactor * prod(num) / prod(den) * sqrt(r) * pi^(p/2), with q not built.
+    def _from_parts(cls, sign: int, r: int, p: int, cofactor: Fraction, num, den) -> "ExactValue":
+        """sign * cofactor * prod(num) / prod(den) * sqrt(r) * pi^(p/2), the maker of every result.
 
         ``num`` and ``den`` hold (block, power > 0) pairs whose products are
-        coprime; ``cofactor`` is a positive Fraction.
+        coprime; ``cofactor`` is a positive Fraction.  Stored by hand, not
+        checked by ``__init__`` nor stored by ``_set``: every *, / and
+        pow_int makes one and the exact answers are compared with ==, where
+        the generic ``_set`` and ``_key`` cost 0.79 against 0.61 us.
         """
         v = object.__new__(cls)
         object.__setattr__(v, "sign", sign)
         object.__setattr__(v, "r", r)
         object.__setattr__(v, "p", p)
         object.__setattr__(v, "_parts", (cofactor, num, den))
+        if not (num or den):
+            object.__setattr__(v, "q", cofactor)
         return v
 
     def __getattr__(self, name):
-        # Reached only for a slot that was never set: q of a deferred value.
-        # The two products are coprime and so are the cofactor's integers,
-        # so only a gcd with the small cofactor is left to take out.  Two
-        # threads that read q at once both build it, to the same Fraction.
-        parts = self._parts if name == "q" else None
-        if parts is None:
+        # Reached only for a slot that was never set: q of a value with
+        # blocks.  The two products are coprime and so are the cofactor's
+        # integers, so only a gcd of each product with the cofactor is left
+        # to take out.  Two threads that read q at once both build it, to
+        # the same Fraction.
+        if name != "q":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        cofactor, num, den = parts
+        cofactor, num, den = self._parts
         a, b = cofactor.numerator, cofactor.denominator
         n, d = _power_product(num), _power_product(den)
         g, h = math.gcd(a, d), math.gcd(b, n)
         q = _coprime_fraction(a // g * (n // h), b // h * (d // g))
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_parts", None)
+        object.__setattr__(self, "_parts", (q, (), ()))
         return q
 
     def _key(self) -> tuple:
@@ -315,14 +308,14 @@ class ExactValue(Record):
         # division is needed here.
         g = math.gcd(self.r, other.r)
         r, p = (self.r // g) * (other.r // g), self.p + other.p
-        # a deferred factor takes a built one's rational into its cofactor;
-        # two deferred factors are both built
         mine, theirs = self._parts, other._parts
-        if mine is not None and theirs is None:
-            return ExactValue._deferred(sign, r, p, mine[0] * other.q * g, *mine[1:])
-        if theirs is not None and mine is None:
-            return ExactValue._deferred(sign, r, p, theirs[0] * self.q * g, *theirs[1:])
-        return ExactValue(sign, self.q * other.q * g, r, p)
+        if (mine[1] or mine[2]) and (theirs[1] or theirs[2]):
+            # the blocks of two values need not be coprime: the smaller value is built
+            size = [_log2(parts[1]) + _log2(parts[2]) for parts in (mine, theirs)]
+            (self if size[0] <= size[1] else other).q
+            mine, theirs = self._parts, other._parts
+        blocks = mine[1:] if mine[1] or mine[2] else theirs[1:]
+        return ExactValue._from_parts(sign, r, p, mine[0] * theirs[0] * g, *blocks)
 
     __rmul__ = __mul__
 
@@ -330,11 +323,8 @@ class ExactValue(Record):
         if self.sign == 0:
             raise ZeroDivisionError("division by exact zero")
         # 1/sqrt(r) = sqrt(r)/r keeps the radicand unchanged.
-        parts = self._parts
-        if parts is not None:
-            cofactor, num, den = parts
-            return ExactValue._deferred(self.sign, self.r, -self.p, 1 / (cofactor * self.r), den, num)
-        return ExactValue(self.sign, 1 / (self.q * self.r), self.r, -self.p)
+        cofactor, num, den = self._parts
+        return ExactValue._from_parts(self.sign, self.r, -self.p, 1 / (cofactor * self.r), den, num)
 
     def __truediv__(self, other) -> "ExactValue":
         other = self._coerce(other)
@@ -351,10 +341,7 @@ class ExactValue(Record):
     def __neg__(self) -> "ExactValue":
         if self.sign == 0:
             return ZERO
-        parts = self._parts
-        if parts is not None:
-            return ExactValue._deferred(-self.sign, self.r, self.p, *parts)
-        return ExactValue(-self.sign, self.q, self.r, self.p)
+        return ExactValue._from_parts(-self.sign, self.r, self.p, *self._parts)
 
     def pow_int(self, k: int) -> "ExactValue":
         """Integer power; k < 0 requires a nonzero base."""
@@ -368,31 +355,19 @@ class ExactValue(Record):
         if k < 0:
             return self._inverse().pow_int(-k)
         sign, r = (self.sign, self.r) if k % 2 else (1, 1)
-        scale = Fraction(self.r) ** (k // 2)
-        parts = self._parts
-        if parts is not None:
-            cofactor, num, den = parts
-            num, den = [(x, e * k) for x, e in num], [(x, e * k) for x, e in den]
-            return ExactValue._deferred(sign, r, self.p * k, cofactor**k * scale, num, den)
-        return ExactValue(sign, self.q**k * scale, r, self.p * k)
+        cofactor, num, den = self._parts
+        num, den = [(x, e * k) for x, e in num], [(x, e * k) for x, e in den]
+        return ExactValue._from_parts(sign, r, self.p * k, cofactor**k * Fraction(self.r) ** (k // 2), num, den)
 
     __pow__ = pow_int
 
     # -- conversion ---------------------------------------------------------
 
     def _magnitude(self) -> Decimal:
-        """q * sqrt(r) in ``_CTX``, from the top bits of numerator and denominator.
-
-        While q is not built, each side is the product of its blocks' top
-        bits raised to their powers, times an integer of the cofactor.
-        """
-        parts = self._parts
-        if parts is None:
-            (num, a), (den, b) = _top(self.q.numerator), _top(self.q.denominator)
-        else:
-            cofactor, num_blocks, den_blocks = parts
-            num, a = _power_top([(cofactor.numerator, 1), *num_blocks])
-            den, b = _power_top([(cofactor.denominator, 1), *den_blocks])
+        """q * sqrt(r) in ``_CTX``, from the top bits of the cofactor's integers and the blocks."""
+        cofactor, num_blocks, den_blocks = self._parts
+        num, a = _power_top([(cofactor.numerator, 1), *num_blocks])
+        den, b = _power_top([(cofactor.denominator, 1), *den_blocks])
         m = _CTX.divide(num, den)
         if a != b:
             m = _CTX.multiply(m, _CTX.power(2, a - b))
@@ -403,26 +378,24 @@ class ExactValue(Record):
     def to_float(self) -> float:
         """Nearest double (0.0 or inf if outside the double range).
 
-        A rational may lie exactly halfway between two doubles, so it is
+        A value whose log2, summed over its cofactor and blocks, lies well
+        outside the double range is 0.0 or inf without building q.  A
+        rational may lie exactly halfway between two doubles, so it is
         divided exactly.  Any other value is irrational; it is formed at 40
         digits and rounded to a double once, so subnormal results are the
-        nearest subnormal too.  A deferred value whose log2, summed over its
-        blocks, lies well outside the double range is 0.0 or inf without
-        building q; any other is built first.
+        nearest subnormal too.
         """
         if self.sign == 0:
             return 0.0
-        deferred = self._parts
-        if deferred is not None:
-            cofactor, num, den = deferred
-            log2 = _log2(num) - _log2(den) + math.log2(cofactor.numerator) - math.log2(cofactor.denominator)
-            log2 += math.log2(self.r) / 2 + self.p * _LOG2_SQRT_PI
-            # doubles end at 2^1024 and round to 0.0 below 2^-1075; the
-            # margins cover the rounding of the sum many times over
-            if log2 > 1030:
-                return self.sign * math.inf
-            if log2 < -1080:
-                return self.sign * 0.0
+        cofactor, num, den = self._parts
+        log2 = _log2([(cofactor.numerator, 1), *num]) - _log2([(cofactor.denominator, 1), *den])
+        log2 += math.log2(self.r) / 2 + self.p * _LOG2_SQRT_PI
+        # doubles end at 2^1024 and round to 0.0 below 2^-1075; the margins
+        # cover the rounding of the sum many times over
+        if log2 > 1030:
+            return self.sign * math.inf
+        if log2 < -1080:
+            return self.sign * 0.0
         if self.r == 1 and self.p == 0:
             try:
                 return self.sign * float(self.q)
@@ -452,9 +425,7 @@ class ExactValue(Record):
         """Canonical grammar ``[-]a/b[*sqrt(r)][*pi^(p/2)]``, unit factors omitted."""
         if self.sign == 0:
             return "0"
-        deferred = self._parts
-        if deferred is not None:
-            _refuse_long_sides(deferred)
+        _refuse_long_sides(self._parts)
         parts = [
             str(self.q.numerator)
             if self.q.denominator == 1
@@ -666,9 +637,9 @@ def gamma_product(powers) -> ExactValue:
     multiplied into one integer, and each goes to one side with its net
     exponent, so the two sides are coprime.
 
-    The value returned is deferred (see ``ExactValue``): it keeps the two
-    lists of (block, power) pairs, so a log10, a float or a refused string
-    costs no powering.  Only a read of q builds numerator and denominator,
+    The value returned keeps the two lists of (block, power) pairs (see
+    ``ExactValue``), so a log10, a float or a refused string costs no
+    powering.  Only a read of q builds numerator and denominator,
     each once by binary powering over balanced products (Borwein, "On the
     complexity of calculating factorials", J. Algorithms 6, 1985), and the
     Fraction from them without a gcd, which took 7.2 of the 18.7 ms of
@@ -701,7 +672,7 @@ def gamma_product(powers) -> ExactValue:
             raise ValueError(
                 f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits"
             )
-    return ExactValue._deferred(1, 1, half_pi, Fraction(1), num, den)
+    return ExactValue._from_parts(1, 1, half_pi, Fraction(1), num, den)
 
 
 _GRAMMAR = re.compile(

@@ -637,6 +637,7 @@ def test_unrepresentable_exponents_are_named_in_one_error_line(capsys, command, 
         (["constants", "--n", "61"], exactnum, "_power_product"),
         (["reference", "--body", "ball", "--dim", "20000"], exactnum, "_power_product"),
         (["reference", "--body", "simplex", "--dim", "30000"], exactnum, "_power_product"),
+        (["constants", "--n", "60"], exactnum, "_power_product"),
     ],
 )
 def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, module, name):

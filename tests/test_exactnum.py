@@ -401,13 +401,28 @@ def _unreachable_power_product(bases):
     raise AssertionError("built the product")
 
 
-def test_a_deferred_value_keeps_the_record_contract():
+def _count_power_products(monkeypatch) -> list:
+    """Records every ``_power_product`` call, which still builds; returns the record."""
+    calls, build = [], exactnum._power_product
+
+    def counted(bases):
+        calls.append(bases)
+        return build(bases)
+
+    monkeypatch.setattr(exactnum, "_power_product", counted)
+    return calls
+
+
+def test_a_deferred_value_keeps_the_record_contract(monkeypatch):
     # Gamma(5/2)^2 / Gamma(4) = (3/4 sqrt(pi))^2 / 6
+    calls = _count_power_products(monkeypatch)
     v = gamma_product({5: 2, 8: -1})
     built = ExactValue(1, Fraction(3, 32), 1, 2)
-    assert v._parts is not None
-    assert v == built and built == v and hash(v) == hash(built)
-    assert v._parts is None  # == read q
+    assert calls == []
+    assert v == built and len(calls) == 2  # the first == builds numerator and denominator
+    assert built == v and hash(v) == hash(built) and v == built
+    assert repr(v) == "ExactValue(sign=1, q=Fraction(3, 32), r=1, p=2)"
+    assert len(calls) == 2  # and nothing reads them again
     w = gamma_product({5: 2, 8: -1})
     assert repr(w) == "ExactValue(sign=1, q=Fraction(3, 32), r=1, p=2)"
     u = gamma_product({5: 2, 8: -1})
@@ -423,11 +438,10 @@ def test_a_deferred_value_keeps_the_record_contract():
 
 
 def test_products_with_built_values_stay_deferred(monkeypatch):
-    sqrt_pi = gamma_exact(Fraction(1, 2))
     factor = 3 * exact_sqrt(6) * PI / 7
     # Gamma(7/2) = 15/8 sqrt(pi), Gamma(6) = 120
     want = ExactValue(1, Fraction(15, 8 * 120), 1, 1)
-    monkeypatch.setattr(exactnum, "_power_product", _unreachable_power_product)
+    calls = _count_power_products(monkeypatch)
     results = {
         "mul": gamma_product({7: 1, 12: -1}) * factor,
         "rmul": factor * gamma_product({7: 1, 12: -1}),
@@ -437,9 +451,7 @@ def test_products_with_built_values_stay_deferred(monkeypatch):
         "pow": gamma_product({7: 1, 12: -1}).pow_int(3),
         "inverse": gamma_product({7: 1, 12: -1}).pow_int(-2),
     }
-    assert all(v._parts is not None for v in results.values())
-    monkeypatch.undo()
-    assert results == {
+    expected = {
         "mul": want * factor,
         "rmul": factor * want,
         "div": want / factor,
@@ -448,9 +460,41 @@ def test_products_with_built_values_stay_deferred(monkeypatch):
         "pow": want.pow_int(3),
         "inverse": want.pow_int(-2),
     }
-    # a product of two deferred values builds both
-    product = gamma_exact(5) * sqrt_pi
-    assert product._parts is None and product == ExactValue(1, Fraction(24), 1, 1)
+    assert calls == []
+    assert results == expected and len(calls) == 2 * len(results)
+    assert results == expected and {hash(v) for v in results.values()} == {hash(v) for v in expected.values()}
+    assert repr(results) == repr(expected) and len(calls) == 2 * len(results)
+    # of two values with blocks the smaller, Gamma(5) = 24, is built at once,
+    # and the product keeps the blocks of Gamma(7/2) = 15/8 sqrt(pi)
+    calls.clear()
+    product = gamma_exact(5) * gamma_exact(Fraction(7, 2))
+    assert calls == [[(2, 3), (3, 1)], []]
+    assert product == ExactValue(1, Fraction(45), 1, 1) and len(calls) == 4
+
+
+@pytest.mark.parametrize("large_first", [True, False])
+def test_a_product_of_two_gamma_products_builds_only_the_smaller(monkeypatch, large_first):
+    def product(n):
+        large, small = vol_mixed(StateSpace(n)), gamma_exact(Fraction(7, 2))
+        return large * small if large_first else small * large
+
+    # equal to the product of the built factors, at n = 200: building the
+    # n = 1000 volume takes seconds
+    factors = vol_mixed(StateSpace(200)), gamma_exact(Fraction(7, 2))
+    large, small = (ExactValue(v.sign, v.q, v.r, v.p) for v in factors)
+    assert product(200) == large * small
+    # the n = 1000 volume's numerator and denominator are never built
+    build = exactnum._power_product
+
+    def guarded(bases):
+        if sum(e * x.bit_length() for x, e in bases) > 10**5:
+            raise AssertionError("built the larger factor")
+        return build(bases)
+
+    monkeypatch.setattr(exactnum, "_power_product", guarded)
+    value = product(1000)
+    assert value.log10() == pytest.approx(-3992332.666276592 + math.log10(15 / 8 * math.sqrt(math.pi)), rel=1e-15)
+    assert value.to_float() == 0.0
 
 
 def test_deferred_values_read_their_floats_without_building(monkeypatch):
