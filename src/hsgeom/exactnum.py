@@ -42,6 +42,7 @@ from decimal import (
     Overflow,
 )
 from fractions import Fraction
+from functools import partial
 from itertools import compress, count, repeat
 from operator import floordiv, le, mul
 
@@ -140,6 +141,14 @@ def _refuse_long_sides(parts) -> None:
             raise ValueError(_DIGIT_LIMIT_ERROR.format(limit))
 
 
+def as_integer(x, name: str) -> int:
+    """x as an int; a ValueError naming it refuses a value such as 2.5 that int() would truncate."""
+    k = int(x)
+    if k != x:
+        raise ValueError(f"{name} must be an integer, got {x}")
+    return k
+
+
 def _squarefree(n: int) -> tuple[int, int]:
     """Split n > 0 as s^2 * r with r squarefree; returns (s, r).
 
@@ -232,7 +241,7 @@ class ExactValue(Record):
     __slots__ = ("sign", "q", "r", "p", "_parts")
 
     def __init__(self, sign: int, q: Fraction, r: int, p: int):
-        q, r, p = Fraction(q), int(r), int(p)
+        q, r, p = Fraction(q), as_integer(r, "r"), as_integer(p, "p")
         self._set(sign, q, r, p, (q, (), ()))
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
@@ -345,7 +354,7 @@ class ExactValue(Record):
 
     def pow_int(self, k: int) -> "ExactValue":
         """Integer power; k < 0 requires a nonzero base."""
-        k = int(k)
+        k = as_integer(k, "exponent")
         if k == 0:
             return ONE
         if self.sign == 0:
@@ -445,7 +454,7 @@ PI = ExactValue(1, Fraction(1), 1, 2)
 
 
 def from_rational(x) -> ExactValue:
-    """Embed a rational (int, Fraction, or numerator/denominator pair) in the field."""
+    """Embed a rational (int or Fraction) in the field."""
     x = Fraction(x)
     if x == 0:
         return ZERO
@@ -588,25 +597,14 @@ def _prime_exponents(fact: dict[int, int], twos: int) -> dict[int, list[int]]:
 _MAX_GAMMA_KEY = 1 << 21
 
 
-def _coprime_constructor(cls=Fraction):
-    """A builder of a ``cls`` from a numerator and a positive denominator known to be coprime.
-
-    It skips their gcd through a private hook of ``fractions``, chosen by
-    feature, not version: ``_from_coprime_ints`` (Python 3.12 on), else the
-    ``_normalize=False`` flag it replaced, else the public constructor, so a
-    Python with neither still imports the package.
-    """
-    from_coprime = getattr(cls, "_from_coprime_ints", None)
-    if callable(from_coprime):
-        return from_coprime
-    try:
-        cls(1, 1, _normalize=False)
-    except TypeError:
-        return cls
-    return lambda num, den: cls(num, den, _normalize=False)
-
-
-_coprime_fraction = _coprime_constructor()
+# Builds a Fraction from a numerator and a positive denominator known to be
+# coprime, skipping their gcd, through a private hook of ``fractions``:
+# ``_from_coprime_ints`` from Python 3.12, the ``_normalize=False`` flag it
+# replaced before that.
+if sys.version_info >= (3, 12):
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    _coprime_fraction = partial(Fraction, _normalize=False)
 
 
 # Most bits gamma_product builds in a numerator or denominator: about 10^7

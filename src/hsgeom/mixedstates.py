@@ -21,7 +21,9 @@ from collections import Counter
 from fractions import Fraction
 
 from .constants import EnsembleParams, c_norm_powers
-from .exactnum import ExactValue, PI, Record, exact_sqrt, from_rational, gamma_exact, gamma_product
+from .exactnum import (
+    ONE, PI, ExactValue, Record, as_integer, exact_sqrt, from_rational, gamma_exact, gamma_product
+)
 from .groups import (
     Convention,
     CosetSpec,
@@ -203,30 +205,27 @@ class ReferenceBody(Record):
         return self.boundary_ratio
 
 
-def reference_body(kind: ReferenceKind | str, dim: int, side=1) -> ReferenceBody:
+def reference_body(kind: ReferenceKind | str, dim: int) -> ReferenceBody:
     """Exact volume and gamma of a reference body of the given dimension.
 
-    ``side`` is the edge length (cube, simplex, diamond) or radius (ball,
-    sphere); any rational or ExactValue is accepted.
+    The cube, simplex and diamond have unit edge, the ball and sphere unit
+    radius.
     """
     kind = ReferenceKind(kind)
+    dim = as_integer(dim, "dimension")
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    scale = side if isinstance(side, ExactValue) else from_rational(side)
-    if scale.sign <= 0:
-        raise ValueError("side or radius must be positive")
-    scaled = scale.pow_int(dim)
     if kind is ReferenceKind.BALL:
-        return ReferenceBody(kind, scaled * ball_volume(dim), from_rational(dim) / scale)
+        return ReferenceBody(kind, ball_volume(dim), from_rational(dim))
     if kind is ReferenceKind.CUBE:
-        return ReferenceBody(kind, scaled, from_rational(2 * dim) / scale)
+        return ReferenceBody(kind, ONE, from_rational(2 * dim))
     if kind is ReferenceKind.SPHERE:
-        return ReferenceBody(kind, scaled * sphere_volume(dim), None)
-    # Regular simplex of side L: L^D sqrt(D+1) / (sqrt(2^D) D!); a diamond is
+        return ReferenceBody(kind, sphere_volume(dim), None)
+    # Regular simplex of unit edge: sqrt(D+1) / (sqrt(2^D) D!); a diamond is
     # two simplices glued along a face, with 2D instead of D+1 boundary faces.
     # D! = Gamma(D + 1) comes first, so a D past its bound is refused at once.
-    simplex_vol = scaled / gamma_exact(dim + 1) * exact_sqrt(Fraction(dim + 1, 2**dim))
+    simplex_vol = 1 / gamma_exact(dim + 1) * exact_sqrt(Fraction(dim + 1, 2**dim))
     slope = exact_sqrt(Fraction(2 * dim, dim + 1))
     if kind is ReferenceKind.SIMPLEX:
-        return ReferenceBody(kind, simplex_vol, slope * (dim * (dim + 1)) / scale)
-    return ReferenceBody(kind, 2 * simplex_vol, slope * dim**2 / scale)
+        return ReferenceBody(kind, simplex_vol, slope * (dim * (dim + 1)))
+    return ReferenceBody(kind, 2 * simplex_vol, slope * dim**2)

@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .exactnum import as_integer
+
 __all__ = ["make_rng", "sample_hs_batch", "eigvals_hermitian", "gell_mann_basis"]
 
 HERMITICITY_TOL = 1e-12
@@ -52,7 +54,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     if not (0 <= seed < 1 << 64 and 0 <= stream < 1 << 64):
         # Philox keys are 64-bit words: a larger value would alias a smaller one
         raise ValueError("seed and stream must be nonnegative and below 2**64")
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    key = [as_integer(seed, "seed"), as_integer(stream, "stream")]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _check_request(n: int, field: str, size: int) -> None:

@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .constants import log_c_norm
-from .exactnum import Record, exact_sqrt
+from .exactnum import Record, as_integer, exact_sqrt
 from .groups import ball_volume
 from .mixedstates import StateSpace, vol_mixed
 from .sampling import (
@@ -84,6 +84,7 @@ def _check_draws(n_samples: int, seed: int, chunks: int, workers: int) -> None:
         raise ValueError(f"n_samples={n_samples} must be divisible by chunks={chunks}")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed and stream must be nonnegative and below 2**64")
+    as_integer(seed, "seed")
 
 
 def _blocks(size: int, rows: int):
@@ -635,34 +636,26 @@ def _reference_cdf(n: int, field: str):
 
 
 def spectral_fit_test(
-    n: int, field: str, n_samples: int, seed: int, sampler=None, chunks: int = 10, workers: int = 1
+    n: int, field: str, n_samples: int, seed: int, chunks: int = 10, workers: int = 1
 ) -> tuple[float, float]:
     """Chi-square fit of sampled top eigenvalues against the reference marginal.
 
     A top eigenvalue t goes to bin min(floor(F(t) * _BINS), _BINS - 1) of
     its reference CDF F; F(t) is uniform under the reference law, so every
-    bin has probability exactly 1/_BINS.  ``sampler(rng, size) -> (size, k)``
-    returns rows whose maxima are the top eigenvalues; it is called once
-    per block of ``block_rows(n)`` draws of a chunk, in order, and a chunk's
-    record is the sum of its blocks' counts.  The default draws HS
-    states and gives each one's top eigenvalue from its entries
-    (``_top_eigenvalue``, k = 1), with no eigensolver; a sampler returning
-    full spectra (k = n) can replace it to test another generator
-    (negative controls).
+    bin has probability exactly 1/_BINS.  A chunk draws ``block_rows(n)``
+    HS states at a time (``sample_hs_batch``), takes each one's top
+    eigenvalue from its entries (``_top_eigenvalue``), with no eigensolver,
+    and its record is the sum of its blocks' counts.
 
     Returns (statistic, p_value) with _BINS - 1 degrees of freedom.
     """
     # looked up first: a pair with no reference marginal is refused before any draw
     cdf = _reference_cdf(n, field)
-    if sampler is None:
-
-        def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-            return _top_eigenvalue(sample_hs_batch(n, field, rng, size))[:, None]
 
     def histogram(rng: np.random.Generator, size: int) -> np.ndarray:
         counts = np.zeros(_BINS, dtype=np.intp)
         for rows in _blocks(size, block_rows(n)):
-            u = cdf(np.asarray(sampler(rng, rows)).max(axis=-1))
+            u = cdf(_top_eigenvalue(sample_hs_batch(n, field, rng, rows)))
             # clipped first: rounding can put t an ulp outside the CDF's support
             counts += np.bincount(np.clip(u * _BINS, 0, _BINS - 1).astype(np.intp), minlength=_BINS)
         return counts

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hsgeom import cli
+from hsgeom import cli, verify
 from hsgeom.exactnum import ONE, PI, exact_sqrt, from_rational, gamma_exact
 from hsgeom.groups import Convention, CosetSpec, Family, sphere_volume, vol_coset, vol_group
 from hsgeom.mixedstates import StateSpace, geometry, vol_edge, vol_mixed
@@ -182,7 +182,7 @@ def test_criterion_4_float_radii():
     _finish(4, "float radii", failures, started, 1.0)
 
 
-def test_criterion_5_measure_verification():
+def test_criterion_5_measure_verification(monkeypatch):
     started = time.time()
     failures = []
     for n in (1, 2, 3, 4):
@@ -199,13 +199,14 @@ def test_criterion_5_measure_verification():
         if not report["pass"]:
             failures.append(f"{report['check']}: p={report['estimate']}")
 
-    def corrupted(rng, size):
-        a = rng.standard_normal((size, 2, 2))
+    def square_ginibre_states(n, field, rng, size):
+        # the wrong Wishart exponent: square real Ginibre X
+        a = rng.standard_normal((size, n, n))
         w = np.einsum("sij,skj->sik", a, a)
-        tr = np.einsum("sii->s", w)
-        return np.linalg.eigvalsh(w / tr[:, None, None])
+        return w / np.einsum("sii->s", w)[:, None, None]
 
-    _, p_corrupt = spectral_fit_test(2, "real", 100_000, seed=SEED, sampler=corrupted)
+    monkeypatch.setattr(verify, "sample_hs_batch", square_ginibre_states)
+    _, p_corrupt = spectral_fit_test(2, "real", 100_000, seed=SEED)
     if not p_corrupt < 0.001:
         failures.append(f"negative control not rejected: p={p_corrupt}")
     _finish(5, "measure verification", failures, started, 120.0)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from hsgeom import exactnum
 from hsgeom.exactnum import (
-    _coprime_constructor,
     _coprime_fraction,
     _squarefree,
     ExactValue,
@@ -375,23 +374,14 @@ def test_parse_rejects_junk():
             parse(bad)
 
 
-def test_coprime_fraction_is_chosen_by_feature():
-    class PublicOnly(Fraction):
-        # neither private hook, as on a Python that drops both
-        _from_coprime_ints = None
-
-        def __new__(cls, numerator=0, denominator=None):
-            return super().__new__(cls, numerator, denominator)
-
-    method = getattr(Fraction, "_from_coprime_ints", None)
-    if callable(method):  # Python 3.12 on; before it, the _normalize flag
-        assert _coprime_fraction == method
-    assert _coprime_constructor(PublicOnly) is PublicOnly
+def test_coprime_fraction_is_chosen_by_version():
+    if sys.version_info >= (3, 12):  # before it, the _normalize flag
+        assert _coprime_fraction == Fraction._from_coprime_ints
     pairs = [(0, 1), (1, 1), (-3, 4), (2**89 - 1, 3**50), (-(10**40) - 1, 10**39)]
-    for build in (_coprime_fraction, _coprime_constructor(PublicOnly)):
-        for num, den in pairs:
-            value = build(num, den)
-            assert value == Fraction(num, den) and (value.numerator, value.denominator) == (num, den)
+    for num, den in pairs:
+        value = _coprime_fraction(num, den)
+        assert type(value) is Fraction
+        assert value == Fraction(num, den) and (value.numerator, value.denominator) == (num, den)
 
 
 # -- deferred values: q is built only when something reads it --------------------

@@ -246,16 +246,6 @@ def test_reference_cube_simplex_diamond():
     assert diamond.volume == 2 * simplex.volume
     # diamond gamma scales exactly as D^2 / sqrt-correction
     assert diamond.gamma == exact_sqrt(Fraction(4, 3)) * 4
-
-
-def test_reference_side_scaling():
-    side = exact_sqrt(2)
-    scaled = reference_body("simplex", 3, side)
-    unit = reference_body("simplex", 3)
-    assert scaled.volume == unit.volume * side.pow_int(3)
-    assert scaled.gamma == unit.gamma / side
-    with pytest.raises(ValueError):
-        reference_body("cube", 2, 0)
     with pytest.raises(ValueError):
         reference_body("cube", 0)
 

@@ -1,14 +1,16 @@
 """The contract shared by the package's immutable records."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 
 from hsgeom.constants import EnsembleParams
-from hsgeom.exactnum import ONE, PI, ExactValue, Record
+from hsgeom.exactnum import ONE, PI, ExactValue, Record, exact_sqrt
 from hsgeom.groups import CosetSpec, Family
-from hsgeom.mixedstates import GeometrySummary, ReferenceBody, ReferenceKind, StateSpace
-from hsgeom.verify import MCEstimate
+from hsgeom.mixedstates import GeometrySummary, ReferenceBody, ReferenceKind, StateSpace, reference_body
+from hsgeom.sampling import make_rng
+from hsgeom.verify import MCEstimate, check_purity, mc_norm_constant
 
 # class, keyword fields, a second valid value for every field, repr of the
 # first, and one refused input with its ValueError message (None: no checks)
@@ -123,6 +125,30 @@ def test_record_defaults_and_canonical_fields():
     # q's numerator and denominator each decide equality
     assert ExactValue(1, Fraction(1, 3), 1, 0) != ExactValue(1, Fraction(2, 3), 1, 0)
     assert ExactValue(1, Fraction(1, 3), 1, 0) != ExactValue(1, Fraction(1, 2), 1, 0)
+
+
+@pytest.mark.parametrize(
+    "call, args, name",
+    [
+        (operator.pow, (PI, 0.5), "exponent"),
+        (PI.pow_int, (2.9,), "exponent"),
+        (operator.pow, (exact_sqrt(2), Fraction(1, 2)), "exponent"),
+        (ExactValue, (1, 1, 2.5, 0), "r"),
+        (ExactValue, (1, 1, 1, 2.5), "p"),
+        (reference_body, ("cube", 2.5), "dimension"),
+        (make_rng, (1.5,), "seed"),
+        (make_rng, (1, 0.5), "stream"),
+        (check_purity, (2, "complex", 1000, 1.5), "seed"),
+        (mc_norm_constant, (1, 1.0, 2.0, 1000, 1.5), "seed"),
+    ],
+    ids=["pi**0.5", "pow_int(2.9)", "sqrt2**half", "r", "p", "dim", "seed", "stream", "purity", "norm"],
+)
+def test_non_integral_arguments_are_refused(call, args, name):
+    # int() would truncate each of these into a wrong answer: pi^0.5 would be
+    # 1, a cube of dimension 2.5 would have volume 1, seed 1.5 would draw
+    # seed 1's stream and report seed=1.5
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(*args)
 
 
 def _subclasses(cls):

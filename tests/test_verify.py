@@ -626,30 +626,33 @@ def test_chi2_sf_matches_mpmath(dof):
         assert abs(_chi2_sf(statistic, dof) - exact) <= bound * exact, statistic
 
 
-def test_spectral_fit_rejects_corrupted_sampler():
-    # Negative control: square real Ginibre gives the wrong Wishart exponent
-    # and a visibly different top-eigenvalue marginal.
-    def corrupted(rng, size):
-        a = rng.standard_normal((size, 2, 2))
-        w = np.einsum("sij,skj->sik", a, a)
-        tr = np.einsum("sii->s", w)
-        return np.linalg.eigvalsh(w / tr[:, None, None])
+def _square_ginibre_states(n, field, rng, size):
+    """Negative control: W / tr W from square real Ginibre X, the wrong Wishart exponent."""
+    a = rng.standard_normal((size, n, n))
+    w = np.einsum("sij,skj->sik", a, a)
+    return w / np.einsum("sii->s", w)[:, None, None]
 
-    _, p_value = spectral_fit_test(2, "real", 100_000, seed=14, sampler=corrupted)
+
+def test_spectral_fit_rejects_corrupted_sampler(monkeypatch):
+    # square real Ginibre gives a visibly different top-eigenvalue marginal
+    monkeypatch.setattr(verify, "sample_hs_batch", _square_ginibre_states)
+    _, p_value = spectral_fit_test(2, "real", 100_000, seed=14)
     assert p_value < 0.001
 
 
-def test_spectral_fit_sampler_sees_one_chunk_at_a_time():
+def test_spectral_fit_sampler_sees_one_chunk_at_a_time(monkeypatch):
     sizes = []
+    sample_hs_batch = verify.sample_hs_batch
 
-    def recording(rng, size):
+    def recording(n, field, rng, size):
         sizes.append(size)
-        return np.linalg.eigvalsh(verify.sample_hs_batch(2, "complex", rng, size))
+        return sample_hs_batch(n, field, rng, size)
 
-    spectral_fit_test(2, "complex", 12_000, seed=0, sampler=recording, chunks=6)
+    monkeypatch.setattr(verify, "sample_hs_batch", recording)
+    spectral_fit_test(2, "complex", 12_000, seed=0, chunks=6)
     assert sizes == [2_000] * 6
     sizes.clear()
-    spectral_fit_test(2, "complex", 12_000, seed=0, sampler=recording)
+    spectral_fit_test(2, "complex", 12_000, seed=0)
     assert max(sizes) <= 12_000 // 10
 
 
@@ -695,12 +698,10 @@ def test_spectral_chunk_records_match_eigvalsh(monkeypatch, n, field):
         records.append(map_chunks(*args))
         return records[-1]
 
-    def full_spectra(rng, size):
-        return np.linalg.eigvalsh(verify.sample_hs_batch(n, field, rng, size))
-
     monkeypatch.setattr(verify, "_map_chunks", recording)
     spectral_fit_test(n, field, 100_000, seed=3)
-    spectral_fit_test(n, field, 100_000, seed=3, sampler=full_spectra)
+    monkeypatch.setattr(verify, "_top_eigenvalue", lambda rho: np.linalg.eigvalsh(rho)[:, -1])
+    spectral_fit_test(n, field, 100_000, seed=3)
     new, old = records
     assert len(new) == len(old) == 10
     for a, b in zip(new, old):
