@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .exactnum import ExactValue, Record, gamma_product
+from .exactnum import ExactValue, Record, as_integer, gamma_product
 
 __all__ = ["EnsembleParams", "laguerre_integral", "c_norm", "log_c_norm"]
 
@@ -28,7 +28,7 @@ class EnsembleParams(Record):
     __slots__ = ("n", "alpha", "beta")
 
     def __init__(self, n: int, alpha: Fraction, beta: int):
-        alpha = Fraction(alpha)
+        n, alpha = as_integer(n, "n"), Fraction(alpha)
         self._set(n, alpha, beta)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")

@@ -18,9 +18,11 @@ double's rounding, and an exponent range wide enough that no intermediate
 overflows or underflows.  Every operation goes through that context, so
 the caller's ``decimal.getcontext()`` never changes a result.
 
-Every value holds its rational part as a cofactor times prime blocks
-raised to powers, built only when something reads it, so a float, a log10
-or a refused string never builds integers of millions of digits (see
+Every value holds its rational part as a cofactor times a product of
+factorial powers, kept as the map j -> power of j!.  Its primes are found
+only when a float, a log10 or a string needs them, and its integers are
+built only when something reads q, so a refused string finds no prime and
+a float or a log10 never builds integers of millions of digits (see
 ``ExactValue``).
 """
 
@@ -73,9 +75,15 @@ _SQRT_PI = _CTX.sqrt(_PI)
 _LN10 = _CTX.ln(10)
 _HALF_LOG10_PI = _CTX.divide(_CTX.log10(_PI), 2)
 _LOG2_SQRT_PI = math.log2(math.pi) / 2
+_LN2 = math.log(2)
+_HALF_LN_2PI = math.log(2 * math.pi) / 2
+# ln j! below j = 16, where j! is a double and its log is rounded once
+_LN_FACTORIAL = tuple(math.log(math.factorial(j)) for j in range(16))
 # Numerator and denominator are cut to their top bits before they become
 # Decimals, a conversion quadratic in the digits; the cut errs by < 2^-191.
 _TOP_BITS = 192
+# The blocks of a value without a map, or with q built
+_NO_BLOCKS = ((), ())
 # What int.__str__ raises for an integer with more digits than the limit.
 _DIGIT_LIMIT_ERROR = (
     "Exceeds the limit ({} digits) for integer string conversion; "
@@ -120,24 +128,56 @@ def _log2(blocks) -> float:
     return sum(e * math.log2(x) for x, e in blocks)
 
 
-def _refuse_long_sides(parts) -> None:
+def _log_factorials(fact) -> tuple[float, float, float]:
+    """(ln P, ln Q, err) of a factorial map j -> k: P = prod j!^k over k > 0, Q = prod j!^-k over k < 0.
+
+    Computed ln P and ln Q together err by less than ``err`` = 1e-9 * S,
+    with S = sum |k| M_j and M_j = (j + 1)(ln j + 1):
+
+    - Below j = 16, ln j! is the log of the double j!, within 2u |ln j!|
+      (u = 2^-53, log within an ulp).
+    - From j = 16, ln j! is Stirling's series to its 1/j^3 term, (j + 1/2)
+      ln j - j + ln(2 pi)/2 + 1/(12 j) - 1/(360 j^3).  Its remainder lies in
+      (0, 1/(1260 j^5)) (DLMF 5.11.ii), below 1.2e-11 M_j.  Every partial
+      result stays below M_j, so rounding moves it by at most 9u M_j.
+    - Each k ln j! then errs by at most 11u |k| M_j (k itself may round),
+      and the running sums of the n keys by at most n u S.  A map has at
+      most 2^21 keys (the key bound of ``gamma_product``), so the total is
+      below (2^21 + 11) u S + 1.2e-11 S < 2.5e-10 S, less than half of
+      ``err`` even with S itself summed in doubles.
+    """
+    ln_p = ln_q = size = 0.0
+    log, small = math.log, _LN_FACTORIAL
+    for j, k in fact.items():
+        lj = log(j)
+        t = small[j] if j < 16 else (j + 0.5) * lj - j + _HALF_LN_2PI + (1 / 12 - 1 / (360 * j * j)) / j
+        if k > 0:
+            ln_p += k * t
+            size += k * (j + 1) * (lj + 1)
+        else:
+            ln_q -= k * t
+            size -= k * (j + 1) * (lj + 1)
+    return ln_p, ln_q, 1e-9 * size
+
+
+def _refuse_long_sides(cofactor: Fraction, num_log2: float, den_log2: float) -> None:
     """Raise int.__str__'s ValueError if a side of q certainly has too many digits.
 
-    ``parts`` is a value's (cofactor, num, den).  Its numerator is
-    at least prod x^e over ``num`` divided by the cofactor's denominator
-    (the most the gcd with it can take out), and likewise for its
-    denominator.  log2 of that product, summed in doubles and cut by a
-    relative 1e-9 that covers their rounding, is a lower bound.  Where it
-    does not show more digits than ``sys.get_int_max_str_digits()``, or the
-    interpreter has no limit, nothing is refused: the build and
-    ``int.__str__`` decide.  A value without blocks is never refused here.
+    q is ``cofactor`` times numerator blocks over denominator blocks, and
+    ``num_log2`` and ``den_log2`` are lower bounds of log2 of the two block
+    products.  q's numerator is at least its blocks divided by the
+    cofactor's denominator (the most the gcd with it can take out), and
+    likewise for its denominator.  Each bound is cut by a relative 1e-9,
+    which covers the rounding of a sum of block logs in doubles.  Where
+    that does not show more digits than ``sys.get_int_max_str_digits()``,
+    or the interpreter has no limit, nothing is refused: the build and
+    ``int.__str__`` decide.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
-    cofactor, num, den = parts
-    for blocks, divisor in ((num, cofactor.denominator), (den, cofactor.numerator)):
-        if _log2(blocks) * (1 - 1e-9) - divisor.bit_length() >= limit * _LOG2_10_UP:
+    for log2, divisor in ((num_log2, cofactor.denominator), (den_log2, cofactor.numerator)):
+        if log2 * (1 - 1e-9) - divisor.bit_length() >= limit * _LOG2_10_UP:
             raise ValueError(_DIGIT_LIMIT_ERROR.format(limit))
 
 
@@ -225,24 +265,36 @@ class ExactValue(Record):
     of pi.  Zero is uniquely (0, 1, 1, 0).  Two values are equal iff all four
     fields match, so ``==`` is exact algebraic equality.
 
-    Every value holds q as ``_parts = (cofactor, num, den)``: a Fraction
-    times prod x^e over the numerator's (block x, power e) pairs, over the
-    same product for the denominator.  Without blocks q is the cofactor.
-    With blocks, as from ``gamma_product``, q is built the first time
-    something reads it (``str``, ``==``, ``hash``, ``repr``, the field
-    itself), and the value then holds (q, (), ()).  Blocks of two values
-    need not be coprime, so a product of two values with blocks first
-    builds the one with smaller blocks.  ``log10`` and ``to_float`` read
-    the top bits of cofactor and blocks, and ``str`` refuses at once a side
-    with certainly more digits than ``sys.get_int_max_str_digits()`` allows.
-    The q built does not depend on how or when the value was made.
+    Every value holds q as ``_parts = (cofactor, fact, blocks)``: a
+    Fraction times prod j!^k over the items j: k of the factorial map
+    ``fact``.  Without a map q is the cofactor.  A value with a map, as from
+    ``gamma_product``, is read in three steps, each taken once and only
+    when needed:
+
+    - ``str`` and ``to_float`` first bound log2 of the map's product from
+      ``math.log`` (``_log_factorials``), which finds no prime.  ``str``
+      refuses at once a side with certainly more digits than
+      ``sys.get_int_max_str_digits()`` allows, and ``to_float`` returns 0.0
+      or inf for a value certainly outside the double range.
+    - The map's primes, grouped into blocks that share one exponent, are
+      found by ``_blocks``, and kept as ``blocks``, a (num, den) pair of
+      (block, power) lists: for ``log10``, for a ``to_float`` whose result
+      is a finite nonzero double, and for ``str`` before it builds.
+      ``log10`` and ``to_float`` read their top bits.
+    - q is built from the blocks the first time something reads it
+      (``str``, ``==``, ``hash``, ``repr``, the field itself), and the value
+      then holds (q, {}, ((), ())).
+
+    A product, quotient, power or negation adds, scales or negates the maps
+    and keeps a built factor in the cofactor.  The q built does not depend
+    on how or when the value was made.
     """
 
     __slots__ = ("sign", "q", "r", "p", "_parts")
 
     def __init__(self, sign: int, q: Fraction, r: int, p: int):
         q, r, p = Fraction(q), as_integer(r, "r"), as_integer(p, "p")
-        self._set(sign, q, r, p, (q, (), ()))
+        self._set(sign, q, r, p, (q, {}, _NO_BLOCKS))
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
         if sign == 0:
@@ -255,12 +307,12 @@ class ExactValue(Record):
             raise ValueError(f"r must be a squarefree positive integer, got {r}")
 
     @classmethod
-    def _from_parts(cls, sign: int, r: int, p: int, cofactor: Fraction, num, den) -> "ExactValue":
-        """sign * cofactor * prod(num) / prod(den) * sqrt(r) * pi^(p/2), the maker of every result.
+    def _from_parts(cls, sign: int, r: int, p: int, cofactor: Fraction, fact: dict) -> "ExactValue":
+        """sign * cofactor * prod j!^fact[j] * sqrt(r) * pi^(p/2), the maker of every result.
 
-        ``num`` and ``den`` hold (block, power > 0) pairs whose products are
-        coprime; ``cofactor`` is a positive Fraction.  Stored by hand, not
-        checked by ``__init__`` nor stored by ``_set``: every *, / and
+        ``fact`` maps integers j >= 2 to nonzero powers and is never changed
+        once stored; ``cofactor`` is a positive Fraction.  Stored by hand,
+        not checked by ``__init__`` nor stored by ``_set``: every *, / and
         pow_int makes one and the exact answers are compared with ==, where
         the generic ``_set`` and ``_key`` cost 0.79 against 0.61 us.
         """
@@ -268,26 +320,38 @@ class ExactValue(Record):
         object.__setattr__(v, "sign", sign)
         object.__setattr__(v, "r", r)
         object.__setattr__(v, "p", p)
-        object.__setattr__(v, "_parts", (cofactor, num, den))
-        if not (num or den):
+        object.__setattr__(v, "_parts", (cofactor, fact, None if fact else _NO_BLOCKS))
+        if not fact:
             object.__setattr__(v, "q", cofactor)
         return v
 
+    def _blocks(self) -> tuple:
+        """(cofactor, num, den): ``_parts`` with the map's blocks, found on the first call.
+
+        ``_parts`` is replaced whole, so a reader never pairs a cofactor
+        with the blocks of another state of the value.
+        """
+        cofactor, fact, blocks = self._parts
+        if blocks is None:
+            blocks = _factorial_blocks(fact)
+            object.__setattr__(self, "_parts", (cofactor, fact, blocks))
+        return cofactor, *blocks
+
     def __getattr__(self, name):
-        # Reached only for a slot that was never set: q of a value with
-        # blocks.  The two products are coprime and so are the cofactor's
-        # integers, so only a gcd of each product with the cofactor is left
-        # to take out.  Two threads that read q at once both build it, to
-        # the same Fraction.
+        # Reached only for a slot that was never set: q of a value with a
+        # map.  The two block products are coprime and so are the
+        # cofactor's integers, so only a gcd of each product with the
+        # cofactor is left to take out.  Two threads that read q at once
+        # both build it, to the same Fraction.
         if name != "q":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        cofactor, num, den = self._parts
+        cofactor, num, den = self._blocks()
         a, b = cofactor.numerator, cofactor.denominator
         n, d = _power_product(num), _power_product(den)
         g, h = math.gcd(a, d), math.gcd(b, n)
         q = _coprime_fraction(a // g * (n // h), b // h * (d // g))
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_parts", (q, (), ()))
+        object.__setattr__(self, "_parts", (q, {}, _NO_BLOCKS))
         return q
 
     def _key(self) -> tuple:
@@ -317,14 +381,17 @@ class ExactValue(Record):
         # division is needed here.
         g = math.gcd(self.r, other.r)
         r, p = (self.r // g) * (other.r // g), self.p + other.p
-        mine, theirs = self._parts, other._parts
-        if (mine[1] or mine[2]) and (theirs[1] or theirs[2]):
-            # the blocks of two values need not be coprime: the smaller value is built
-            size = [_log2(parts[1]) + _log2(parts[2]) for parts in (mine, theirs)]
-            (self if size[0] <= size[1] else other).q
-            mine, theirs = self._parts, other._parts
-        blocks = mine[1:] if mine[1] or mine[2] else theirs[1:]
-        return ExactValue._from_parts(sign, r, p, mine[0] * theirs[0] * g, *blocks)
+        (mine, my_fact, _), (theirs, their_fact, _) = self._parts, other._parts
+        fact = my_fact or their_fact
+        if my_fact and their_fact:
+            fact = dict(my_fact)
+            for j, k in their_fact.items():
+                k += fact.get(j, 0)
+                if k:
+                    fact[j] = k
+                else:
+                    del fact[j]
+        return ExactValue._from_parts(sign, r, p, mine * theirs * g, fact)
 
     __rmul__ = __mul__
 
@@ -332,8 +399,10 @@ class ExactValue(Record):
         if self.sign == 0:
             raise ZeroDivisionError("division by exact zero")
         # 1/sqrt(r) = sqrt(r)/r keeps the radicand unchanged.
-        cofactor, num, den = self._parts
-        return ExactValue._from_parts(self.sign, self.r, -self.p, 1 / (cofactor * self.r), den, num)
+        cofactor, fact, _ = self._parts
+        return ExactValue._from_parts(
+            self.sign, self.r, -self.p, 1 / (cofactor * self.r), {j: -k for j, k in fact.items()}
+        )
 
     def __truediv__(self, other) -> "ExactValue":
         other = self._coerce(other)
@@ -350,7 +419,7 @@ class ExactValue(Record):
     def __neg__(self) -> "ExactValue":
         if self.sign == 0:
             return ZERO
-        return ExactValue._from_parts(-self.sign, self.r, self.p, *self._parts)
+        return ExactValue._from_parts(-self.sign, self.r, self.p, *self._parts[:2])
 
     def pow_int(self, k: int) -> "ExactValue":
         """Integer power; k < 0 requires a nonzero base."""
@@ -364,9 +433,9 @@ class ExactValue(Record):
         if k < 0:
             return self._inverse().pow_int(-k)
         sign, r = (self.sign, self.r) if k % 2 else (1, 1)
-        cofactor, num, den = self._parts
-        num, den = [(x, e * k) for x, e in num], [(x, e * k) for x, e in den]
-        return ExactValue._from_parts(sign, r, self.p * k, cofactor**k * Fraction(self.r) ** (k // 2), num, den)
+        cofactor, fact, _ = self._parts
+        fact = {j: e * k for j, e in fact.items()}
+        return ExactValue._from_parts(sign, r, self.p * k, cofactor**k * Fraction(self.r) ** (k // 2), fact)
 
     __pow__ = pow_int
 
@@ -374,7 +443,7 @@ class ExactValue(Record):
 
     def _magnitude(self) -> Decimal:
         """q * sqrt(r) in ``_CTX``, from the top bits of the cofactor's integers and the blocks."""
-        cofactor, num_blocks, den_blocks = self._parts
+        cofactor, num_blocks, den_blocks = self._blocks()
         num, a = _power_top([(cofactor.numerator, 1), *num_blocks])
         den, b = _power_top([(cofactor.denominator, 1), *den_blocks])
         m = _CTX.divide(num, den)
@@ -387,24 +456,25 @@ class ExactValue(Record):
     def to_float(self) -> float:
         """Nearest double (0.0 or inf if outside the double range).
 
-        A value whose log2, summed over its cofactor and blocks, lies well
-        outside the double range is 0.0 or inf without building q.  A
-        rational may lie exactly halfway between two doubles, so it is
-        divided exactly.  Any other value is irrational; it is formed at 40
-        digits and rounded to a double once, so subnormal results are the
-        nearest subnormal too.
+        A value whose map bounds its log2 well outside the double range is
+        0.0 or inf without finding a prime.  A rational may lie exactly
+        halfway between two doubles, so it is divided exactly.  Any other
+        value is irrational; it is formed at 40 digits and rounded to a
+        double once, so subnormal results are the nearest subnormal too.
         """
         if self.sign == 0:
             return 0.0
-        cofactor, num, den = self._parts
-        log2 = _log2([(cofactor.numerator, 1), *num]) - _log2([(cofactor.denominator, 1), *den])
-        log2 += math.log2(self.r) / 2 + self.p * _LOG2_SQRT_PI
-        # doubles end at 2^1024 and round to 0.0 below 2^-1075; the margins
-        # cover the rounding of the sum many times over
-        if log2 > 1030:
-            return self.sign * math.inf
-        if log2 < -1080:
-            return self.sign * 0.0
+        cofactor, fact, _ = self._parts
+        if fact:
+            ln_p, ln_q, err = _log_factorials(fact)
+            log2 = (ln_p - ln_q) / _LN2 + math.log2(cofactor.numerator) - math.log2(cofactor.denominator)
+            log2 += math.log2(self.r) / 2 + self.p * _LOG2_SQRT_PI
+            # doubles end at 2^1024 and round to 0.0 below 2^-1075; the
+            # margins cover the rounding of the cofactor's and pi's logs
+            if log2 - err / _LN2 > 1030:
+                return self.sign * math.inf
+            if log2 + err / _LN2 < -1080:
+                return self.sign * 0.0
         if self.r == 1 and self.p == 0:
             try:
                 return self.sign * float(self.q)
@@ -434,7 +504,17 @@ class ExactValue(Record):
         """Canonical grammar ``[-]a/b[*sqrt(r)][*pi^(p/2)]``, unit factors omitted."""
         if self.sign == 0:
             return "0"
-        _refuse_long_sides(self._parts)
+        cofactor, fact, _ = self._parts
+        if fact:
+            # log2 F = ln(P/Q)/ln 2 is at most the log2 of the numerator
+            # blocks, -log2 F at most that of the denominator blocks, and
+            # less err lies below them by more than their sums' rounding:
+            # the map's test refuses only values that the blocks' test,
+            # once the primes are found, would refuse too
+            ln_p, ln_q, err = _log_factorials(fact)
+            _refuse_long_sides(cofactor, (ln_p - ln_q - err) / _LN2, (ln_q - ln_p - err) / _LN2)
+            cofactor, num, den = self._blocks()
+            _refuse_long_sides(cofactor, _log2(num), _log2(den))
         parts = [
             str(self.q.numerator)
             if self.q.denominator == 1
@@ -484,12 +564,22 @@ def gamma_exact(x) -> ExactValue:
     return gamma_product({int(2 * x): 1})
 
 
+# Longest list that _tree_product multiplies left to right.  On runs of
+# consecutive primes math.prod was faster up to 320 entries (0.22 against
+# 3.35 us at 4, 29 against 37 us at 256), about even at 384 and slower
+# beyond (8.6 against 2.8 ms at 4203), where pairing keeps the operands
+# balanced (best of 5, 2-core Xeon VM).
+_SHORT_PRODUCT = 320
+
+
 def _tree_product(xs: list[int]) -> int:
     """Product of the integers in xs, multiplying neighbours pairwise so operands stay balanced."""
+    if len(xs) <= _SHORT_PRODUCT:
+        return math.prod(xs)
     while len(xs) > 1:
         tail = [xs[-1]] if len(xs) % 2 else []
         xs = [a * b for a, b in zip(xs[0::2], xs[1::2])] + tail
-    return xs[0] if xs else 1
+    return xs[0]
 
 
 def _power_product(bases: list[tuple[int, int]]) -> int:
@@ -525,11 +615,11 @@ def _prime_table(top: int) -> array:
     return primes
 
 
-def _prime_exponents(fact: dict[int, int], twos: int) -> dict[int, list[int]]:
-    """Primes of 2^twos * prod j!^fact[j], grouped by their nonzero exponent.
+def _prime_exponents(fact: dict[int, int]) -> dict[int, list[int]]:
+    """Primes of prod j!^fact[j], grouped by their nonzero exponent.
 
     Legendre: the exponent of p is the sum of fact[j] * (j // p^k) over the
-    keys j and k >= 1, plus twos at p = 2.  The primes are a slice of the
+    keys j and k >= 1.  The primes are a slice of the
     shared prime table, and the work follows the keys rather than the
     primes up to the largest key ``top``:
 
@@ -560,13 +650,13 @@ def _prime_exponents(fact: dict[int, int], twos: int) -> dict[int, list[int]]:
         ints += [running] * (j + 1 - len(ints))
         running -= fact[j]
     high_fact = [fact[j] for j in high]
-    split = max(math.isqrt(top), len(ints) - 1, 2)  # 2 carries twos, so it is never in a block
+    split = max(math.isqrt(top), len(ints) - 1)
     lo = split + 1
     n_all = bisect_right(primes, top)
     n_split = bisect_right(primes, split, 0, n_all)
     by_exponent: dict[int, list[int]] = {}
     for p in primes[:n_split]:
-        e, q = (twos if p == 2 else 0), p
+        e, q = 0, p
         while q <= top:
             e += sum(ints[q::q])
             if high:
@@ -614,6 +704,16 @@ else:
 _MAX_PRODUCT_BITS = 1 << 25
 
 
+def _factorial_blocks(fact: dict[int, int]) -> tuple[list, list]:
+    """prod j!^fact[j] as (numerator, denominator) lists of (block, power > 0) pairs.
+
+    Each block is the product of the primes that share one net exponent,
+    and goes to one side with it, so the two sides are coprime.
+    """
+    bases = [(_tree_product(primes), e) for e, primes in _prime_exponents(fact).items()]
+    return [(x, e) for x, e in bases if e > 0], [(x, -e) for x, e in bases if e < 0]
+
+
 def gamma_product(powers) -> ExactValue:
     """prod Gamma(m/2)^k over the items m: k of ``powers``, exactly.
 
@@ -624,25 +724,33 @@ def gamma_product(powers) -> ExactValue:
     ``_MAX_PRODUCT_BITS`` bits, before it is built.  Powers may be any
     integers; zero powers are ignored and the empty map gives ONE.
 
-    Gamma(k + 1/2) = (2k)!/(4^k k!) sqrt(pi) turns the product into factorial
-    powers times 2^e pi^(h/2).  Legendre's formula over those factorials
-    gives the exponent of every prime, taken from one prime table shared by
-    all calls (``_prime_exponents``): primes up to the square root of the
-    largest factorial, or up to the end of its dense run of small
-    factorials, one at a time, and the primes above in blocks that share
-    one exponent.  The cost of that step grows with the number of keys and
-    blocks, not with the number of primes.  The primes of each block are
-    multiplied into one integer, and each goes to one side with its net
-    exponent, so the two sides are coprime.
+    Gamma(k + 1/2) = (2k)!/(4^k k!) sqrt(pi), with 4^k = 2!^(2k), turns the
+    product into the factorial map j -> power of j! times pi^(h/2), and the
+    value returned keeps that map (see ``ExactValue``): a refused string or
+    a float outside the double range finds no prime.  The primes are found
+    on the first read that needs them.  Legendre's formula over the map's
+    factorials gives the exponent of every prime, taken from one prime table
+    shared by all calls (``_prime_exponents``): primes up to the square
+    root of the largest factorial, or up to the end of its dense run of
+    small factorials, one at a time, and the primes above in blocks that
+    share one exponent.  The cost of that step grows with the number of
+    keys and blocks, not with the number of primes.
 
-    The value returned keeps the two lists of (block, power) pairs (see
-    ``ExactValue``), so a log10, a float or a refused string costs no
-    powering.  Only a read of q builds numerator and denominator,
-    each once by binary powering over balanced products (Borwein, "On the
-    complexity of calculating factorials", J. Algorithms 6, 1985), and the
-    Fraction from them without a gcd, which took 7.2 of the 18.7 ms of
-    c_norm at n = 197, alpha = 3/2 (2-core Xeon VM).  The blocks that
-    built vol_mixed at n = 1000 took 5.9 s to power out in full.
+    Only a read of q builds numerator and denominator, each once by binary
+    powering over balanced products (Borwein, "On the complexity of
+    calculating factorials", J. Algorithms 6, 1985), and the Fraction from
+    them without a gcd, which took 7.2 of the 18.7 ms of c_norm at n = 197,
+    alpha = 3/2 (2-core Xeon VM).  The blocks that built vol_mixed at
+    n = 1000 took 5.9 s to power out in full.
+
+    The size bound is the one the blocks set: a side is refused when the
+    sum of e * (bits of x - 1) over its (block x, power e) pairs, a lower
+    bound of its bits, passes ``_MAX_PRODUCT_BITS``.  That sum lies between
+    half the side's log2 (bits of x - 1 >= log2(x) / 2 for x >= 2) and its
+    log2, which lies between log2 of the map's product P/Q and log2 P for
+    the numerator, -log2(P/Q) and log2 Q for the denominator.  So the map
+    alone refuses past twice the bound and passes within it, and only a
+    value between finds its blocks here.
     """
     fact: dict[int, int] = {}  # j -> power of j!
     twos = half_pi = 0
@@ -661,16 +769,19 @@ def gamma_product(powers) -> ExactValue:
             fact[j] = fact.get(j, 0) - k
             twos -= 2 * j * k
             half_pi += k
-    bases = [(_tree_product(primes), e) for e, primes in _prime_exponents(fact, twos).items()]
-    num = [(x, e) for x, e in bases if e > 0]
-    den = [(x, -e) for x, e in bases if e < 0]
-    for side in (num, den):
-        # x^e has at least e * (bits of x - 1) + 1 bits
-        if sum(e * (x.bit_length() - 1) for x, e in side) > _MAX_PRODUCT_BITS:
-            raise ValueError(
-                f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits"
-            )
-    return ExactValue._from_parts(1, 1, half_pi, Fraction(1), num, den)
+    fact[2] = fact.get(2, 0) + twos
+    fact = {j: k for j, k in fact.items() if k and j > 1}  # 0! = 1! = 1
+    value = ExactValue._from_parts(1, 1, half_pi, Fraction(1), fact)
+    bound = _MAX_PRODUCT_BITS * _LN2
+    # ln j! < j ln j, by far more than any rounding: ln P and ln Q are below
+    # sum |k| j ln(top), which passes nearly every map at once
+    if sum(map(mul, fact, map(abs, fact.values()))) * math.log(max(fact, default=1)) > bound:
+        ln_p, ln_q, err = _log_factorials(fact)
+        if abs(ln_p - ln_q) - err > 2 * bound or max(ln_p, ln_q) + err > bound and any(
+            sum(e * (x.bit_length() - 1) for x, e in side) > _MAX_PRODUCT_BITS for side in value._blocks()[1:]
+        ):
+            raise ValueError(f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits")
+    return value
 
 
 _GRAMMAR = re.compile(

@@ -18,7 +18,7 @@ import enum
 from collections import Counter
 from fractions import Fraction
 
-from .exactnum import ExactValue, ONE, Record, exact_sqrt, gamma_exact, gamma_product
+from .exactnum import ExactValue, ONE, Record, as_integer, exact_sqrt, gamma_exact, gamma_product
 
 __all__ = [
     "Convention",
@@ -59,6 +59,7 @@ class CosetSpec(Record):
     __slots__ = ("family", "n")
 
     def __init__(self, family: Family, n: int):
+        n = as_integer(n, "n")
         self._set(family, n)
         if family in _GROUP_FAMILIES:
             if n < 1:

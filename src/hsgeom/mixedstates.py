@@ -54,6 +54,7 @@ class StateSpace(Record):
     __slots__ = ("n", "field")
 
     def __init__(self, n: int, field: str = COMPLEX):
+        n = as_integer(n, "n")
         self._set(n, field)
         if n < 2:
             raise ValueError(f"state space needs n >= 2, got {n}")

@@ -119,6 +119,8 @@ def mc_purity(
     sums to its record, so it holds one block whatever its size.
     """
 
+    n_samples = as_integer(n_samples, "n_samples")
+
     def record(rng: np.random.Generator, size: int) -> tuple[float, float]:
         total = total_sq = 0.0
         for rows in _blocks(size, block_rows(n)):
@@ -260,6 +262,7 @@ def mc_hit_or_miss_fraction(
     small with one (9 sigmas at n = 4 with 10 hits expected).  A count at
     which a run with no hit would pass is refused before the first draw.
     """
+    n_samples = as_integer(n_samples, "n_samples")
     p = _hit_or_miss_p0(n, n_samples)  # refuses n < 2 before any draw
     hits = sum(_map_chunks(partial(_hit_or_miss_chunk, n), n_samples, seed, chunks, workers))
     return MCEstimate(hits / n_samples, math.sqrt(p * (1 - p) / n_samples), n_samples, seed, chunks)
@@ -542,6 +545,7 @@ def mc_norm_constant(
     half-integer alpha and beta = 1 and 2 that the normal-double refusal
     admits; the floor is 45 eps times it.
     """
+    n_samples = as_integer(n_samples, "n_samples")
     _check_dirichlet(n, alpha, beta)
     _check_draws(n_samples, seed, chunks, workers)
     if n == 1:
@@ -649,6 +653,7 @@ def spectral_fit_test(
 
     Returns (statistic, p_value) with _BINS - 1 degrees of freedom.
     """
+    n_samples = as_integer(n_samples, "n_samples")
     # looked up first: a pair with no reference marginal is refused before any draw
     cdf = _reference_cdf(n, field)
 
@@ -727,23 +732,24 @@ def _verdict(check: str, expected: float, est: MCEstimate) -> dict:
 def check_norm_constant(n, alpha, beta, n_samples, seed, chunks=10, workers=1) -> dict:
     expected = math.exp(_check_dirichlet(n, alpha, beta))
     est = mc_norm_constant(n, float(alpha), float(beta), n_samples, seed, chunks, workers)
-    name = f"norm/n={n}/alpha={alpha}/beta={beta}/samples={n_samples}/seed={seed}"
+    name = f"norm/n={n}/alpha={alpha}/beta={beta}/samples={est.n_samples}/seed={seed}"
     return _verdict(name, expected, est)
 
 
 def check_purity(n, field, n_samples, seed, chunks=10, workers=1) -> dict:
     expected = float(purity_oracle(n, field))
     est = mc_purity(n, field, n_samples, seed, chunks, workers)
-    return _verdict(f"purity/n={n}/{field}/samples={n_samples}/seed={seed}", expected, est)
+    return _verdict(f"purity/n={n}/{field}/samples={est.n_samples}/seed={seed}", expected, est)
 
 
 def check_hit_or_miss(n, n_samples, seed, chunks=10, workers=1) -> dict:
     expected = _hit_fraction(n)
     est = mc_hit_or_miss_fraction(n, n_samples, seed, chunks, workers)
-    return _verdict(f"hitmiss/n={n}/samples={n_samples}/seed={seed}", expected, est)
+    return _verdict(f"hitmiss/n={n}/samples={est.n_samples}/seed={seed}", expected, est)
 
 
 def check_spectral(n, field, n_samples, seed, chunks=10, workers=1) -> dict:
+    n_samples = as_integer(n_samples, "n_samples")
     _, p_value = spectral_fit_test(n, field, n_samples, seed, chunks=chunks, workers=workers)
     return {
         "check": f"spectral/n={n}/{field}/samples={n_samples}/bins={_BINS}/seed={seed}",

@@ -546,6 +546,9 @@ _REFUSED_LINES = {
             ("constants", "--n", "61"),
             ("reference", "--body", "ball", "--dim", "20000"),
             ("reference", "--body", "simplex", "--dim", "30000"),
+            ("constants", "--n", "173", "--alpha", "1/2"),
+            ("edge", "--n", "169", "--rank-deficiency", "15"),
+            ("reference", "--body", "diamond", "--dim", "29583"),
         )
     },
 }
@@ -638,6 +641,11 @@ def test_unrepresentable_exponents_are_named_in_one_error_line(capsys, command, 
         (["reference", "--body", "ball", "--dim", "20000"], exactnum, "_power_product"),
         (["reference", "--body", "simplex", "--dim", "30000"], exactnum, "_power_product"),
         (["constants", "--n", "60"], exactnum, "_power_product"),
+        # and refused from their factorial maps, before any prime is found
+        (["volume", "--n", "1024"], exactnum, "_prime_exponents"),
+        (["constants", "--n", "173", "--alpha", "1/2"], exactnum, "_prime_exponents"),
+        (["edge", "--n", "169", "--rank-deficiency", "15"], exactnum, "_prime_exponents"),
+        (["reference", "--body", "diamond", "--dim", "29583"], exactnum, "_prime_exponents"),
     ],
 )
 def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, module, name):

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -28,7 +29,7 @@ from hsgeom.exactnum import (
     parse,
 )
 from hsgeom.constants import EnsembleParams, c_norm
-from hsgeom.groups import CosetSpec, Family, vol_group
+from hsgeom.groups import CosetSpec, Family, sphere_volume, vol_group
 from hsgeom.mixedstates import StateSpace, geometry, vol_mixed
 
 # Frozen with mpmath at 40 significant digits: pi*sqrt(2)/3 and
@@ -454,16 +455,16 @@ def test_products_with_built_values_stay_deferred(monkeypatch):
     assert results == expected and len(calls) == 2 * len(results)
     assert results == expected and {hash(v) for v in results.values()} == {hash(v) for v in expected.values()}
     assert repr(results) == repr(expected) and len(calls) == 2 * len(results)
-    # of two values with blocks the smaller, Gamma(5) = 24, is built at once,
-    # and the product keeps the blocks of Gamma(7/2) = 15/8 sqrt(pi)
+    # a product of Gamma(5) = 24 and Gamma(7/2) = 15/8 sqrt(pi) adds their
+    # maps and builds nothing; its first read builds 45 = 3^2 * 5 once
     calls.clear()
     product = gamma_exact(5) * gamma_exact(Fraction(7, 2))
-    assert calls == [[(2, 3), (3, 1)], []]
-    assert product == ExactValue(1, Fraction(45), 1, 1) and len(calls) == 4
+    assert calls == []
+    assert product == ExactValue(1, Fraction(45), 1, 1) and calls == [[(3, 2), (5, 1)], []]
 
 
 @pytest.mark.parametrize("large_first", [True, False])
-def test_a_product_of_two_gamma_products_builds_only_the_smaller(monkeypatch, large_first):
+def test_a_product_of_two_gamma_products_builds_neither(monkeypatch, large_first):
     def product(n):
         large, small = vol_mixed(StateSpace(n)), gamma_exact(Fraction(7, 2))
         return large * small if large_first else small * large
@@ -473,15 +474,9 @@ def test_a_product_of_two_gamma_products_builds_only_the_smaller(monkeypatch, la
     factors = vol_mixed(StateSpace(200)), gamma_exact(Fraction(7, 2))
     large, small = (ExactValue(v.sign, v.q, v.r, v.p) for v in factors)
     assert product(200) == large * small
-    # the n = 1000 volume's numerator and denominator are never built
-    build = exactnum._power_product
-
-    def guarded(bases):
-        if sum(e * x.bit_length() for x, e in bases) > 10**5:
-            raise AssertionError("built the larger factor")
-        return build(bases)
-
-    monkeypatch.setattr(exactnum, "_power_product", guarded)
+    # the maps are added, and the n = 1000 product's log10 and float come
+    # from its map's blocks without building either factor or the product
+    monkeypatch.setattr(exactnum, "_power_product", _unreachable_power_product)
     value = product(1000)
     assert value.log10() == pytest.approx(-3992332.666276592 + math.log10(15 / 8 * math.sqrt(math.pi)), rel=1e-15)
     assert value.to_float() == 0.0
@@ -510,11 +505,20 @@ def digit_limit():
     sys.set_int_max_str_digits(before)
 
 
-@needs_digit_limit
-def test_the_digit_limit_refuses_one_digit_short_and_renders_at_the_count(digit_limit):
-    def fresh():
-        return vol_mixed(StateSpace(60))
+# vol_mixed(60), past 4300 digits by its map alone; C_47^(3/2, 2) and the
+# unit 3080-sphere, whose sides of 15 844 and 2 104 bits and of 1 541 and
+# 15 625 bits the map cannot tell apart (log2 q is 13 740 and -14 084 bits)
+_LONG_VALUES = {
+    "vol_mixed-60": lambda: vol_mixed(StateSpace(60)),
+    "c_norm-47": lambda: c_norm(EnsembleParams(47, Fraction(3, 2), 2)),
+    "sphere-3080": lambda: sphere_volume(3080),
+}
+_UNDECIDED = ["c_norm-47", "sphere-3080"]
 
+
+@needs_digit_limit
+@pytest.mark.parametrize("fresh", list(_LONG_VALUES.values()), ids=list(_LONG_VALUES))
+def test_the_digit_limit_refuses_one_digit_short_and_renders_at_the_count(digit_limit, fresh):
     digit_limit(0)
     text = str(fresh())
     digits = max(len(side) for side in re.findall(r"\d+", text.split("*")[0]))
@@ -539,6 +543,98 @@ def test_a_value_far_over_the_limit_is_refused_from_its_blocks(monkeypatch, digi
     with pytest.raises(ValueError) as reference:
         str(10**4300)
     assert str(refused.value) == str(reference.value)
+
+
+def _exact_log_factorials(fact):
+    """ln P and ln Q of the map, from the integers themselves."""
+    sides = [1, 1]
+    for j, k in fact.items():
+        sides[k < 0] *= math.factorial(j) ** abs(k)
+    return math.log(sides[0]), math.log(sides[1])
+
+
+def _assert_within_half_the_bound(fact):
+    # the docstring's rounding and remainder stay below 2.6e-10 S; err is 1e-9 S
+    ln_p, ln_q, err = exactnum._log_factorials(fact)
+    exact_p, exact_q = _exact_log_factorials(fact)
+    assert abs(ln_p - exact_p) + abs(ln_q - exact_q) <= err / 2
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("name", _UNDECIDED)
+def test_values_the_map_cannot_decide_are_refused_from_their_blocks(monkeypatch, digit_limit, name):
+    digit_limit(4300)
+    value = _LONG_VALUES[name]()
+    _assert_within_half_the_bound(value._parts[1])
+    found, find = [], exactnum._factorial_blocks
+
+    def counted(fact):
+        found.append(fact)
+        return find(fact)
+
+    monkeypatch.setattr(exactnum, "_factorial_blocks", counted)
+    monkeypatch.setattr(exactnum, "_power_product", _unreachable_power_product)
+    with pytest.raises(ValueError) as refused:
+        str(value)
+    assert len(found) == 1  # the map's bound was not enough, the blocks' was
+    with pytest.raises(ValueError) as reference:
+        str(10**4300)
+    assert str(refused.value) == str(reference.value)
+
+
+_factorial_maps = st.dictionaries(
+    st.integers(2, 3000), st.integers(-40, 40).filter(bool), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factorial_maps)
+def test_the_map_logs_err_by_at_most_half_their_bound(fact):
+    _assert_within_half_the_bound(fact)
+
+
+class _PrimeFound(Exception):
+    pass
+
+
+# one Gamma past 600, of over 1400 digits, among small ones
+_long_powers = st.builds(
+    lambda large, small: {**small, **large},
+    st.dictionaries(st.integers(1200, 4000), st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=3),
+    st.dictionaries(st.integers(1, 60), st.integers(-3, 3), max_size=6),
+)
+
+
+@needs_digit_limit
+@settings(max_examples=40, deadline=None)
+@given(_long_powers, st.integers(1, 10**30), st.integers(1, 10**30))
+def test_the_map_bound_never_refuses_a_value_whose_sides_fit(powers, a, b):
+    def fresh():
+        return gamma_product(powers) * Fraction(a, b)
+
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        q = fresh().q
+        digits = max(len(str(q.numerator)), len(str(q.denominator)))
+        for limit in sorted({640, *range(max(640, digits - 3), digits + 2)}):
+            sys.set_int_max_str_digits(limit)
+            value = fresh()
+            with mock.patch.object(exactnum, "_factorial_blocks", side_effect=_PrimeFound):
+                try:
+                    str(value)
+                except _PrimeFound:
+                    continue  # not decided by the map
+                except ValueError:
+                    pass
+            # refused by the map alone: a side is too long, and the blocks'
+            # own bound refuses it too, so the message is theirs
+            assert digits > limit
+            cofactor, num, den = value._blocks()
+            with pytest.raises(ValueError):
+                exactnum._refuse_long_sides(cofactor, exactnum._log2(num), exactnum._log2(den))
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @needs_digit_limit

@@ -180,21 +180,24 @@ _factorial_maps = st.builds(
 )
 
 
+def _with_twos(fact, twos):
+    """The map of 2^twos * prod j!^fact[j]: 2^twos is 2!^twos."""
+    return {**fact, 2: fact.get(2, 0) + twos}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_factorial_maps, st.integers(-5, 5))
 def test_prime_exponents_match_trial_division(fact, twos):
-    # gamma_product adds to twos only with a key of at least 2
-    twos = twos if max(fact, default=0) >= 2 else 0
-    assert exactnum._prime_exponents(fact, twos) == _factorial_primes(fact, twos)
+    assert exactnum._prime_exponents(_with_twos(fact, twos)) == _factorial_primes(fact, twos)
 
 
 def test_prime_exponents_do_not_depend_on_the_order_the_prime_table_grew_in(monkeypatch):
     small, large = ({5: 2, 7: -1, 20: 1}, 4), ({12: 1, 39_999: -1, 40_000: 2}, -3)
     monkeypatch.setattr(exactnum, "_PRIME_TABLE", (1, array("l")))
-    small_first = [exactnum._prime_exponents(*small), exactnum._prime_exponents(*large)]
+    small_first = [exactnum._prime_exponents(_with_twos(*small)), exactnum._prime_exponents(_with_twos(*large))]
     assert exactnum._PRIME_TABLE[0] == 40_000
     monkeypatch.setattr(exactnum, "_PRIME_TABLE", (1, array("l")))
-    large_first = [exactnum._prime_exponents(*large), exactnum._prime_exponents(*small)]
+    large_first = [exactnum._prime_exponents(_with_twos(*large)), exactnum._prime_exponents(_with_twos(*small))]
     assert small_first == large_first[::-1]
     assert small_first[0] == _factorial_primes(*small)
 

@@ -10,7 +10,7 @@ from hsgeom.exactnum import ONE, PI, ExactValue, Record, exact_sqrt
 from hsgeom.groups import CosetSpec, Family
 from hsgeom.mixedstates import GeometrySummary, ReferenceBody, ReferenceKind, StateSpace, reference_body
 from hsgeom.sampling import make_rng
-from hsgeom.verify import MCEstimate, check_purity, mc_norm_constant
+from hsgeom.verify import MCEstimate, check_hit_or_miss, check_purity, mc_norm_constant
 
 # class, keyword fields, a second valid value for every field, repr of the
 # first, and one refused input with its ValueError message (None: no checks)
@@ -149,6 +149,31 @@ def test_non_integral_arguments_are_refused(call, args, name):
     # seed 1's stream and report seed=1.5
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call(*args)
+
+
+_X = object()  # the slot of the argument under test
+
+
+@pytest.mark.parametrize(
+    "call, args, name",
+    [
+        (StateSpace, (_X,), "n"),
+        (CosetSpec, (Family("U"), _X), "n"),
+        (EnsembleParams, (_X, 1, 2), "n"),
+        (check_purity, (2, "complex", _X, 1), "n_samples"),
+        (check_hit_or_miss, (2, _X, 1), "n_samples"),
+    ],
+    ids=["state-space", "coset", "ensemble", "purity", "hitmiss"],
+)
+def test_sizes_and_sample_counts_take_integral_values_only(call, args, name):
+    # StateSpace(2.5).dim was 5.25, and the checks failed on range() with a
+    # TypeError at 1000.0 samples; an integral float now gives the int's answer
+    def at(x):
+        return [x if a is _X else a for a in args]
+
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1000.5$"):
+        call(*at(1000.5))
+    assert call(*at(1000.0)) == call(*at(1000))
 
 
 def _subclasses(cls):
