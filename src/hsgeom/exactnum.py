@@ -285,9 +285,9 @@ class ExactValue(Record):
       (``str``, ``==``, ``hash``, ``repr``, the field itself), and the value
       then holds (q, {}, ((), ())).
 
-    A product, quotient, power or negation adds, scales or negates the maps
-    and keeps a built factor in the cofactor.  The q built does not depend
-    on how or when the value was made.
+    A product adds the two maps, an inverse negates its map and a power
+    scales it, and a built factor goes into the cofactor.  The q built does
+    not depend on how or when the value was made.
     """
 
     __slots__ = ("sign", "q", "r", "p", "_parts")
