@@ -4,16 +4,17 @@ Usage, from the root of a git checkout:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_x.json
 
-Each side is a fresh ``git archive`` of its revision.  Pair i runs
-``perfbench/run.py --workload W --seed S+i --seconds 20 --trace 0`` once on
-each side, the parent first in even pairs and the change first in odd ones.
+Each side is a fresh ``git archive`` of its revision.  Each of the ``PAIRS``
+pairs runs ``perfbench/run.py --workload W --seed S+i --seconds 20 --trace 0``
+once on each side, the parent first in even pairs and the change first in odd ones.
 The two checkouts sit in two sibling directories of equal path length, and
 the sides swap directories every pair, because ``mc_verify`` readings move
 with the checkout directory.  The output holds every run's gated metrics
 and failure summary, and per workload and side the median and quartiles of
 each gated metric (``BENCHMARK.json``'s ``end_to_end``), the pairs the
-change wins on each, the seeds, the environment block of the first run and
-the command line.
+change wins on each, the seeds, the environment block of the first run (less its seed, source hash
+and git commit, which a ``git archive`` checkout does not have; the
+revisions block names both commits) and the command line.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exact_sweep", "cli_oneshot", "mc_verify")
+PAIRS = 10
+SECONDS = 20  # BENCHMARK.json's run_seconds
 
 
 def quartiles(values: list[float]) -> dict:
@@ -47,10 +50,10 @@ def extract(rev: str, into: Path) -> None:
         tar.extractall(into)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The result file of one benchmark run in ``checkout``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     subprocess.run(argv, cwd=checkout, check=True, capture_output=True)
     result = json.loads((checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
     return result
@@ -61,10 +64,9 @@ def main() -> None:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--seeds", default="exact_sweep=3501,cli_oneshot=3601,mc_verify=3701",
-                        help="first seed of each workload, as name=seed pairs")
+    parser.add_argument("--seeds", required=True,
+                        help="first seed of each workload, as name=seed pairs, e.g. "
+                             "exact_sweep=3901,cli_oneshot=4001,mc_verify=4101; use seeds no earlier run used")
     args = parser.parse_args()
     first_seeds = dict((name, int(seed)) for name, seed in (item.split("=") for item in args.seeds.split(",")))
     gated = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
@@ -74,20 +76,20 @@ def main() -> None:
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     dirs = [work / "ckA", work / "ckB"]
     report = {"command": " ".join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
-              "revisions": revs, "pairs": args.pairs, "seconds": args.seconds, "gated": gated,
+              "revisions": revs, "pairs": PAIRS, "seconds": SECONDS, "gated": gated,
               "environment": None, "workloads": {}}
     try:
         for workload in WORKLOADS:
             runs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = first_seeds[workload] + i
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for checkout, side in zip(dirs, sides):
                     extract(revs[side], checkout)
                 for checkout, side in zip(dirs, sides):
-                    result = run_once(checkout, workload, seed, args.seconds)
+                    result = run_once(checkout, workload, seed)
                     report["environment"] = report["environment"] or {
-                        k: v for k, v in result["environment"].items() if k not in ("seed", "source_sha256")
+                        k: v for k, v in result["environment"].items() if k not in ("seed", "source_sha256", "git_commit")
                     }
                     runs.append({
                         "pair": i, "seed": seed, "side": side, "dir": checkout.name,
@@ -106,7 +108,7 @@ def main() -> None:
                 summary[name] = {**{side: quartiles(v) for side, v in by_side.items()},
                                  "change_lower_in_pairs": wins}
             report["workloads"][workload] = {
-                "seeds": [first_seeds[workload] + i for i in range(args.pairs)],
+                "seeds": [first_seeds[workload] + i for i in range(PAIRS)],
                 "summary": summary,
                 "same_failures_in_every_pair": all(
                     a["failures"] == b["failures"] for a, b in zip(runs[0::2], runs[1::2])

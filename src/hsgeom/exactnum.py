@@ -773,14 +773,11 @@ def gamma_product(powers) -> ExactValue:
     fact = {j: k for j, k in fact.items() if k and j > 1}  # 0! = 1! = 1
     value = ExactValue._from_parts(1, 1, half_pi, Fraction(1), fact)
     bound = _MAX_PRODUCT_BITS * _LN2
-    # ln j! < j ln j, by far more than any rounding: ln P and ln Q are below
-    # sum |k| j ln(top), which passes nearly every map at once
-    if sum(map(mul, fact, map(abs, fact.values()))) * math.log(max(fact, default=1)) > bound:
-        ln_p, ln_q, err = _log_factorials(fact)
-        if abs(ln_p - ln_q) - err > 2 * bound or max(ln_p, ln_q) + err > bound and any(
-            sum(e * (x.bit_length() - 1) for x, e in side) > _MAX_PRODUCT_BITS for side in value._blocks()[1:]
-        ):
-            raise ValueError(f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits")
+    ln_p, ln_q, err = _log_factorials(fact)
+    if abs(ln_p - ln_q) - err > 2 * bound or max(ln_p, ln_q) + err > bound and any(
+        sum(e * (x.bit_length() - 1) for x, e in side) > _MAX_PRODUCT_BITS for side in value._blocks()[1:]
+    ):
+        raise ValueError(f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits")
     return value
 
 
