@@ -14,10 +14,10 @@ positive (alpha, beta) for Monte Carlo work.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
 
-from .exactnum import ExactValue, Record, as_integer, gamma_product
+from .exactnum import ONE, ExactValue, Record, as_integer, bounded, gamma_map
 
 __all__ = ["EnsembleParams", "laguerre_integral", "c_norm", "log_c_norm"]
 
@@ -38,15 +38,26 @@ class EnsembleParams(Record):
             raise ValueError(f"beta must be 1 or 2 in exact mode, got {beta}")
 
 
-def _laguerre_powers(params: EnsembleParams) -> Counter:
-    """Gamma powers of the Laguerre-ensemble integral, keyed on doubled arguments."""
+def _laguerre(params: EnsembleParams) -> ExactValue:
+    """The Laguerre-ensemble integral, not yet bounded."""
     n, twice_alpha, beta = params.n, int(2 * params.alpha), params.beta
-    powers = Counter()
-    for j in range(1, n + 1):
-        powers[2 + j * beta] += 1  # Gamma(1 + j*beta/2)
-        powers[twice_alpha + (j - 1) * beta] += 1  # Gamma(alpha + (j-1)*beta/2)
-    powers[2 + beta] -= n  # Gamma(1 + beta/2)^n
-    return powers
+    return gamma_map(
+        chain(
+            zip(range(2 + beta, 3 + n * beta, beta), repeat(1)),  # Gamma(1 + j*beta/2)
+            zip(range(twice_alpha, twice_alpha + n * beta, beta), repeat(1)),  # Gamma(alpha + (j-1)*beta/2)
+            [(2 + beta, -n)],  # Gamma(1 + beta/2)^n
+        )
+    )
+
+
+def _c_norm(params: EnsembleParams) -> ExactValue:
+    """C_n^(alpha, beta), not yet bounded."""
+    n, beta = params.n, params.beta
+    if n == 1:
+        # Gamma(alpha) / Gamma(alpha) for every alpha: formed from no Gamma,
+        # so an alpha past the key bound is not refused here
+        return ONE
+    return gamma_map([(int(2 * params.alpha) * n + beta * n * (n - 1), 1)]) / _laguerre(params)
 
 
 def laguerre_integral(params: EnsembleParams) -> ExactValue:
@@ -55,19 +66,7 @@ def laguerre_integral(params: EnsembleParams) -> ExactValue:
     prod_{j=1}^{n} Gamma(1 + j*beta/2) * Gamma(alpha + (j-1)*beta/2)
     divided by Gamma(1 + beta/2)^n.
     """
-    return gamma_product(_laguerre_powers(params))
-
-
-def c_norm_powers(params: EnsembleParams) -> Counter:
-    """Gamma powers of C_n^(alpha, beta) in the form ``gamma_product`` takes.
-
-    Callers that multiply C_n by other Gamma products merge these powers
-    into theirs and evaluate the whole product once.
-    """
-    n, beta = params.n, params.beta
-    powers = Counter({int(2 * params.alpha) * n + beta * n * (n - 1): 1})
-    powers.subtract(_laguerre_powers(params))
-    return powers
+    return bounded(_laguerre(params))
 
 
 def c_norm(params: EnsembleParams) -> ExactValue:
@@ -75,7 +74,7 @@ def c_norm(params: EnsembleParams) -> ExactValue:
 
     Gamma(alpha*n + beta*n*(n-1)/2) divided by the Laguerre integral.
     """
-    return gamma_product(c_norm_powers(params))
+    return bounded(_c_norm(params))
 
 
 def log_c_norm(n: int, alpha: float, beta: float) -> float:

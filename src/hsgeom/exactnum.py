@@ -84,7 +84,8 @@ _LN_FACTORIAL = tuple(math.log(math.factorial(j)) for j in range(16))
 _TOP_BITS = 192
 # The blocks of a value without a map, or with q built
 _NO_BLOCKS = ((), ())
-# What int.__str__ raises for an integer with more digits than the limit.
+# The refusal of an integer with more digits than the limit, in the words
+# of int.__str__ from Python 3.11 on; ``str`` gives it on every version.
 _DIGIT_LIMIT_ERROR = (
     "Exceeds the limit ({} digits) for integer string conversion; "
     "use sys.set_int_max_str_digits() to increase the limit"
@@ -142,7 +143,7 @@ def _log_factorials(fact) -> tuple[float, float, float]:
       result stays below M_j, so rounding moves it by at most 9u M_j.
     - Each k ln j! then errs by at most 11u |k| M_j (k itself may round),
       and the running sums of the n keys by at most n u S.  A map has at
-      most 2^21 keys (the key bound of ``gamma_product``), so the total is
+      most 2^21 keys (the key bound of ``gamma_map``), so the total is
       below (2^21 + 11) u S + 1.2e-11 S < 2.5e-10 S, less than half of
       ``err`` even with S itself summed in doubles.
     """
@@ -515,11 +516,12 @@ class ExactValue(Record):
             _refuse_long_sides(cofactor, (ln_p - ln_q - err) / _LN2, (ln_q - ln_p - err) / _LN2)
             cofactor, num, den = self._blocks()
             _refuse_long_sides(cofactor, _log2(num), _log2(den))
-        parts = [
-            str(self.q.numerator)
-            if self.q.denominator == 1
-            else f"{self.q.numerator}/{self.q.denominator}"
-        ]
+        q = self.q
+        try:
+            parts = [str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"]
+        except ValueError:
+            # int.__str__ of Python 3.10 words this refusal differently
+            raise ValueError(_DIGIT_LIMIT_ERROR.format(sys.get_int_max_str_digits())) from None
         if self.r != 1:
             parts.append(f"sqrt({self.r})")
         if self.p != 0:
@@ -681,7 +683,7 @@ def _prime_exponents(fact: dict[int, int]) -> dict[int, list[int]]:
     return by_exponent
 
 
-# Largest key gamma_product takes.  Gamma(10^6), key 2 * 10^6, already has
+# Largest key gamma_map takes.  Gamma(10^6), key 2 * 10^6, already has
 # 5.6 million digits and takes about 10 s on a 2-core Xeon VM; a larger key would
 # sieve the shared prime table up to it (a byte per integer below it) before failing.
 _MAX_GAMMA_KEY = 1 << 21
@@ -697,10 +699,10 @@ else:
     _coprime_fraction = partial(Fraction, _normalize=False)
 
 
-# Most bits gamma_product builds in a numerator or denominator: about 10^7
-# digits, twice Gamma(10^6).  The key bound holds each factor, this one the
-# product, such as the 10^5 Gammas of U(10^5), whose denominator would have
-# over 6 * 10^10 bits.
+# Most bits an answer's factorial map may build in a numerator or
+# denominator: about 10^7 digits, twice Gamma(10^6).  The key bound holds
+# each factor, this one the product, such as the 10^5 Gammas of U(10^5),
+# whose denominator would have over 6 * 10^10 bits.
 _MAX_PRODUCT_BITS = 1 << 25
 
 
@@ -714,15 +716,14 @@ def _factorial_blocks(fact: dict[int, int]) -> tuple[list, list]:
     return [(x, e) for x, e in bases if e > 0], [(x, -e) for x, e in bases if e < 0]
 
 
-def gamma_product(powers) -> ExactValue:
-    """prod Gamma(m/2)^k over the items m: k of ``powers``, exactly.
+def gamma_map(pairs) -> ExactValue:
+    """prod Gamma(m/2)^k over the pairs (m, k), exactly, with no bound on its size.
 
     Keys are twice the Gamma arguments, so every key is a positive integer
-    and half-integer arguments need no Fraction: ``{5: 2, 8: -1}`` is
-    Gamma(5/2)^2 / Gamma(4).  Keys above ``_MAX_GAMMA_KEY`` raise
-    ValueError, and so does a numerator or denominator of more than
-    ``_MAX_PRODUCT_BITS`` bits, before it is built.  Powers may be any
-    integers; zero powers are ignored and the empty map gives ONE.
+    and half-integer arguments need no Fraction: ``[(5, 2), (8, -1)]`` is
+    Gamma(5/2)^2 / Gamma(4).  A key may come more than once.  Keys above
+    ``_MAX_GAMMA_KEY`` raise ValueError; zero powers are ignored and no
+    pairs give ONE.
 
     Gamma(k + 1/2) = (2k)!/(4^k k!) sqrt(pi), with 4^k = 2!^(2k), turns the
     product into the factorial map j -> power of j! times pi^(h/2), and the
@@ -742,19 +743,10 @@ def gamma_product(powers) -> ExactValue:
     them without a gcd, which took 7.2 of the 18.7 ms of c_norm at n = 197,
     alpha = 3/2 (2-core Xeon VM).  The blocks that built vol_mixed at
     n = 1000 took 5.9 s to power out in full.
-
-    The size bound is the one the blocks set: a side is refused when the
-    sum of e * (bits of x - 1) over its (block x, power e) pairs, a lower
-    bound of its bits, passes ``_MAX_PRODUCT_BITS``.  That sum lies between
-    half the side's log2 (bits of x - 1 >= log2(x) / 2 for x >= 2) and its
-    log2, which lies between log2 of the map's product P/Q and log2 P for
-    the numerator, -log2(P/Q) and log2 Q for the denominator.  So the map
-    alone refuses past twice the bound and passes within it, and only a
-    value between finds its blocks here.
     """
     fact: dict[int, int] = {}  # j -> power of j!
     twos = half_pi = 0
-    for m, k in powers.items():
+    for m, k in pairs:
         if not isinstance(m, int) or m < 1 or not isinstance(k, int):
             raise ValueError(f"gamma_product needs positive integer keys and integer powers, got {m}: {k}")
         if not k:
@@ -771,14 +763,43 @@ def gamma_product(powers) -> ExactValue:
             half_pi += k
     fact[2] = fact.get(2, 0) + twos
     fact = {j: k for j, k in fact.items() if k and j > 1}  # 0! = 1! = 1
-    value = ExactValue._from_parts(1, 1, half_pi, Fraction(1), fact)
+    return ExactValue._from_parts(1, 1, half_pi, Fraction(1), fact)
+
+
+def bounded(value: ExactValue) -> ExactValue:
+    """``value``, refused if its factorial map has a side of more than ``_MAX_PRODUCT_BITS`` bits.
+
+    Each closed form composes its factors from ``gamma_map`` and applies
+    this once, to its answer, in which factors cancel: the flag volume
+    Fl(5000) alone is past the bound, the pure states' volume
+    Fl(5000)/Fl(4999) is not.  The cofactor is small and not counted.
+    Nothing is built.
+
+    The size bound is the one the blocks set: a side is refused when the
+    sum of e * (bits of x - 1) over its (block x, power e) pairs, a lower
+    bound of its bits, passes ``_MAX_PRODUCT_BITS``.  That sum lies between
+    half the side's log2 (bits of x - 1 >= log2(x) / 2 for x >= 2) and its
+    log2, which lies between log2 of the map's product P/Q and log2 P for
+    the numerator, -log2(P/Q) and log2 Q for the denominator.  So the map
+    alone refuses past twice the bound and passes within it, and only a
+    value between finds its blocks here.
+    """
     bound = _MAX_PRODUCT_BITS * _LN2
-    ln_p, ln_q, err = _log_factorials(fact)
+    ln_p, ln_q, err = _log_factorials(value._parts[1])
     if abs(ln_p - ln_q) - err > 2 * bound or max(ln_p, ln_q) + err > bound and any(
         sum(e * (x.bit_length() - 1) for x, e in side) > _MAX_PRODUCT_BITS for side in value._blocks()[1:]
     ):
         raise ValueError(f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits")
     return value
+
+
+def gamma_product(powers) -> ExactValue:
+    """prod Gamma(m/2)^k over the items m: k of ``powers``, exactly and bounded.
+
+    ``gamma_map`` of the items, refused by ``bounded``: ``{5: 2, 8: -1}``
+    is Gamma(5/2)^2 / Gamma(4).
+    """
+    return bounded(gamma_map(powers.items()))
 
 
 _GRAMMAR = re.compile(

@@ -15,10 +15,10 @@ B and C coincide.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
 
-from .exactnum import ExactValue, ONE, Record, as_integer, exact_sqrt, gamma_exact, gamma_product
+from .exactnum import ExactValue, Record, as_integer, bounded, exact_sqrt, gamma_exact, gamma_map
 
 __all__ = [
     "Convention",
@@ -82,50 +82,38 @@ def ball_volume(k: int) -> ExactValue:
     return ExactValue(1, Fraction(1), 1, k) / gamma_exact(Fraction(k, 2) + 1)
 
 
-# Integer powers of two go into the Gamma powers as Gamma(3) = 2, keyed 6,
-# so that they join the one big product instead of multiplying it afterwards.
+# Integer powers of two go into the Gamma maps as Gamma(3) = 2, keyed 6, and
+# only an odd power of sqrt(2) is a factor of its own: 2^k as a value of its
+# own made the real-field edge volumes up to a third slower.
 
 
-def _sqrt_two_power(k: int, powers: Counter) -> ExactValue:
-    """sqrt(2)^k: 2^(k // 2) goes into ``powers``, and the sqrt(2)^(k % 2) left is returned."""
-    powers[6] += k // 2
-    return exact_sqrt(2) if k % 2 else ONE
+def _spheres(n: int, step: int, roots: int) -> ExactValue:
+    """sqrt(2)^roots * prod_{k=1..n} 2 pi^(step k / 2) / Gamma(step k / 2).
+
+    With step 2 this is U(n) under B, a product of the unit spheres
+    S^1, S^3, ..., S^(2n-1); with step 1 it is O(n), of S^0 ... S^(n-1).
+    """
+    value = gamma_map(chain([(6, n + roots // 2)], zip(range(step, step * n + 1, step), repeat(-1))))
+    value = value * ExactValue(1, Fraction(1), 1, step * n * (n + 1) // 2)
+    return value * exact_sqrt(2) if roots % 2 else value
 
 
-def _unitary(n: int, conv: Convention) -> tuple[ExactValue, Counter]:
-    # a_X * 2^n * pi^(n(n+1)/2) / (Gamma(1) Gamma(2) ... Gamma(n)), where
-    # a_A = 2^(n(n-1)/2), a_B = 1 and a_C = 2^(-n/2)
-    powers = Counter({2 * k: -1 for k in range(1, n + 1)})
-    powers[6] += n + (n * (n - 1) // 2 if conv is Convention.A else 0)
-    scale = _sqrt_two_power(-n, powers) if conv is Convention.C else ONE
-    return scale * ExactValue(1, Fraction(1), 1, n * (n + 1)), powers
+def _unitary(n: int, conv: Convention) -> ExactValue:
+    # a_X Vol_B[U(n)], where a_A = 2^(n(n-1)/2), a_B = 1 and a_C = 2^(-n/2)
+    return _spheres(n, 2, {Convention.A: n * (n - 1), Convention.B: 0, Convention.C: -n}[conv])
 
 
-def _orthogonal(n: int, conv: Convention) -> tuple[ExactValue, Counter]:
-    # B (= C): product of unit-sphere volumes S^0 ... S^(n-1), each
-    # 2 pi^(k/2) / Gamma(k/2); A: extra sqrt(2) per off-diagonal entry,
-    # 2^(n(n-1)/4) in total.
-    powers = Counter({k: -1 for k in range(1, n + 1)})
-    powers[6] += n
-    prefactor = ExactValue(1, Fraction(1), 1, n * (n + 1) // 2)
-    if conv is Convention.A:
-        prefactor = prefactor * _sqrt_two_power(n * (n - 1) // 2, powers)
-    return prefactor, powers
+def _orthogonal(n: int, conv: Convention) -> ExactValue:
+    # B (= C): the product of unit spheres; A: an extra sqrt(2) per
+    # off-diagonal entry, 2^(n(n-1)/4) in total
+    return _spheres(n, 1, n * (n - 1) // 2 if conv is Convention.A else 0)
 
 
-def _divide(top, bottom, times: int = 1) -> tuple[ExactValue, Counter]:
-    """(prefactor, powers) of top / bottom^times, for pairs of that form."""
-    (prefactor, powers), (low, low_powers) = top, bottom
-    powers.subtract({m: times * k for m, k in low_powers.items()})
-    return prefactor / low.pow_int(times), powers
+def _volume(spec: CosetSpec, conv: Convention) -> ExactValue:
+    """Volume of any group or coset family, not yet bounded.
 
-
-def volume_factors(spec: CosetSpec, conv: Convention = Convention.A) -> tuple[ExactValue, Counter]:
-    """Volume of any group or coset family as ``(prefactor, powers)``.
-
-    The volume is ``prefactor * gamma_product(powers)``.  Callers that
-    multiply or divide volumes by other Gamma products merge the powers
-    first, so the big factorial products are evaluated once.
+    ``vol_group`` and ``vol_coset`` bound it with ``bounded``; the edge
+    volumes compose it with other factors and bound their answer.
     """
     n, family = spec.n, spec.family
     if family is Family.UNITARY:
@@ -133,40 +121,37 @@ def volume_factors(spec: CosetSpec, conv: Convention = Convention.A) -> tuple[Ex
     if family is Family.SPECIAL_UNITARY:
         # SU(N) is not U(N)/U(1): the determinant constraint stretches the
         # quotient by sqrt(N).
-        prefactor, powers = _divide(_unitary(n, conv), _unitary(1, conv))
-        return exact_sqrt(n) * prefactor, powers
+        return exact_sqrt(n) * _unitary(n, conv) / _unitary(1, conv)
     if family is Family.ORTHOGONAL:
         return _orthogonal(n, conv)
     if family is Family.SPECIAL_ORTHOGONAL:
-        prefactor, powers = _orthogonal(n, conv)
-        return prefactor / 2, powers
+        return _orthogonal(n, conv) / 2
     if family is Family.COMPLEX_PROJECTIVE:
-        powers = Counter({2 * n + 2: -1})
-        if conv is Convention.A:
-            powers[6] += n
-        return ExactValue(1, Fraction(1), 1, 2 * n), powers
+        # pi^k / k!, times 2^k under A
+        value = gamma_map([(2 * n + 2, -1), (6, n if conv is Convention.A else 0)])
+        return value * ExactValue(1, Fraction(1), 1, 2 * n)
     if family is Family.REAL_PROJECTIVE:
-        # O(k+1) / (O(1) x O(k)); under B this is Vol(S^k)/2.
-        prefactor, powers = _divide(_orthogonal(n + 1, conv), _orthogonal(n, conv))
-        return prefactor / 2, powers
+        # O(k+1) / (O(1) x O(k)) = Vol(S^k)/2 = pi^((k+1)/2) / Gamma((k+1)/2),
+        # times sqrt(2)^k under A
+        roots = n if conv is Convention.A else 0
+        value = gamma_map([(n + 1, -1), (6, roots // 2)]) * ExactValue(1, Fraction(1), 1, n + 1)
+        return value * exact_sqrt(2) if roots % 2 else value
     if family is Family.COMPLEX_FLAG:
         # U(N) / U(1)^N; sizes 0 and 1 both give volume 1.
-        return _divide(_unitary(n, conv), _unitary(1, conv), n)
+        return _unitary(n, conv) / _unitary(1, conv).pow_int(n)
     # REAL_FLAG: O(N) / O(1)^N with Vol[O(1)] = 2.
-    return _divide(_orthogonal(n, conv), _orthogonal(1, conv), n)
+    return _orthogonal(n, conv) / _orthogonal(1, conv).pow_int(n)
 
 
 def vol_group(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
     """Exact volume of U(N), SU(N), O(N) or SO(N) under the given convention."""
     if spec.family not in _GROUP_FAMILIES:
         raise ValueError(f"{spec.family.value} is not a group family; use vol_coset")
-    prefactor, powers = volume_factors(spec, conv)
-    return prefactor * gamma_product(powers)
+    return bounded(_volume(spec, conv))
 
 
 def vol_coset(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
     """Exact volume of CP^k, RP^k, or a complex/real flag manifold."""
     if spec.family in _GROUP_FAMILIES:
         raise ValueError(f"{spec.family.value} is a group family; use vol_group")
-    prefactor, powers = volume_factors(spec, conv)
-    return prefactor * gamma_product(powers)
+    return bounded(_volume(spec, conv))

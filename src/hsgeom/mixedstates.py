@@ -17,21 +17,14 @@ simplices, diamonds and spheres.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
 
-from .constants import EnsembleParams, c_norm_powers
+from .constants import EnsembleParams, _c_norm
 from .exactnum import (
-    ONE, PI, ExactValue, Record, as_integer, exact_sqrt, from_rational, gamma_exact, gamma_product
+    ONE, PI, ExactValue, Record, as_integer, bounded, exact_sqrt, from_rational, gamma_exact, gamma_map
 )
-from .groups import (
-    Convention,
-    CosetSpec,
-    Family,
-    ball_volume,
-    sphere_volume,
-    volume_factors,
-)
+from .groups import Convention, CosetSpec, Family, _volume, ball_volume, sphere_volume
 
 __all__ = [
     "StateSpace",
@@ -69,30 +62,25 @@ class StateSpace(Record):
         return self.n * (self.n + 1) // 2 - 1
 
 
-def _edge_factors(space: StateSpace, k: int) -> tuple[ExactValue, Counter]:
-    """Volume of the order-k edge as ``(prefactor, powers)``, like ``volume_factors``."""
+def _edge(space: StateSpace, k: int) -> ExactValue:
+    """Volume of the order-k edge, not yet bounded."""
     n = space.n
     if space.field == COMPLEX and k == 0:
         # The complex body has a direct formula, cheaper than the flag route:
         # sqrt(N) (2 pi)^(N(N-1)/2) Gamma(1)...Gamma(N) / Gamma(N^2), with the
         # power of two taken in as Gamma(3) = 2
         half = n * (n - 1) // 2
-        powers = Counter({2 * j: 1 for j in range(1, n + 1)})
-        powers[2 * n * n] -= 1
-        powers[6] += half
-        return exact_sqrt(n) * PI.pow_int(half), powers
+        powers = chain(zip(range(2, 2 * n + 1, 2), repeat(1)), [(2 * n * n, -1), (6, half)])
+        return exact_sqrt(n) * PI.pow_int(half) * gamma_map(powers)
     if space.field == COMPLEX:
         flag_family, alpha, beta = Family.COMPLEX_FLAG, Fraction(1 + 2 * k), 2
     else:
         flag_family, alpha, beta = Family.REAL_FLAG, Fraction(1 + k), 1
-    # sqrt(N-k)/(N-k)! * Vol_A[Fl(N)]/Vol_A[Fl(k)] / C_(N-k)^(alpha, beta),
-    # with every Gamma factor merged into one product
-    top, powers = volume_factors(CosetSpec(flag_family, n), Convention.A)
-    bottom, bottom_powers = volume_factors(CosetSpec(flag_family, k), Convention.A)
-    powers.subtract(bottom_powers)
-    powers.subtract(c_norm_powers(EnsembleParams(n - k, alpha, beta)))
-    powers[2 * (n - k) + 2] -= 1  # (N-k)! = Gamma(N-k+1)
-    return exact_sqrt(n - k) * top / bottom, powers
+    # sqrt(N-k)/(N-k)! * Vol_A[Fl(N)]/Vol_A[Fl(k)] / C_(N-k)^(alpha, beta)
+    top = _volume(CosetSpec(flag_family, n), Convention.A)
+    bottom = _volume(CosetSpec(flag_family, k), Convention.A)
+    scale = exact_sqrt(n - k) / gamma_map([(2 * (n - k) + 2, 1)])  # (N-k)! = Gamma(N-k+1)
+    return scale * top / bottom / _c_norm(EnsembleParams(n - k, alpha, beta))
 
 
 def vol_mixed(space: StateSpace) -> ExactValue:
@@ -108,8 +96,7 @@ def vol_edge(space: StateSpace, k: int) -> ExactValue:
     """
     if not 0 <= k <= space.n - 1:
         raise ValueError(f"rank deficiency must be in [0, {space.n - 1}], got {k}")
-    prefactor, powers = _edge_factors(space, k)
-    return prefactor * gamma_product(powers)
+    return bounded(_edge(space, k))
 
 
 class GeometrySummary(Record):
@@ -163,10 +150,9 @@ def geometry(space: StateSpace) -> GeometrySummary:
     n, d = space.n, space.dim
     circum = exact_sqrt(Fraction(n - 1, n))
     inscribed = circum / (n - 1)
-    # Vol / Vol B_D = Vol * Gamma(D/2 + 1) / pi^(D/2): one exact Gamma product
-    prefactor, powers = _edge_factors(space, 0)
-    powers[d + 2] += 1
-    log_rho = (prefactor * ExactValue(1, 1, 1, -d) * gamma_product(powers)).log10() / d
+    # Vol / Vol B_D = Vol * Gamma(D/2 + 1) / pi^(D/2), bounded as one answer
+    ratio = bounded(_edge(space, 0) * gamma_map([(d + 2, 1)]) * ExactValue(1, 1, 1, -d))
+    log_rho = ratio.log10() / d
     # Every boundary point lies on a hyperplane tangent to the insphere, so
     # the boundary area is D/r times the volume (Zyczkowski & Sommers 2003).
     gamma = d / inscribed

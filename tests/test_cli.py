@@ -273,6 +273,8 @@ def test_exact_output_bytes_golden(capsys, argv):
         ["constants", "--n", "60"],
         ["group", "--family", "U", "--n", "91"],
         ["reference", "--body", "simplex", "--dim", "1488"],
+        # like 1488, built and refused by int.__str__, whose words differ on Python 3.10
+        ["reference", "--body", "simplex", "--dim", "1520"],
     ],
 )
 def test_one_past_the_largest_printable_size_exits_two(capsys, argv):

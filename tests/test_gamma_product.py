@@ -2,8 +2,9 @@
 
 The reference functions below multiply one exact Gamma value at a time into
 the result, as the closed forms are written, with their own factorial-based
-Gamma.  The library evaluates each closed form as a single ``gamma_product``
-over merged prime exponents; both routes must agree field by field.
+Gamma.  The library composes each closed form from Gamma maps, whose
+factorial maps add, and bounds only the answer; both routes must agree
+field by field.
 """
 
 import math
@@ -26,7 +27,7 @@ from hsgeom.exactnum import (
     from_rational,
     gamma_product,
 )
-from hsgeom.groups import _GROUP_FAMILIES, Convention, CosetSpec, Family, vol_coset, vol_group
+from hsgeom.groups import _GROUP_FAMILIES, Convention, CosetSpec, Family, sphere_volume, vol_coset, vol_group
 from hsgeom.mixedstates import StateSpace, vol_edge, vol_mixed
 
 # -- reference: one Gamma factor at a time --------------------------------------
@@ -256,7 +257,7 @@ def test_gamma_product_refuses_a_product_past_the_size_bound_before_building_it(
             gamma_product(powers)
 
 
-# -- every closed form that now calls it once -----------------------------------
+# -- every closed form, bounded once on its answer -------------------------------
 
 
 @pytest.mark.parametrize("n", [50, 120])
@@ -283,3 +284,20 @@ def test_c_norm_matches_per_factor_loop(n, alpha, beta):
 def test_group_volumes_match_per_factor_loops(family, n, conv):
     volume = vol_group if family in _GROUP_FAMILIES else vol_coset
     assert volume(CosetSpec(family, n), conv) == _group(family, n, conv)
+
+
+def test_the_size_bound_judges_the_answer_not_its_factors():
+    # Fl(5000) alone has more than _MAX_PRODUCT_BITS bits in its denominator,
+    # and so do O(10^5) and O(10^5 + 1); the answers built from them do not
+    pure = vol_edge(StateSpace(5000), 4999)
+    assert pure.log10() == -12331.82606241187
+    assert pure.to_float() == 0.0
+    assert vol_edge(StateSpace(5000, "real"), 4998).log10() == -13836.976040731775
+    rp = vol_coset(CosetSpec(Family.REAL_PROJECTIVE, 10**5), Convention.B)
+    assert rp.log10() == (sphere_volume(10**5) / 2).log10()
+    # C_5000^(1, 1) has Gamma(12 502 500), past the key bound: that is the
+    # refusal, not the size of the real flag volume met before it
+    with pytest.raises(ValueError, match="^Gamma argument too large"):
+        vol_mixed(StateSpace(5000, "real"))
+    # C_1 = Gamma(alpha) / Gamma(alpha) is 1 even where Gamma(alpha) is past the key bound
+    assert c_norm(EnsembleParams(1, 2**21, 2)) == ONE
