@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .exactnum import ONE, ExactValue, Record, as_integer, bounded, gamma_map
+from .exactnum import ONE, ExactValue, Record, as_integer, gamma_map
 
 __all__ = ["EnsembleParams", "laguerre_integral", "c_norm", "log_c_norm"]
 
@@ -38,8 +38,12 @@ class EnsembleParams(Record):
             raise ValueError(f"beta must be 1 or 2 in exact mode, got {beta}")
 
 
-def _laguerre(params: EnsembleParams) -> ExactValue:
-    """The Laguerre-ensemble integral, not yet bounded."""
+def laguerre_integral(params: EnsembleParams) -> ExactValue:
+    """Exact value of the Laguerre-ensemble integral.
+
+    prod_{j=1}^{n} Gamma(1 + j*beta/2) * Gamma(alpha + (j-1)*beta/2)
+    divided by Gamma(1 + beta/2)^n.
+    """
     n, twice_alpha, beta = params.n, int(2 * params.alpha), params.beta
     return gamma_map(
         chain(
@@ -50,31 +54,17 @@ def _laguerre(params: EnsembleParams) -> ExactValue:
     )
 
 
-def _c_norm(params: EnsembleParams) -> ExactValue:
-    """C_n^(alpha, beta), not yet bounded."""
-    n, beta = params.n, params.beta
-    if n == 1:
-        # Gamma(alpha) / Gamma(alpha) for every alpha: formed from no Gamma,
-        # so an alpha past the key bound is not refused here
-        return ONE
-    return gamma_map([(int(2 * params.alpha) * n + beta * n * (n - 1), 1)]) / _laguerre(params)
-
-
-def laguerre_integral(params: EnsembleParams) -> ExactValue:
-    """Exact value of the Laguerre-ensemble integral.
-
-    prod_{j=1}^{n} Gamma(1 + j*beta/2) * Gamma(alpha + (j-1)*beta/2)
-    divided by Gamma(1 + beta/2)^n.
-    """
-    return bounded(_laguerre(params))
-
-
 def c_norm(params: EnsembleParams) -> ExactValue:
     """Normalization constant C_n^(alpha, beta) of the simplex eigenvalue density.
 
     Gamma(alpha*n + beta*n*(n-1)/2) divided by the Laguerre integral.
     """
-    return bounded(_c_norm(params))
+    n, beta = params.n, params.beta
+    if n == 1:
+        # Gamma(alpha) / Gamma(alpha) for every alpha: formed from no Gamma,
+        # so an alpha past the key bound is not refused here
+        return ONE
+    return gamma_map([(int(2 * params.alpha) * n + beta * n * (n - 1), 1)]) / laguerre_integral(params)
 
 
 def log_c_norm(n: int, alpha: float, beta: float) -> float:

@@ -284,7 +284,9 @@ class ExactValue(Record):
       ``log10`` and ``to_float`` read their top bits.
     - q is built from the blocks the first time something reads it
       (``str``, ``==``, ``hash``, ``repr``, the field itself), and the value
-      then holds (q, {}, ((), ())).
+      then holds (q, {}, ((), ())).  A side of more than
+      ``_MAX_PRODUCT_BITS`` bits is refused there, before it is built;
+      ``repr`` names a q that ``str`` refuses instead of reading it.
 
     A product adds the two maps, an inverse negates its map and a power
     scales it, and a built factor goes into the cofactor.  The q built does
@@ -347,6 +349,10 @@ class ExactValue(Record):
         if name != "q":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         cofactor, num, den = self._blocks()
+        # sum e * (bits of x - 1) over a side's (block x, power e) pairs is
+        # a lower bound of its bits, exact for powers of two
+        if any(sum(e * (x.bit_length() - 1) for x, e in side) > _MAX_PRODUCT_BITS for side in (num, den)):
+            raise ValueError(f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits")
         a, b = cofactor.numerator, cofactor.denominator
         n, d = _power_product(num), _power_product(den)
         g, h = math.gcd(a, d), math.gcd(b, n)
@@ -501,10 +507,8 @@ class ExactValue(Record):
 
     # -- rendering ----------------------------------------------------------
 
-    def __str__(self) -> str:
-        """Canonical grammar ``[-]a/b[*sqrt(r)][*pi^(p/2)]``, unit factors omitted."""
-        if self.sign == 0:
-            return "0"
+    def _refuse_long(self) -> None:
+        """Raise int.__str__'s ValueError if q has a side certainly too long to print, building nothing."""
         cofactor, fact, _ = self._parts
         if fact:
             # log2 F = ln(P/Q)/ln 2 is at most the log2 of the numerator
@@ -516,6 +520,21 @@ class ExactValue(Record):
             _refuse_long_sides(cofactor, (ln_p - ln_q - err) / _LN2, (ln_q - ln_p - err) / _LN2)
             cofactor, num, den = self._blocks()
             _refuse_long_sides(cofactor, _log2(num), _log2(den))
+
+    def __repr__(self):
+        # a q that str refuses is named, not built
+        try:
+            self._refuse_long()
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            return f"ExactValue(sign={self.sign!r}, q=<more than {limit} digits>, r={self.r!r}, p={self.p!r})"
+        return super().__repr__()
+
+    def __str__(self) -> str:
+        """Canonical grammar ``[-]a/b[*sqrt(r)][*pi^(p/2)]``, unit factors omitted."""
+        if self.sign == 0:
+            return "0"
+        self._refuse_long()
         q = self.q
         try:
             parts = [str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"]
@@ -699,10 +718,11 @@ else:
     _coprime_fraction = partial(Fraction, _normalize=False)
 
 
-# Most bits an answer's factorial map may build in a numerator or
-# denominator: about 10^7 digits, twice Gamma(10^6).  The key bound holds
-# each factor, this one the product, such as the 10^5 Gammas of U(10^5),
-# whose denominator would have over 6 * 10^10 bits.
+# Most bits q's numerator or denominator may be built with: about 10^7
+# digits, twice Gamma(10^6).  The key bound holds each factor, this one the
+# product, such as the 10^5 Gammas of U(10^5), whose denominator would have
+# over 6 * 10^10 bits.  It is checked on the blocks when q is built, so a
+# value past it is still made and still gives its log10.
 _MAX_PRODUCT_BITS = 1 << 25
 
 
@@ -717,7 +737,7 @@ def _factorial_blocks(fact: dict[int, int]) -> tuple[list, list]:
 
 
 def gamma_map(pairs) -> ExactValue:
-    """prod Gamma(m/2)^k over the pairs (m, k), exactly, with no bound on its size.
+    """prod Gamma(m/2)^k over the pairs (m, k), exactly.
 
     Keys are twice the Gamma arguments, so every key is a positive integer
     and half-integer arguments need no Fraction: ``[(5, 2), (8, -1)]`` is
@@ -766,40 +786,9 @@ def gamma_map(pairs) -> ExactValue:
     return ExactValue._from_parts(1, 1, half_pi, Fraction(1), fact)
 
 
-def bounded(value: ExactValue) -> ExactValue:
-    """``value``, refused if its factorial map has a side of more than ``_MAX_PRODUCT_BITS`` bits.
-
-    Each closed form composes its factors from ``gamma_map`` and applies
-    this once, to its answer, in which factors cancel: the flag volume
-    Fl(5000) alone is past the bound, the pure states' volume
-    Fl(5000)/Fl(4999) is not.  The cofactor is small and not counted.
-    Nothing is built.
-
-    The size bound is the one the blocks set: a side is refused when the
-    sum of e * (bits of x - 1) over its (block x, power e) pairs, a lower
-    bound of its bits, passes ``_MAX_PRODUCT_BITS``.  That sum lies between
-    half the side's log2 (bits of x - 1 >= log2(x) / 2 for x >= 2) and its
-    log2, which lies between log2 of the map's product P/Q and log2 P for
-    the numerator, -log2(P/Q) and log2 Q for the denominator.  So the map
-    alone refuses past twice the bound and passes within it, and only a
-    value between finds its blocks here.
-    """
-    bound = _MAX_PRODUCT_BITS * _LN2
-    ln_p, ln_q, err = _log_factorials(value._parts[1])
-    if abs(ln_p - ln_q) - err > 2 * bound or max(ln_p, ln_q) + err > bound and any(
-        sum(e * (x.bit_length() - 1) for x, e in side) > _MAX_PRODUCT_BITS for side in value._blocks()[1:]
-    ):
-        raise ValueError(f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits")
-    return value
-
-
 def gamma_product(powers) -> ExactValue:
-    """prod Gamma(m/2)^k over the items m: k of ``powers``, exactly and bounded.
-
-    ``gamma_map`` of the items, refused by ``bounded``: ``{5: 2, 8: -1}``
-    is Gamma(5/2)^2 / Gamma(4).
-    """
-    return bounded(gamma_map(powers.items()))
+    """prod Gamma(m/2)^k over the items m: k of ``powers``, exactly: ``{5: 2, 8: -1}`` is Gamma(5/2)^2 / Gamma(4)."""
+    return gamma_map(powers.items())
 
 
 _GRAMMAR = re.compile(

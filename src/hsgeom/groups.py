@@ -18,7 +18,7 @@ import enum
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .exactnum import ExactValue, Record, as_integer, bounded, exact_sqrt, gamma_exact, gamma_map
+from .exactnum import ExactValue, Record, as_integer, exact_sqrt, gamma_exact, gamma_map
 
 __all__ = [
     "Convention",
@@ -109,12 +109,8 @@ def _orthogonal(n: int, conv: Convention) -> ExactValue:
     return _spheres(n, 1, n * (n - 1) // 2 if conv is Convention.A else 0)
 
 
-def _volume(spec: CosetSpec, conv: Convention) -> ExactValue:
-    """Volume of any group or coset family, not yet bounded.
-
-    ``vol_group`` and ``vol_coset`` bound it with ``bounded``; the edge
-    volumes compose it with other factors and bound their answer.
-    """
+def vol_group(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
+    """Exact volume of U(N), SU(N), O(N) or SO(N) under the given convention."""
     n, family = spec.n, spec.family
     if family is Family.UNITARY:
         return _unitary(n, conv)
@@ -126,6 +122,14 @@ def _volume(spec: CosetSpec, conv: Convention) -> ExactValue:
         return _orthogonal(n, conv)
     if family is Family.SPECIAL_ORTHOGONAL:
         return _orthogonal(n, conv) / 2
+    raise ValueError(f"{family.value} is not a group family; use vol_coset")
+
+
+def vol_coset(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
+    """Exact volume of CP^k, RP^k, or a complex/real flag manifold."""
+    n, family = spec.n, spec.family
+    if family in _GROUP_FAMILIES:
+        raise ValueError(f"{family.value} is a group family; use vol_group")
     if family is Family.COMPLEX_PROJECTIVE:
         # pi^k / k!, times 2^k under A
         value = gamma_map([(2 * n + 2, -1), (6, n if conv is Convention.A else 0)])
@@ -141,17 +145,3 @@ def _volume(spec: CosetSpec, conv: Convention) -> ExactValue:
         return _unitary(n, conv) / _unitary(1, conv).pow_int(n)
     # REAL_FLAG: O(N) / O(1)^N with Vol[O(1)] = 2.
     return _orthogonal(n, conv) / _orthogonal(1, conv).pow_int(n)
-
-
-def vol_group(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
-    """Exact volume of U(N), SU(N), O(N) or SO(N) under the given convention."""
-    if spec.family not in _GROUP_FAMILIES:
-        raise ValueError(f"{spec.family.value} is not a group family; use vol_coset")
-    return bounded(_volume(spec, conv))
-
-
-def vol_coset(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
-    """Exact volume of CP^k, RP^k, or a complex/real flag manifold."""
-    if spec.family in _GROUP_FAMILIES:
-        raise ValueError(f"{spec.family.value} is a group family; use vol_group")
-    return bounded(_volume(spec, conv))

@@ -20,11 +20,9 @@ import enum
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .constants import EnsembleParams, _c_norm
-from .exactnum import (
-    ONE, PI, ExactValue, Record, as_integer, bounded, exact_sqrt, from_rational, gamma_exact, gamma_map
-)
-from .groups import Convention, CosetSpec, Family, _volume, ball_volume, sphere_volume
+from .constants import EnsembleParams, c_norm
+from .exactnum import ONE, PI, ExactValue, Record, as_integer, exact_sqrt, from_rational, gamma_exact, gamma_map
+from .groups import Convention, CosetSpec, Family, ball_volume, sphere_volume, vol_coset
 
 __all__ = [
     "StateSpace",
@@ -62,9 +60,20 @@ class StateSpace(Record):
         return self.n * (self.n + 1) // 2 - 1
 
 
-def _edge(space: StateSpace, k: int) -> ExactValue:
-    """Volume of the order-k edge, not yet bounded."""
+def vol_mixed(space: StateSpace) -> ExactValue:
+    """Exact HS volume of the state space."""
+    return vol_edge(space, 0)
+
+
+def vol_edge(space: StateSpace, k: int) -> ExactValue:
+    """Exact HS volume of the order-k edge: states of rank N - k.
+
+    k = 0 is the full body, k = 1 its boundary hyperarea, k = N - 1 the set
+    of pure states.
+    """
     n = space.n
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"rank deficiency must be in [0, {n - 1}], got {k}")
     if space.field == COMPLEX and k == 0:
         # The complex body has a direct formula, cheaper than the flag route:
         # sqrt(N) (2 pi)^(N(N-1)/2) Gamma(1)...Gamma(N) / Gamma(N^2), with the
@@ -77,26 +86,10 @@ def _edge(space: StateSpace, k: int) -> ExactValue:
     else:
         flag_family, alpha, beta = Family.REAL_FLAG, Fraction(1 + k), 1
     # sqrt(N-k)/(N-k)! * Vol_A[Fl(N)]/Vol_A[Fl(k)] / C_(N-k)^(alpha, beta)
-    top = _volume(CosetSpec(flag_family, n), Convention.A)
-    bottom = _volume(CosetSpec(flag_family, k), Convention.A)
+    top = vol_coset(CosetSpec(flag_family, n), Convention.A)
+    bottom = vol_coset(CosetSpec(flag_family, k), Convention.A)
     scale = exact_sqrt(n - k) / gamma_map([(2 * (n - k) + 2, 1)])  # (N-k)! = Gamma(N-k+1)
-    return scale * top / bottom / _c_norm(EnsembleParams(n - k, alpha, beta))
-
-
-def vol_mixed(space: StateSpace) -> ExactValue:
-    """Exact HS volume of the state space."""
-    return vol_edge(space, 0)
-
-
-def vol_edge(space: StateSpace, k: int) -> ExactValue:
-    """Exact HS volume of the order-k edge: states of rank N - k.
-
-    k = 0 is the full body, k = 1 its boundary hyperarea, k = N - 1 the set
-    of pure states.
-    """
-    if not 0 <= k <= space.n - 1:
-        raise ValueError(f"rank deficiency must be in [0, {space.n - 1}], got {k}")
-    return bounded(_edge(space, k))
+    return scale * top / bottom / c_norm(EnsembleParams(n - k, alpha, beta))
 
 
 class GeometrySummary(Record):
@@ -150,9 +143,7 @@ def geometry(space: StateSpace) -> GeometrySummary:
     n, d = space.n, space.dim
     circum = exact_sqrt(Fraction(n - 1, n))
     inscribed = circum / (n - 1)
-    # Vol / Vol B_D = Vol * Gamma(D/2 + 1) / pi^(D/2), bounded as one answer
-    ratio = bounded(_edge(space, 0) * gamma_map([(d + 2, 1)]) * ExactValue(1, 1, 1, -d))
-    log_rho = ratio.log10() / d
+    log_rho = (vol_mixed(space) / ball_volume(d)).log10() / d
     # Every boundary point lies on a hyperplane tangent to the insphere, so
     # the boundary area is D/r times the volume (Zyczkowski & Sommers 2003).
     gamma = d / inscribed

@@ -551,6 +551,7 @@ _REFUSED_LINES = {
             ("constants", "--n", "173", "--alpha", "1/2"),
             ("edge", "--n", "169", "--rank-deficiency", "15"),
             ("reference", "--body", "diamond", "--dim", "29583"),
+            ("group", "--family", "U", "--n", "100000"),
         )
     },
 }
@@ -654,10 +655,10 @@ def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, m
     # D! past the Gamma bound, answers too long to print, norm rows whose
     # Dirichlet draws hold exact zeros or whose 1/C is not a normal double
     # (e^714 at n = 2, alpha = 1e-310; 1e-337 at n = 16), an alpha whose
-    # log-Gamma overflows (1e308, in constants and verify), a Gamma product
-    # past the size bound, a negative sample count, hit-or-miss rows that
-    # would pass on zero hits and an alpha that no double holds are refused
-    # before the factorial, the first draw, the product or the constant is
+    # log-Gamma overflows (1e308, in constants and verify), a negative
+    # sample count, hit-or-miss rows that would pass on zero hits and an
+    # alpha that no double holds are refused before the factorial, the
+    # first draw, the product or the constant is
     # computed; --suite all refuses its n = 3 hit-or-miss row at 200 samples
     # before its first norm row runs
     def unreachable(*args, **kwargs):

@@ -545,6 +545,15 @@ def test_a_value_far_over_the_limit_is_refused_from_its_blocks(monkeypatch, digi
     assert str(refused.value) == str(reference.value)
 
 
+@needs_digit_limit
+def test_repr_names_a_q_that_str_refuses_without_building_it(monkeypatch, digit_limit):
+    digit_limit(4300)
+    value = vol_mixed(StateSpace(1000))
+    monkeypatch.setattr(exactnum, "_power_product", _unreachable_power_product)
+    assert repr(value) == f"ExactValue(sign=1, q=<more than 4300 digits>, r={value.r}, p={value.p})"
+    assert repr(-value).startswith("ExactValue(sign=-1, q=<more than 4300 digits>, ")
+
+
 def _exact_log_factorials(fact):
     """ln P and ln Q of the map, from the integers themselves."""
     sides = [1, 1]

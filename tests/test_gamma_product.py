@@ -3,11 +3,11 @@
 The reference functions below multiply one exact Gamma value at a time into
 the result, as the closed forms are written, with their own factorial-based
 Gamma.  The library composes each closed form from Gamma maps, whose
-factorial maps add, and bounds only the answer; both routes must agree
-field by field.
+factorial maps add; both routes must agree field by field.
 """
 
 import math
+import sys
 from array import array
 from fractions import Fraction
 
@@ -25,6 +25,7 @@ from hsgeom.exactnum import (
     ExactValue,
     exact_sqrt,
     from_rational,
+    gamma_exact,
     gamma_product,
 )
 from hsgeom.groups import _GROUP_FAMILIES, Convention, CosetSpec, Family, sphere_volume, vol_coset, vol_group
@@ -242,6 +243,22 @@ def test_gamma_product_rejects_keys_above_the_bound():
     assert gamma_product({10**400: 0}) == ONE
 
 
+def _str_without_digit_limit(value: ExactValue) -> str:
+    """str(value) with the int<->str digit limit off, on an interpreter that has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+# every read that builds q
+_FIRST_BUILDS = (lambda v: v.q, lambda v: v == ONE, hash, _str_without_digit_limit)
+
+
 def test_gamma_product_refuses_a_product_past_the_size_bound_before_building_it(monkeypatch):
     # Gamma(3)^k = 2^k is estimated at exactly k bits, so the bound is sharp here
     assert gamma_product({6: _MAX_PRODUCT_BITS}) == from_rational(2**_MAX_PRODUCT_BITS)
@@ -251,13 +268,28 @@ def test_gamma_product_refuses_a_product_past_the_size_bound_before_building_it(
         raise AssertionError("built the product")
 
     monkeypatch.setattr(exactnum, "_power_product", unreachable)
-    # every key is within its own bound; the products are not
+    # every key is within its own bound; the products are not, and each
+    # first build refuses them
     for powers in ({6: _MAX_PRODUCT_BITS + 1}, {6: -_MAX_PRODUCT_BITS - 1}, {2 * 10**5: 200}):
-        with pytest.raises(ValueError, match="exact value too large"):
-            gamma_product(powers)
+        for build in _FIRST_BUILDS:
+            with pytest.raises(ValueError, match="exact value too large"):
+                build(gamma_product(powers))
 
 
-# -- every closed form, bounded once on its answer -------------------------------
+def test_a_value_made_by_arithmetic_past_the_size_bound_is_refused_at_its_first_build(monkeypatch):
+    # Gamma(10^5)^1000 is the refused gamma_product({2 * 10**5: 1000}) made
+    # from a Gamma within the bound
+    def unreachable(bases):
+        raise AssertionError("built the product")
+
+    monkeypatch.setattr(exactnum, "_power_product", unreachable)
+    for make in (lambda: gamma_exact(10**5) ** 1000, lambda: gamma_exact(10**5) * gamma_exact(10**5) ** 999):
+        for build in _FIRST_BUILDS:
+            with pytest.raises(ValueError, match="exact value too large"):
+                build(make())
+
+
+# -- every closed form against the per-factor loops -------------------------------
 
 
 @pytest.mark.parametrize("n", [50, 120])
@@ -301,3 +333,13 @@ def test_the_size_bound_judges_the_answer_not_its_factors():
         vol_mixed(StateSpace(5000, "real"))
     # C_1 = Gamma(alpha) / Gamma(alpha) is 1 even where Gamma(alpha) is past the key bound
     assert c_norm(EnsembleParams(1, 2**21, 2)) == ONE
+
+
+def test_a_group_volume_past_the_size_bound_gives_its_log10():
+    # U(N) under A is 2^(N(N+1)/2) pi^(N(N+1)/2) / prod_{k=1}^{N} Gamma(k); at
+    # N = 10^4 its denominator has about 5 * 10^8 bits
+    n = 10**4
+    half = n * (n + 1) // 2
+    ln_volume = math.fsum([half * math.log(2 * math.pi), *(-math.lgamma(k) for k in range(1, n + 1))])
+    log10 = vol_group(CosetSpec(Family.UNITARY, n)).log10()
+    assert log10 == pytest.approx(ln_volume / math.log(10), rel=1e-12)
