@@ -1,6 +1,7 @@
 """Canonical-form arithmetic, exact Gamma, conversions, and the string grammar."""
 
 import decimal
+import hashlib
 import math
 import operator
 import random
@@ -28,9 +29,9 @@ from hsgeom.exactnum import (
     gamma_product,
     parse,
 )
-from hsgeom.constants import EnsembleParams, c_norm
-from hsgeom.groups import CosetSpec, Family, sphere_volume, vol_group
-from hsgeom.mixedstates import StateSpace, geometry, vol_mixed
+from hsgeom.constants import EnsembleParams, c_norm, laguerre_integral
+from hsgeom.groups import _GROUP_FAMILIES, Convention, CosetSpec, Family, sphere_volume, vol_coset, vol_group
+from hsgeom.mixedstates import ReferenceKind, StateSpace, geometry, reference_body, vol_edge, vol_mixed
 
 # Frozen with mpmath at 40 significant digits: pi*sqrt(2)/3 and
 # log10(pi^3 / (840 sqrt(3))).
@@ -652,3 +653,70 @@ def test_without_a_limit_every_value_renders_and_parses_back(digit_limit):
     for field in ("complex", "real"):
         v = vol_mixed(StateSpace(60, field))
         assert parse(str(v)) == v == vol_mixed(StateSpace(60, field))
+
+
+# -- floats and logs pinned ------------------------------------------------------
+
+
+def _float_log_lines(values) -> str:
+    """One line ``repr(to_float()) repr(log10())`` per value; a float is repr'd as it is."""
+    lines = []
+    for v in values:
+        lines.append(repr(v) if isinstance(v, float) else f"{v.to_float()!r} {v.log10()!r}")
+    return "\n".join(lines)
+
+
+def _pinned_edges():
+    for field in ("complex", "real"):
+        for n in range(2, 13):
+            yield from (vol_edge(StateSpace(n, field), k) for k in range(n))
+
+
+def _pinned_geometry():
+    for field in ("complex", "real"):
+        for n in range(2, 61):
+            g = geometry(StateSpace(n, field))
+            yield from (g.circumradius, g.inradius, g.effective_radius, g.gamma)
+            yield from (g.chi1_log10, g.chi2_log10, g.chi_log10)
+
+
+def _pinned_families():
+    for family in Family:
+        volume = vol_group if family in _GROUP_FAMILIES else vol_coset
+        for conv in Convention:
+            yield from (volume(CosetSpec(family, n), conv) for n in range(1, 31))
+
+
+def _pinned_constants():
+    for alpha in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+        for beta in (1, 2):
+            for n in range(1, 31):
+                params = EnsembleParams(n, alpha, beta)
+                yield from (c_norm(params), laguerre_integral(params))
+
+
+def _pinned_reference_bodies():
+    for kind in ReferenceKind:
+        for dim in range(1, 61):
+            body = reference_body(kind, dim)
+            yield body.volume
+            if body.boundary_ratio is not None:
+                yield body.boundary_ratio
+
+
+# sha256 of _float_log_lines over each closed form, recorded before the
+# integer cofactor: every float and log10 keeps its bits however the exact
+# layer forms them
+_FLOAT_LOG_SHA256 = {
+    "vol_edge": (_pinned_edges, "692e117a81c77414b50be2388269dbd5d68502c5e77cbf3abf242065e3908306"),
+    "geometry": (_pinned_geometry, "c4b55a2434122d60b253ff60e7b9a7d2d007913fb0a3e2f92d7b0596491f8090"),
+    "families": (_pinned_families, "fd20c1dfb0b58ae79bdc2d27bf5fc84122594aacc26491e3583ce353438f55d6"),
+    "constants": (_pinned_constants, "84bdf70b225fb2ee67671e4e069eb2276e87914c7b6f6e1ad16ee9b9941ae940"),
+    "reference_bodies": (_pinned_reference_bodies, "1a80d856a6fa8e40998051f0a1ddf58aadc5ff13d2cb291b8a9966323174d6e2"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLOAT_LOG_SHA256))
+def test_floats_and_logs_golden(name):
+    values, digest = _FLOAT_LOG_SHA256[name]
+    assert hashlib.sha256(_float_log_lines(values()).encode()).hexdigest() == digest
