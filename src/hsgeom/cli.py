@@ -313,8 +313,13 @@ def main(argv=None) -> int:
             out.flush()
         return code
     except (ValueError, ZeroDivisionError, MemoryError) as exc:
-        # MemoryError: a single matrix (one block) at an --n too large to allocate
-        print(f"error: {exc}", file=sys.stderr)
+        # MemoryError: a single matrix (one block) at an --n too large to
+        # allocate; one without a message is named by the call
+        message = str(exc)
+        if not message:
+            sizes = [f"--{name} {getattr(args, name)}" for name in ("n", "dim") if getattr(args, name, None) is not None]
+            message = " ".join(["out of memory:", args.command, *sizes])
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader closed stdout early, as `| head` does.  Stdout now points

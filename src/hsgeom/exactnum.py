@@ -18,12 +18,12 @@ double's rounding, and an exponent range wide enough that no intermediate
 overflows or underflows.  Every operation goes through that context, so
 the caller's ``decimal.getcontext()`` never changes a result.
 
-Every value holds its rational part as a cofactor times a product of
-factorial powers, kept as the map j -> power of j!.  Its primes are found
-only when a float, a log10 or a string needs them, and its integers are
-built only when something reads q, so a refused string finds no prime and
-a float or a log10 never builds integers of millions of digits (see
-``ExactValue``).
+Every value holds its rational part as a cofactor, a coprime pair of
+ints, times a product of factorial powers, kept as the map j -> power of
+j!.  Its primes are found only when a float, a log10 or a string needs
+them, and its integers are built only when something reads q, so a refused
+string finds no prime and a float or a log10 never builds integers of
+millions of digits (see ``ExactValue``).
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ _LN_FACTORIAL = tuple(math.log(math.factorial(j)) for j in range(16))
 _TOP_BITS = 192
 # The blocks of a value without a map, or with q built
 _NO_BLOCKS = ((), ())
+# The cofactor 1 as a (numerator, denominator) pair
+_UNIT = (1, 1)
 # The refusal of an integer with more digits than the limit, in the words
 # of int.__str__ from Python 3.11 on; ``str`` gives it on every version.
 _DIGIT_LIMIT_ERROR = (
@@ -161,10 +163,10 @@ def _log_factorials(fact) -> tuple[float, float, float]:
     return ln_p, ln_q, 1e-9 * size
 
 
-def _refuse_long_sides(cofactor: Fraction, num_log2: float, den_log2: float) -> None:
+def _refuse_long_sides(cofactor: tuple[int, int], num_log2: float, den_log2: float) -> None:
     """Raise int.__str__'s ValueError if a side of q certainly has too many digits.
 
-    q is ``cofactor`` times numerator blocks over denominator blocks, and
+    q is the ``cofactor`` pair times numerator blocks over denominator blocks, and
     ``num_log2`` and ``den_log2`` are lower bounds of log2 of the two block
     products.  q's numerator is at least its blocks divided by the
     cofactor's denominator (the most the gcd with it can take out), and
@@ -177,9 +179,24 @@ def _refuse_long_sides(cofactor: Fraction, num_log2: float, den_log2: float) -> 
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
-    for log2, divisor in ((num_log2, cofactor.denominator), (den_log2, cofactor.numerator)):
+    for log2, divisor in ((num_log2, cofactor[1]), (den_log2, cofactor[0])):
         if log2 * (1 - 1e-9) - divisor.bit_length() >= limit * _LOG2_10_UP:
             raise ValueError(_DIGIT_LIMIT_ERROR.format(limit))
+
+
+def _refuse_too_large(num_bits: float, den_bits: float) -> None:
+    """Raise the size bound's ValueError if a lower bound of the bits of a side of q exceeds it."""
+    if max(num_bits, den_bits) > _MAX_PRODUCT_BITS:
+        raise ValueError(f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits")
+
+
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x * y as a coprime (numerator, denominator) pair, for coprime pairs; a unit factor costs nothing."""
+    if x == _UNIT or y == _UNIT:
+        return y if x == _UNIT else x
+    (a, b), (c, d) = x, y
+    g, h = math.gcd(a, d), math.gcd(c, b)
+    return a // g * (c // h), b // h * (d // g)
 
 
 def as_integer(x, name: str) -> int:
@@ -266,11 +283,12 @@ class ExactValue(Record):
     of pi.  Zero is uniquely (0, 1, 1, 0).  Two values are equal iff all four
     fields match, so ``==`` is exact algebraic equality.
 
-    Every value holds q as ``_parts = (cofactor, fact, blocks)``: a
-    Fraction times prod j!^k over the items j: k of the factorial map
-    ``fact``.  Without a map q is the cofactor.  A value with a map, as from
-    ``gamma_product``, is read in three steps, each taken once and only
-    when needed:
+    Every value holds q as ``_parts = (cofactor, fact, blocks)``: a coprime
+    (numerator, denominator) pair of ints, 1 in most factors, which no gcd
+    or product touches, times prod j!^k over the items j: k of the
+    factorial map ``fact``.  Without a map q is the cofactor.  A value with
+    a map, as from ``gamma_product``, is read in three steps, each taken
+    once and only when needed:
 
     - ``str`` and ``to_float`` first bound log2 of the map's product from
       ``math.log`` (``_log_factorials``), which finds no prime.  ``str``
@@ -282,22 +300,28 @@ class ExactValue(Record):
       (block, power) lists: for ``log10``, for a ``to_float`` whose result
       is a finite nonzero double, and for ``str`` before it builds.
       ``log10`` and ``to_float`` read their top bits.
-    - q is built from the blocks the first time something reads it
-      (``str``, ``==``, ``hash``, ``repr``, the field itself), and the value
-      then holds (q, {}, ((), ())).  A side of more than
-      ``_MAX_PRODUCT_BITS`` bits is refused there, before it is built;
-      ``repr`` names a q that ``str`` refuses instead of reading it.
+    - q's integers are built from the blocks the first time something
+      needs them (``str``, ``==``, ``hash``, ``repr``, the field itself),
+      and the value then holds ((numerator, denominator), {}, ((), ())).
+      A side of more than ``_MAX_PRODUCT_BITS`` bits is refused there,
+      before it is built; ``repr`` names a q that ``str`` refuses instead
+      of reading it.
 
     A product adds the two maps, an inverse negates its map and a power
     scales it, and a built factor goes into the cofactor.  The q built does
     not depend on how or when the value was made.
+
+    A value remembers ``q`` and, for ``to_float`` and ``log10``, ``_mag``
+    (q * sqrt(r) at 40 digits) and ``_log``, each made on its first read.
+    A memo is stored whole by one slot assignment, so no thread sees half
+    of one; threads that read it at once each make and store it.
     """
 
-    __slots__ = ("sign", "q", "r", "p", "_parts")
+    __slots__ = ("sign", "q", "r", "p", "_parts", "_mag", "_log")
 
     def __init__(self, sign: int, q: Fraction, r: int, p: int):
         q, r, p = Fraction(q), as_integer(r, "r"), as_integer(p, "p")
-        self._set(sign, q, r, p, (q, {}, _NO_BLOCKS))
+        self._set(sign, q, r, p, ((q.numerator, q.denominator), {}, _NO_BLOCKS))
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
         if sign == 0:
@@ -310,22 +334,18 @@ class ExactValue(Record):
             raise ValueError(f"r must be a squarefree positive integer, got {r}")
 
     @classmethod
-    def _from_parts(cls, sign: int, r: int, p: int, cofactor: Fraction, fact: dict) -> "ExactValue":
+    def _from_parts(cls, sign: int, r: int, p: int, cofactor: tuple[int, int], fact: dict) -> "ExactValue":
         """sign * cofactor * prod j!^fact[j] * sqrt(r) * pi^(p/2), the maker of every result.
 
         ``fact`` maps integers j >= 2 to nonzero powers and is never changed
-        once stored; ``cofactor`` is a positive Fraction.  Stored by hand,
-        not checked by ``__init__`` nor stored by ``_set``: every *, / and
-        pow_int makes one and the exact answers are compared with ==, where
-        the generic ``_set`` and ``_key`` cost 0.79 against 0.61 us.
+        once stored; ``cofactor`` is a coprime pair of positive ints.  Stored
+        by hand and unchecked, as every *, / and pow_int makes one.
         """
         v = object.__new__(cls)
         object.__setattr__(v, "sign", sign)
         object.__setattr__(v, "r", r)
         object.__setattr__(v, "p", p)
         object.__setattr__(v, "_parts", (cofactor, fact, None if fact else _NO_BLOCKS))
-        if not fact:
-            object.__setattr__(v, "q", cofactor)
         return v
 
     def _blocks(self) -> tuple:
@@ -340,31 +360,42 @@ class ExactValue(Record):
             object.__setattr__(self, "_parts", (cofactor, fact, blocks))
         return cofactor, *blocks
 
-    def __getattr__(self, name):
-        # Reached only for a slot that was never set: q of a value with a
-        # map.  The two block products are coprime and so are the
-        # cofactor's integers, so only a gcd of each product with the
-        # cofactor is left to take out.  Two threads that read q at once
-        # both build it, to the same Fraction.
-        if name != "q":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _ints(self) -> tuple[int, int]:
+        """q's (numerator, denominator), built from the blocks on a map's first call.
+
+        The block products are coprime and so are the cofactor's ints: only
+        a gcd of each product with the cofactor is left to take out.
+        """
+        cofactor, fact, _ = self._parts
+        if not fact:
+            return cofactor
         cofactor, num, den = self._blocks()
         # sum e * (bits of x - 1) over a side's (block x, power e) pairs is
         # a lower bound of its bits, exact for powers of two
-        if any(sum(e * (x.bit_length() - 1) for x, e in side) > _MAX_PRODUCT_BITS for side in (num, den)):
-            raise ValueError(f"exact value too large: its numerator or denominator exceeds {_MAX_PRODUCT_BITS} bits")
-        a, b = cofactor.numerator, cofactor.denominator
-        n, d = _power_product(num), _power_product(den)
+        _refuse_too_large(*(sum(e * (x.bit_length() - 1) for x, e in side) for side in (num, den)))
+        (a, b), n, d = cofactor, _power_product(num), _power_product(den)
         g, h = math.gcd(a, d), math.gcd(b, n)
-        q = _coprime_fraction(a // g * (n // h), b // h * (d // g))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_parts", (q, {}, _NO_BLOCKS))
-        return q
+        ints = a // g * (n // h), b // h * (d // g)
+        object.__setattr__(self, "_parts", (ints, {}, _NO_BLOCKS))
+        return ints
+
+    def __getattr__(self, name):
+        # reached only for a slot never set: q or a memo, made on first read
+        if name == "q":
+            value = _coprime_fraction(*self._ints())
+        elif name == "_mag":
+            value = self._magnitude()
+        elif name == "_log":
+            value = _CTX.divide(_ln(self._mag), _LN10)
+            value = float(_CTX.add(value, _CTX.multiply(self.p, _HALF_LOG10_PI)) if self.p else value)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def _key(self) -> tuple:
-        # q is a Fraction in lowest terms, so its two integers decide it
-        # and compare without Fraction.__eq__
-        return self.sign, self.q.numerator, self.q.denominator, self.r, self.p
+        # q in lowest terms is decided by its two integers, compared without a Fraction
+        return self.sign, *self._ints(), self.r, self.p
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -398,7 +429,7 @@ class ExactValue(Record):
                     fact[j] = k
                 else:
                     del fact[j]
-        return ExactValue._from_parts(sign, r, p, mine * theirs * g, fact)
+        return ExactValue._from_parts(sign, r, p, _times(_times(mine, theirs), (g, 1)), fact)
 
     __rmul__ = __mul__
 
@@ -406,22 +437,18 @@ class ExactValue(Record):
         if self.sign == 0:
             raise ZeroDivisionError("division by exact zero")
         # 1/sqrt(r) = sqrt(r)/r keeps the radicand unchanged.
-        cofactor, fact, _ = self._parts
+        (a, b), fact, _ = self._parts
         return ExactValue._from_parts(
-            self.sign, self.r, -self.p, 1 / (cofactor * self.r), {j: -k for j, k in fact.items()}
+            self.sign, self.r, -self.p, _times((b, a), (1, self.r)), {j: -k for j, k in fact.items()}
         )
 
     def __truediv__(self, other) -> "ExactValue":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other._inverse()
+        return NotImplemented if other is NotImplemented else self * other._inverse()
 
     def __rtruediv__(self, other) -> "ExactValue":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self._inverse()
+        return NotImplemented if other is NotImplemented else other * self._inverse()
 
     def __neg__(self) -> "ExactValue":
         if self.sign == 0:
@@ -441,8 +468,17 @@ class ExactValue(Record):
             return self._inverse().pow_int(-k)
         sign, r = (self.sign, self.r) if k % 2 else (1, 1)
         cofactor, fact, _ = self._parts
+        if k > 1 and (cofactor != _UNIT or self.r != 1):
+            # the size bound, before a/b and r^(k//2) are powered: a^k and the part
+            # of r^(k//2) prime to b stay in the numerator, b^k loses at most
+            # s^(k//2), s = gcd(r, b); 1e-9 covers the rounding of these log2s
+            (a, b), half, log2 = cofactor, k // 2, math.log2
+            s = math.gcd(self.r, b)
+            num, den = k * log2(a) + half * log2(self.r // s), k * log2(b) - half * log2(s)
+            _refuse_too_large(num * (1 - 1e-9), den * (1 - 1e-9))
+            cofactor = _times((a**k, b**k), (self.r**half, 1))
         fact = {j: e * k for j, e in fact.items()}
-        return ExactValue._from_parts(sign, r, self.p * k, cofactor**k * Fraction(self.r) ** (k // 2), fact)
+        return ExactValue._from_parts(sign, r, self.p * k, cofactor, fact)
 
     __pow__ = pow_int
 
@@ -450,12 +486,12 @@ class ExactValue(Record):
 
     def _magnitude(self) -> Decimal:
         """q * sqrt(r) in ``_CTX``, from the top bits of the cofactor's integers and the blocks."""
-        cofactor, num_blocks, den_blocks = self._blocks()
-        num, a = _power_top([(cofactor.numerator, 1), *num_blocks])
-        den, b = _power_top([(cofactor.denominator, 1), *den_blocks])
+        (a, b), num_blocks, den_blocks = self._blocks()
+        num, s = _power_top([(a, 1), *num_blocks])
+        den, t = _power_top([(b, 1), *den_blocks])
         m = _CTX.divide(num, den)
-        if a != b:
-            m = _CTX.multiply(m, _CTX.power(2, a - b))
+        if s != t:
+            m = _CTX.multiply(m, _CTX.power(2, s - t))
         if self.r != 1:
             m = _CTX.multiply(m, _CTX.sqrt(self.r))
         return m
@@ -471,10 +507,10 @@ class ExactValue(Record):
         """
         if self.sign == 0:
             return 0.0
-        cofactor, fact, _ = self._parts
+        (a, b), fact, _ = self._parts
         if fact:
             ln_p, ln_q, err = _log_factorials(fact)
-            log2 = (ln_p - ln_q) / _LN2 + math.log2(cofactor.numerator) - math.log2(cofactor.denominator)
+            log2 = (ln_p - ln_q) / _LN2 + math.log2(a) - math.log2(b)
             log2 += math.log2(self.r) / 2 + self.p * _LOG2_SQRT_PI
             # doubles end at 2^1024 and round to 0.0 below 2^-1075; the
             # margins cover the rounding of the cofactor's and pi's logs
@@ -483,27 +519,25 @@ class ExactValue(Record):
             if log2 + err / _LN2 < -1080:
                 return self.sign * 0.0
         if self.r == 1 and self.p == 0:
+            a, b = self._ints()
             try:
-                return self.sign * float(self.q)
+                return self.sign * (a / b)  # int / int rounds once, as float(Fraction) does
             except OverflowError:
                 return self.sign * math.inf
-        v = self._magnitude()
+        v = self._mag
         if self.p:
             v = _CTX.multiply(v, _CTX.power(_SQRT_PI, self.p))
         return self.sign * float(v)
 
     def log10(self) -> float:
-        """log10 of the value, at 40 digits in ``_CTX``.
+        """log10 of the value, at 40 digits in ``_CTX``, computed once per value.
 
         Never overflows, so it stays meaningful for quantities at matrix
         sizes where the value itself leaves the double range.
         """
         if self.sign <= 0:
             raise ValueError("log10 requires a positive value")
-        t = _CTX.divide(_ln(self._magnitude()), _LN10)
-        if self.p:
-            t = _CTX.add(t, _CTX.multiply(self.p, _HALF_LOG10_PI))
-        return float(t)
+        return self._log
 
     # -- rendering ----------------------------------------------------------
 
@@ -535,9 +569,9 @@ class ExactValue(Record):
         if self.sign == 0:
             return "0"
         self._refuse_long()
-        q = self.q
+        a, b = self._ints()
         try:
-            parts = [str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"]
+            parts = [str(a) if b == 1 else f"{a}/{b}"]
         except ValueError:
             # int.__str__ of Python 3.10 words this refusal differently
             raise ValueError(_DIGIT_LIMIT_ERROR.format(sys.get_int_max_str_digits())) from None
@@ -556,21 +590,22 @@ PI = ExactValue(1, Fraction(1), 1, 2)
 
 def from_rational(x) -> ExactValue:
     """Embed a rational (int or Fraction) in the field."""
-    x = Fraction(x)
-    if x == 0:
+    a, b = (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+    if a == 0:
         return ZERO
-    return ExactValue(1 if x > 0 else -1, abs(x), 1, 0)
+    return ExactValue._from_parts(1 if a > 0 else -1, 1, 0, (abs(a), b), {})
 
 
 def exact_sqrt(x) -> ExactValue:
     """Exact square root of a nonnegative rational: sqrt(a/b) = sqrt(a*b)/b."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError(f"square root of negative rational {x}")
-    if x == 0:
+    a, b = (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+    if a < 0:
+        raise ValueError(f"square root of negative rational {Fraction(a, b)}")
+    if a == 0:
         return ZERO
-    s, r = _squarefree(x.numerator * x.denominator)
-    return ExactValue(1, Fraction(s, x.denominator), r, 0)
+    s, r = _squarefree(a * b)
+    g = math.gcd(s, b)
+    return ExactValue._from_parts(1, r, 0, (s // g, b // g), {})
 
 
 def gamma_exact(x) -> ExactValue:
@@ -759,10 +794,8 @@ def gamma_map(pairs) -> ExactValue:
 
     Only a read of q builds numerator and denominator, each once by binary
     powering over balanced products (Borwein, "On the complexity of
-    calculating factorials", J. Algorithms 6, 1985), and the Fraction from
-    them without a gcd, which took 7.2 of the 18.7 ms of c_norm at n = 197,
-    alpha = 3/2 (2-core Xeon VM).  The blocks that built vol_mixed at
-    n = 1000 took 5.9 s to power out in full.
+    calculating factorials", J. Algorithms 6, 1985), and without a gcd.  The
+    blocks that built vol_mixed at n = 1000 took 5.9 s to power out in full.
     """
     fact: dict[int, int] = {}  # j -> power of j!
     twos = half_pi = 0
@@ -783,7 +816,7 @@ def gamma_map(pairs) -> ExactValue:
             half_pi += k
     fact[2] = fact.get(2, 0) + twos
     fact = {j: k for j, k in fact.items() if k and j > 1}  # 0! = 1! = 1
-    return ExactValue._from_parts(1, 1, half_pi, Fraction(1), fact)
+    return ExactValue._from_parts(1, 1, half_pi, _UNIT, fact)
 
 
 def gamma_product(powers) -> ExactValue:

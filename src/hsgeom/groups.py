@@ -15,10 +15,9 @@ B and C coincide.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from itertools import chain, repeat
 
-from .exactnum import ExactValue, Record, as_integer, exact_sqrt, gamma_exact, gamma_map
+from .exactnum import ExactValue, Record, as_integer, exact_sqrt, gamma_map
 
 __all__ = [
     "Convention",
@@ -72,19 +71,20 @@ def sphere_volume(k: int) -> ExactValue:
     """Volume of the unit k-sphere S^k in R^(k+1): 2 pi^((k+1)/2) / Gamma((k+1)/2)."""
     if k < 0:
         raise ValueError(f"sphere dimension must be >= 0, got {k}")
-    return 2 * ExactValue(1, Fraction(1), 1, k + 1) / gamma_exact(Fraction(k + 1, 2))
+    return 2 * gamma_map([(1, k + 1), (k + 1, -1)])
 
 
 def ball_volume(k: int) -> ExactValue:
     """Volume of the unit k-ball B^k: pi^(k/2) / Gamma(k/2 + 1)."""
     if k < 0:
         raise ValueError(f"ball dimension must be >= 0, got {k}")
-    return ExactValue(1, Fraction(1), 1, k) / gamma_exact(Fraction(k, 2) + 1)
+    return gamma_map([(1, k), (k + 2, -1)])
 
 
 # Integer powers of two go into the Gamma maps as Gamma(3) = 2, keyed 6, and
 # only an odd power of sqrt(2) is a factor of its own: 2^k as a value of its
-# own made the real-field edge volumes up to a third slower.
+# own made the real-field edge volumes up to a third slower.  Powers of pi go
+# in as Gamma(1/2) = sqrt(pi), keyed 1, which adds no factorial.
 
 
 def _spheres(n: int, step: int, roots: int) -> ExactValue:
@@ -93,8 +93,8 @@ def _spheres(n: int, step: int, roots: int) -> ExactValue:
     With step 2 this is U(n) under B, a product of the unit spheres
     S^1, S^3, ..., S^(2n-1); with step 1 it is O(n), of S^0 ... S^(n-1).
     """
-    value = gamma_map(chain([(6, n + roots // 2)], zip(range(step, step * n + 1, step), repeat(-1))))
-    value = value * ExactValue(1, Fraction(1), 1, step * n * (n + 1) // 2)
+    pi_and_twos = [(1, step * n * (n + 1) // 2), (6, n + roots // 2)]
+    value = gamma_map(chain(pi_and_twos, zip(range(step, step * n + 1, step), repeat(-1))))
     return value * exact_sqrt(2) if roots % 2 else value
 
 
@@ -132,13 +132,12 @@ def vol_coset(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
         raise ValueError(f"{family.value} is a group family; use vol_group")
     if family is Family.COMPLEX_PROJECTIVE:
         # pi^k / k!, times 2^k under A
-        value = gamma_map([(2 * n + 2, -1), (6, n if conv is Convention.A else 0)])
-        return value * ExactValue(1, Fraction(1), 1, 2 * n)
+        return gamma_map([(2 * n + 2, -1), (6, n if conv is Convention.A else 0), (1, 2 * n)])
     if family is Family.REAL_PROJECTIVE:
         # O(k+1) / (O(1) x O(k)) = Vol(S^k)/2 = pi^((k+1)/2) / Gamma((k+1)/2),
         # times sqrt(2)^k under A
         roots = n if conv is Convention.A else 0
-        value = gamma_map([(n + 1, -1), (6, roots // 2)]) * ExactValue(1, Fraction(1), 1, n + 1)
+        value = gamma_map([(n + 1, -1), (6, roots // 2), (1, n + 1)])
         return value * exact_sqrt(2) if roots % 2 else value
     if family is Family.COMPLEX_FLAG:
         # U(N) / U(1)^N; sizes 0 and 1 both give volume 1.

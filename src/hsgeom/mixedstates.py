@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 from .constants import EnsembleParams, c_norm
-from .exactnum import ONE, PI, ExactValue, Record, as_integer, exact_sqrt, from_rational, gamma_exact, gamma_map
+from .exactnum import ONE, ExactValue, Record, as_integer, exact_sqrt, from_rational, gamma_exact, gamma_map
 from .groups import Convention, CosetSpec, Family, ball_volume, sphere_volume, vol_coset
 
 __all__ = [
@@ -77,10 +77,10 @@ def vol_edge(space: StateSpace, k: int) -> ExactValue:
     if space.field == COMPLEX and k == 0:
         # The complex body has a direct formula, cheaper than the flag route:
         # sqrt(N) (2 pi)^(N(N-1)/2) Gamma(1)...Gamma(N) / Gamma(N^2), with the
-        # power of two taken in as Gamma(3) = 2
+        # power of two taken in as Gamma(3) = 2 and that of pi as Gamma(1/2)^2
         half = n * (n - 1) // 2
-        powers = chain(zip(range(2, 2 * n + 1, 2), repeat(1)), [(2 * n * n, -1), (6, half)])
-        return exact_sqrt(n) * PI.pow_int(half) * gamma_map(powers)
+        powers = chain(zip(range(2, 2 * n + 1, 2), repeat(1)), [(2 * n * n, -1), (6, half), (1, 2 * half)])
+        return exact_sqrt(n) * gamma_map(powers)
     if space.field == COMPLEX:
         flag_family, alpha, beta = Family.COMPLEX_FLAG, Fraction(1 + 2 * k), 2
     else:

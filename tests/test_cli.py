@@ -582,6 +582,26 @@ def test_allocation_failure_exits_two(capsys, monkeypatch, argv, module, name):
     assert captured.err.startswith("error: Unable to allocate") and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, name, err",
+    [
+        (["sample", "--n", "100000"], "_cmd_sample", "error: out of memory: sample --n 100000\n"),
+        (["volume", "--n", "7"], "_cmd_volume", "error: out of memory: volume --n 7\n"),
+        (["reference", "--body", "ball", "--dim", "9"], "_cmd_reference", "error: out of memory: reference --dim 9\n"),
+        (["verify", "--suite", "norm"], "_cmd_verify", "error: out of memory: verify\n"),
+    ],
+)
+def test_a_memory_error_without_a_message_names_the_call(capsys, monkeypatch, argv, name, err):
+    # MemoryError() is what CPython raises when it cannot allocate an object
+    def refuse(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, name, refuse)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == err
+
+
 @pytest.mark.parametrize("dim", ["4000000", "4000001"])
 def test_ball_past_the_gamma_bound_exits_two(capsys, dim):
     # Gamma(dim/2 + 1) is past the largest exact Gamma argument for an even

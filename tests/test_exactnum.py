@@ -7,6 +7,7 @@ import operator
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -653,6 +654,125 @@ def test_without_a_limit_every_value_renders_and_parses_back(digit_limit):
     for field in ("complex", "real"):
         v = vol_mixed(StateSpace(60, field))
         assert parse(str(v)) == v == vol_mixed(StateSpace(60, field))
+
+
+# -- the integer cofactor --------------------------------------------------------
+
+# recipes of values, each made afresh by _make, so that a value under test
+# and the one its fields are read from never share a state
+_recipes = st.one_of(
+    st.tuples(st.just("rational"), st.fractions(-(10**6), 10**6, max_denominator=10**6)),
+    st.tuples(st.just("sqrt"), st.fractions(0, 10**6, max_denominator=10**6)),
+    st.tuples(st.just("pi"), st.integers(-6, 6)),
+    st.tuples(st.just("gamma"), st.dictionaries(st.integers(1, 40), st.integers(-3, 3), max_size=4)),
+)
+
+
+def _make(recipe) -> ExactValue:
+    kind, arg = recipe
+    if kind == "rational":
+        return from_rational(arg)
+    if kind == "sqrt":
+        return exact_sqrt(arg)
+    if kind == "pi":
+        return gamma_product({1: arg})  # Gamma(1/2)^k = pi^(k/2)
+    return gamma_product(arg)
+
+
+def _fields(recipe) -> tuple:
+    v = _make(recipe)
+    return v.sign, v.q, v.r, v.p
+
+
+def _hand_mul(x, y):
+    (s1, q1, r1, p1), (s2, q2, r2, p2) = x, y
+    if s1 * s2 == 0:
+        return 0, Fraction(1), 1, 0
+    g = math.gcd(r1, r2)
+    return s1 * s2, q1 * q2 * g, r1 // g * (r2 // g), p1 + p2
+
+
+def _hand_inverse(x):
+    s, q, r, p = x
+    if s == 0:
+        raise ZeroDivisionError
+    return s, 1 / (q * r), r, -p
+
+
+def _hand_pow(x, k):
+    if k == 0:
+        return 1, Fraction(1), 1, 0
+    if k < 0:
+        return _hand_pow(_hand_inverse(x), -k)
+    s, q, r, p = x
+    if s == 0:
+        return x
+    return s**k, q**k * r ** (k // 2), r if k % 2 else 1, p * k
+
+
+@settings(max_examples=400, deadline=None)
+@given(_recipes, _recipes, st.sampled_from(["mul", "div", "neg", "pow"]), st.integers(-6, 6))
+def test_the_integer_cofactor_matches_fraction_arithmetic(x, y, op, k):
+    hand = {
+        "mul": _hand_mul,
+        "div": lambda a, b: _hand_mul(a, _hand_inverse(b)),
+        "neg": lambda a, b: (-a[0], *a[1:]),
+        "pow": lambda a, b: _hand_pow(a, k),
+    }[op]
+    real = {"mul": operator.mul, "div": operator.truediv, "neg": lambda a, b: -a, "pow": lambda a, b: a.pow_int(k)}[op]
+    try:
+        want = hand(_fields(x), _fields(y))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            real(_make(x), _make(y))
+        return
+    got, ref = real(_make(x), _make(y)), ExactValue(*want)
+    # floats and logs first, while a map's q is still unbuilt
+    assert got.to_float() == ref.to_float()
+    if want[0] > 0:
+        assert got.log10() == ref.log10() == got.log10()
+    assert str(got) == str(ref)
+    assert (got.sign, got.q, got.r, got.p) == want
+
+
+def test_arithmetic_on_unit_cofactors_constructs_no_fraction(monkeypatch):
+    # Gamma maps and powers of pi have the cofactor 1, and so have their
+    # products, quotients, inverses and powers
+    a, b = gamma_product({7: 1, 12: -1}), gamma_product({5: 2, 9: 1})
+    made, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction's own arithmetic makes results here
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(lambda cls, n, d: counted(cls, n, d)))
+    results = [a * b, a / b, b / a, a * PI, PI / a, PI * PI, a.pow_int(-1), b.pow_int(3), -a, 1 / b]
+    assert made == []
+    assert Fraction(1, 3) and made == [(1, 3)]  # the counter sees a construction
+    assert results[0] == gamma_product({7: 1, 12: -1, 5: 2, 9: 1})
+
+
+@pytest.mark.parametrize(
+    "base, k",
+    [(lambda: from_rational(3), 3 * 10**7), (lambda: gamma_exact(10**4), 400), (lambda: exact_sqrt(2), 10**9)],
+    ids=["3", "built-gamma", "sqrt2"],
+)
+def test_pow_int_refuses_past_the_size_bound_at_once(base, k):
+    value = base()
+    value.q  # built, so the power goes into the cofactor
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exact value too large"):
+        value.pow_int(k)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_pow_int_under_the_size_bound_is_exact():
+    v = 5 * exact_sqrt(Fraction(2, 3))  # 5/3 sqrt(6)
+    assert v.pow_int(7) == ExactValue(1, Fraction(5**7 * 6**3, 3**7), 6, 0)
+    assert v.pow_int(-4) == ExactValue(1, Fraction(3**4, 5**4 * 6**2), 1, 0)
+    assert from_rational(Fraction(-3, 2)).pow_int(20000) == from_rational(Fraction(3**20000, 2**20000))
 
 
 # -- floats and logs pinned ------------------------------------------------------
