@@ -840,3 +840,72 @@ _FLOAT_LOG_SHA256 = {
 def test_floats_and_logs_golden(name):
     values, digest = _FLOAT_LOG_SHA256[name]
     assert hashlib.sha256(_float_log_lines(values()).encode()).hexdigest() == digest
+
+
+def _sweep_geometry():
+    for field in ("complex", "real"):
+        for n in range(61, 201, 7):
+            g = geometry(StateSpace(n, field))
+            yield from (g.circumradius, g.inradius, g.effective_radius, g.gamma)
+            yield from (g.chi1_log10, g.chi2_log10, g.chi_log10, vol_mixed(StateSpace(n, field)))
+
+
+def _sweep_edges():
+    for field in ("complex", "real"):
+        for n in (20, 40, 80, 160):
+            yield from (vol_edge(StateSpace(n, field), k) for k in range(0, n, 5))
+
+
+def _sweep_families():
+    for family in Family:
+        volume = vol_group if family in _GROUP_FAMILIES else vol_coset
+        for conv in Convention:
+            yield from (volume(CosetSpec(family, n), conv) for n in range(10, 201, 10))
+
+
+def _sweep_constants():
+    for alpha in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+        for beta in (1, 2):
+            yield from (c_norm(EnsembleParams(n, alpha, beta)) for n in range(31, 61))
+
+
+def _sweep_reference_bodies():
+    for kind in ReferenceKind:
+        for dim in (*range(61, 40_000, 1999), 40_000):
+            body = reference_body(kind, dim)
+            yield body.volume
+            if body.boundary_ratio is not None:
+                yield body.boundary_ratio
+
+
+def _around_the_factorial_bound():
+    # 966! has 8192 bits: factorial maps whose sides have about 7900 to
+    # 8600 bits, with and without a radicand and a power of pi
+    for k in range(940, 1000, 3):
+        yield gamma_exact(k)
+        yield gamma_exact(Fraction(k, 2))
+        yield gamma_exact(k) / gamma_exact(k // 2) * exact_sqrt(k)
+        yield exact_sqrt(2 * k + 1) * PI / gamma_exact(k)
+        yield gamma_product({2 * k + 1: 1, k: -1, 7: 3})
+    for e in range(4, 10):
+        yield gamma_exact(201) ** e / 7
+        yield PI**e / gamma_exact(201) ** e
+
+
+# sha256 of _float_log_lines over the sizes the benchmark's exact sweep asks
+# for, past the closed forms pinned above, and over values on both sides of
+# the size below which q is built from its factorials
+_SWEEP_FLOAT_LOG_SHA256 = {
+    "geometry": (_sweep_geometry, "8d3c8cfdc0ee65fb52c4a3d65fcad1415e4f6337d66fddeebae2e64d113d0d9c"),
+    "vol_edge": (_sweep_edges, "42ee55f06a0c134cd3d55680e77f04f1029a7bd1d99f7f97a9cb918ac0a34d75"),
+    "families": (_sweep_families, "0aa3c19e98bb7683b0c4bf46188140305eda469d39fab30a903d2546d7a189b8"),
+    "constants": (_sweep_constants, "7500f8f356626f1f6464d6108fd79768785fe183f440858f89f8c5fd87bff37e"),
+    "reference_bodies": (_sweep_reference_bodies, "a95ad05b8dbf675882018b006a466a743ddb42904ab7dee52534c7e7be6c2720"),
+    "factorial_bound": (_around_the_factorial_bound, "94bb25f392c127f26fc6f92e0f23b42099bce061ad6c8ed119bef9db5ed96228"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_FLOAT_LOG_SHA256))
+def test_floats_and_logs_golden_over_the_sweep_range(name):
+    values, digest = _SWEEP_FLOAT_LOG_SHA256[name]
+    assert hashlib.sha256(_float_log_lines(values()).encode()).hexdigest() == digest
