@@ -12,7 +12,8 @@ the sides swap directories every pair, because ``mc_verify`` readings move
 with the checkout directory.  The output holds every run's gated metrics
 and failure summary, and per workload and side the median and quartiles of
 each gated metric (``BENCHMARK.json``'s ``end_to_end``), the pairs the
-change wins on each, the seeds, the environment block of the first run (less its seed, source hash
+change wins on each, the median over pairs of change / parent, the one-sided
+sign-test p-value of the wins (see ``sign_test_p``), the seeds, the environment block of the first run (less its seed, source hash
 and git commit, which a ``git archive`` checkout does not have; the
 revisions block names both commits) and the command line.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -39,6 +41,16 @@ SECONDS = 20  # BENCHMARK.json's run_seconds
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def sign_test_p(lower: int, untied: int) -> float:
+    """P(at least ``lower`` of ``untied`` pairs fall lower) when each is lower with probability 1/2.
+
+    The exact one-sided sign test of "the change is lower": pairs that tie
+    count for neither side.  It reads only which side of each pair is
+    lower, so one outlying run moves it by at most one pair.
+    """
+    return sum(math.comb(untied, k) for k in range(lower, untied + 1)) / 2**untied
 
 
 def extract(rev: str, into: Path) -> None:
@@ -104,9 +116,12 @@ def main() -> None:
             for name in gated:
                 by_side = {side: [r["metrics"][name] for r in runs if r["side"] == side]
                            for side in ("parent", "change")}
-                wins = sum(c < p for p, c in zip(by_side["parent"], by_side["change"]))
+                pairs = list(zip(by_side["parent"], by_side["change"]))
+                wins = sum(c < p for p, c in pairs)
                 summary[name] = {**{side: quartiles(v) for side, v in by_side.items()},
-                                 "change_lower_in_pairs": wins}
+                                 "change_lower_in_pairs": wins,
+                                 "median_change_over_parent": statistics.median(c / p for p, c in pairs),
+                                 "sign_test_p": sign_test_p(wins, sum(c != p for p, c in pairs))}
             report["workloads"][workload] = {
                 "seeds": [first_seeds[workload] + i for i in range(PAIRS)],
                 "summary": summary,

@@ -12,18 +12,16 @@ radicals is deliberately not supported; no formula here needs it, and
 omitting it keeps the canonical form unique so equality is field-by-field
 comparison.
 
-Floats and log10 values are computed in the standard library's ``decimal``
-module, in the private context ``_CTX``: 40 significant digits, far below a
-double's rounding, and an exponent range wide enough that no intermediate
-overflows or underflows.  Every operation goes through that context, so
-the caller's ``decimal.getcontext()`` never changes a result.
-
 Every value holds its rational part as a cofactor, a coprime pair of
 ints, times a product of factorial powers, kept as the map j -> power of
-j!.  Its primes are found only when a float, a log10 or a string needs
-them, and its integers are built only when something reads q, so a refused
-string finds no prime and a float or a log10 never builds integers of
-millions of digits (see ``ExactValue``).
+j!.  Its integers are built only when something reads q, from C's
+factorials while the map's sides are below 8192 bits and from its primes
+past that, so a refused string finds no prime and a float or a log10
+never builds integers of millions of digits (see ``ExactValue``).
+
+Floats and log10 values are taken in binary fixed point, in Python ints
+of 192 bits, far past a double's 53: each is rounded to a double once, by
+an exact int / int division, and no ``decimal`` context is read.
 """
 
 from __future__ import annotations
@@ -33,19 +31,9 @@ import re
 import sys
 from array import array
 from bisect import bisect_right
-from decimal import (
-    MAX_EMAX,
-    MIN_EMIN,
-    ROUND_HALF_EVEN,
-    Context,
-    Decimal,
-    DivisionByZero,
-    InvalidOperation,
-    Overflow,
-)
 from fractions import Fraction
-from functools import partial
-from itertools import compress, count, repeat
+from functools import partial, reduce
+from itertools import accumulate, compress, count, repeat
 from operator import floordiv, le, mul
 
 __all__ = [
@@ -60,28 +48,11 @@ __all__ = [
     "parse",
 ]
 
-# Context of every float and log10 conversion.  40 digits leave a wide
-# margin over a double's 17, so the final rounding gives the nearest double;
-# the exponent range holds any value q * sqrt(r) * pi^(p/2) met here.
-_CTX = Context(
-    prec=40,
-    rounding=ROUND_HALF_EVEN,
-    Emax=MAX_EMAX,
-    Emin=MIN_EMIN,
-    traps=[InvalidOperation, DivisionByZero, Overflow],
-)
-_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-_SQRT_PI = _CTX.sqrt(_PI)
-_LN10 = _CTX.ln(10)
-_HALF_LOG10_PI = _CTX.divide(_CTX.log10(_PI), 2)
 _LOG2_SQRT_PI = math.log2(math.pi) / 2
 _LN2 = math.log(2)
 _HALF_LN_2PI = math.log(2 * math.pi) / 2
 # ln j! below j = 16, where j! is a double and its log is rounded once
 _LN_FACTORIAL = tuple(math.log(math.factorial(j)) for j in range(16))
-# Numerator and denominator are cut to their top bits before they become
-# Decimals, a conversion quadratic in the digits; the cut errs by < 2^-191.
-_TOP_BITS = 192
 # The blocks of a value without a map, or with q built
 _NO_BLOCKS = ((), ())
 # The cofactor 1 as a (numerator, denominator) pair
@@ -96,34 +67,81 @@ _DIGIT_LIMIT_ERROR = (
 _LOG2_10_UP = 3.3219281
 
 
-def _ln(x: Decimal) -> Decimal:
-    """Natural log of a positive Decimal in ``_CTX``, at about half the cost of ``_CTX.ln``.
+# Fixed point: the int X stands for X / 2^_FIX.  The errors of the cuts and
+# sums below stay far under a double's rounding, so the one final rounding
+# gives the nearest double (Brent & Zimmermann, Modern Computer Arithmetic, 4.4).
+_FIX = 192
+_ONE = 1 << _FIX
 
-    With x = m * 10^e and m in [1, 10), the double y = -log(m) is within
-    about 1e-16 of -ln m, so m * exp(y) = 1 + eps with |eps| < 1e-15, and
-    ln m = eps - eps^2/2 + eps^3/3 - ... - y needs no term past eps^2.
+
+def _atanh2(z: int) -> int:
+    """2 atanh(z / 2^_FIX) = 2 (z + z^3/3 + z^5/5 + ...) in fixed point, within 2^8 units, for |z| < 2^_FIX / 2."""
+    t = s = abs(z)
+    z2, k = t * t >> _FIX, 1
+    while t:
+        t = t * z2 >> _FIX
+        k += 2
+        s += t // k
+    return 2 * s if z > 0 else -2 * s
+
+
+def _fixed_ln(m: int, s: int) -> int:
+    """ln(m * 2^s) in fixed point, for an int m > 0, within 2^(10 - _FIX) (1 + |s| + bits of m).
+
+    x = m * 2^-e in [1, 2), e = bits of m - 1, is cut to _FIX bits.  With
+    j = 64 log2 x rounded, c = 2^(j/64) is within 2^(1/128) of x, and
+    ln x = (j/64) ln 2 + 2 atanh((x - c) / (x + c)), a series that gains
+    17 bits a term.
     """
-    e = x.adjusted()
-    m = x.scaleb(-e, _CTX)
-    y = Decimal(repr(-math.log(float(m))))
-    eps = _CTX.subtract(_CTX.multiply(m, _CTX.exp(y)), 1)
-    ln_m = _CTX.subtract(_CTX.subtract(eps, _CTX.divide(_CTX.multiply(eps, eps), 2)), y)
-    return _CTX.add(ln_m, _CTX.multiply(e, _LN10))
+    e = m.bit_length() - 1
+    x = m << (_FIX - e) if e <= _FIX else m >> (e - _FIX)
+    j = round(64 * math.log2(x >> (_FIX - 52)) - 64 * 52)
+    c = _EXP2_FIX[j]
+    return _atanh2(((x - c) << _FIX) // (x + c)) + ((64 * (s + e) + j) * _LN2_FIX >> 6)
 
 
-def _power_top(blocks) -> tuple[Decimal, int]:
-    """prod x^e over (block x, power e) pairs as (m, s), the product being about m * 2^s.
+def _fixed_power(bases) -> tuple[int, int]:
+    """prod x^e over (int x > 0, power e > 0) pairs as (m, s), the product being about m * 2^s.
 
-    Each power is taken of the block's top bits at 40 digits, with the guard
-    digits ``decimal`` adds for an integer power, so m errs by about one part
-    in 10^39 per block.
+    Binary powering, as in ``_power_product``, of the bases' top _FIX bits,
+    with m cut to _FIX bits at each step and after every 7 bases.  A cut errs
+    by 2^(1 - _FIX) at most, raised to at most the largest power by the
+    later squarings, so m errs by under (sum e + n max e) 2^(1 - _FIX),
+    relative, over n pairs.
     """
-    m, s = Decimal(1), 0
-    for x, e in blocks:
-        shift = max(x.bit_length() - _TOP_BITS, 0)
-        m = _CTX.multiply(m, _CTX.power(x >> shift, e))
-        s += e * shift
-    return m, s
+    cuts = [max(x.bit_length() - _FIX, 0) for x, _ in bases]
+    tops, m, s = [(x >> cut, e) for (x, e), cut in zip(bases, cuts)], 1, 0
+    for b in reversed(range(max(e for _, e in tops).bit_length())):
+        m, s = m * m, 2 * s
+        for x, e in tops:
+            if e >> b & 1:
+                m *= x
+                if m.bit_length() > 8 * _FIX:  # many bases: keep the products short
+                    m, s = m >> 7 * _FIX, s + 7 * _FIX
+        cut = max(m.bit_length() - _FIX, 0)
+        m, s = m >> cut, s + cut
+    return m, s + sum(e * cut for (_, e), cut in zip(bases, cuts))
+
+
+def _to_double(m: int, s: int) -> float:
+    """The double nearest m * 2^s for an int m >= 0, rounded once: 0.0 or inf outside the double range."""
+    bits = m.bit_length() + s
+    if not -1075 <= bits <= 1025:  # below half the least subnormal, or past 2^1025
+        return 0.0 if bits < 0 else math.inf
+    try:
+        return m / (1 << -s) if s < 0 else float(m << s)
+    except OverflowError:
+        return math.inf
+
+
+_LN2_FIX = _atanh2(_ONE // 3)  # 2 atanh(1/3) = ln 2
+_LN10_FIX = 3 * _LN2_FIX + _atanh2(_ONE // 9)  # 2 atanh(1/9) = ln(10/8)
+# 2^(j/64) for j = 0 .. 64, as powers of 2^(1/64), six square roots of 2
+_EXP2_FIX = reduce(lambda x, _: math.isqrt(x << _FIX), range(6), 2 << _FIX)
+_EXP2_FIX = list(accumulate(repeat(_EXP2_FIX, 64), lambda x, y: x * y >> _FIX, initial=_ONE))
+# pi * 2^_FIX, rounded down: the first 48 hexadecimal digits of pi
+_PI_FIX = 0x3_243F6A88_85A308D3_13198A2E_03707344_A4093822_299F31D0
+_SQRT_PI_FIX = math.isqrt(_PI_FIX << _FIX)
 
 
 def _log2(blocks) -> float:
@@ -290,16 +308,17 @@ class ExactValue(Record):
     a map, as from ``gamma_product``, is read in three steps, each taken
     once and only when needed:
 
-    - ``str`` and ``to_float`` first bound log2 of the map's product from
-      ``math.log`` (``_log_factorials``), which finds no prime.  ``str``
-      refuses at once a side with certainly more digits than
-      ``sys.get_int_max_str_digits()`` allows, and ``to_float`` returns 0.0
-      or inf for a value certainly outside the double range.
-    - The map's primes, grouped into blocks that share one exponent, are
-      found by ``_blocks``, and kept as ``blocks``, a (num, den) pair of
-      (block, power) lists: for ``log10``, for a ``to_float`` whose result
-      is a finite nonzero double, and for ``str`` before it builds.
-      ``log10`` and ``to_float`` read their top bits.
+    - ``str`` and ``to_float`` first bound the logs of the map's two sides
+      (``_log_factorials``).  ``str`` refuses at once a side with certainly
+      more digits than ``sys.get_int_max_str_digits()`` allows, and
+      ``to_float`` returns 0.0 or inf for a value certainly outside the
+      double range.
+    - ``_blocks`` keeps ``blocks``, a (num, den) pair of coprime (block,
+      power) lists: while that bound puts the map's sides below
+      ``_FACTORIAL_BITS``, one block a side, its factorials' product over
+      their gcd; past it the primes, grouped into blocks that share one
+      exponent, from which ``str`` refuses.  ``log10`` and ``to_float``
+      read their top bits.
     - q's integers are built from the blocks the first time something
       needs them (``str``, ``==``, ``hash``, ``repr``, the field itself),
       and the value then holds ((numerator, denominator), {}, ((), ())).
@@ -312,7 +331,7 @@ class ExactValue(Record):
     not depend on how or when the value was made.
 
     A value remembers ``q`` and, for ``to_float`` and ``log10``, ``_mag``
-    (q * sqrt(r) at 40 digits) and ``_log``, each made on its first read.
+    (|value| at ``_FIX`` bits) and ``_log``, each made on its first read.
     A memo is stored whole by one slot assignment, so no thread sees half
     of one; threads that read it at once each make and store it.
     """
@@ -348,15 +367,15 @@ class ExactValue(Record):
         object.__setattr__(v, "_parts", (cofactor, fact, None if fact else _NO_BLOCKS))
         return v
 
-    def _blocks(self) -> tuple:
+    def _blocks(self, logs: tuple | None = None) -> tuple:
         """(cofactor, num, den): ``_parts`` with the map's blocks, found on the first call.
 
-        ``_parts`` is replaced whole, so a reader never pairs a cofactor
-        with the blocks of another state of the value.
+        ``logs`` is the map's ``_log_factorials``, where the caller has it.  ``_parts`` is
+        replaced whole, so a reader never pairs a cofactor with another state's blocks.
         """
         cofactor, fact, blocks = self._parts
         if blocks is None:
-            blocks = _factorial_blocks(fact)
+            blocks = _factorial_blocks(fact, logs)
             object.__setattr__(self, "_parts", (cofactor, fact, blocks))
         return cofactor, *blocks
 
@@ -386,8 +405,7 @@ class ExactValue(Record):
         elif name == "_mag":
             value = self._magnitude()
         elif name == "_log":
-            value = _CTX.divide(_ln(self._mag), _LN10)
-            value = float(_CTX.add(value, _CTX.multiply(self.p, _HALF_LOG10_PI)) if self.p else value)
+            value = _fixed_ln(*self._mag) / _LN10_FIX
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, value)
@@ -484,17 +502,18 @@ class ExactValue(Record):
 
     # -- conversion ---------------------------------------------------------
 
-    def _magnitude(self) -> Decimal:
-        """q * sqrt(r) in ``_CTX``, from the top bits of the cofactor's integers and the blocks."""
-        (a, b), num_blocks, den_blocks = self._blocks()
-        num, s = _power_top([(a, 1), *num_blocks])
-        den, t = _power_top([(b, 1), *den_blocks])
-        m = _CTX.divide(num, den)
-        if s != t:
-            m = _CTX.multiply(m, _CTX.power(2, s - t))
+    def _magnitude(self) -> tuple[int, int]:
+        """|value| as (m, s), about m * 2^s with m of _FIX bits or more, from the top bits of the blocks."""
+        (a, b), num, den = self._blocks()
+        sides = [[(a, 1), *num], [(b, 1), *den]]
+        if self.p:  # pi^(p/2), from sqrt(pi) * 2^_FIX on the side of the sign of p
+            sides[self.p < 0].append((_SQRT_PI_FIX, abs(self.p)))
+        (n, s), (d, t) = map(_fixed_power, sides)
+        s -= _FIX * self.p
         if self.r != 1:
-            m = _CTX.multiply(m, _CTX.sqrt(self.r))
-        return m
+            n, s = n * math.isqrt(self.r << 2 * _FIX), s - _FIX
+        shift = _FIX + d.bit_length()
+        return (n << shift) // d, s - t - shift
 
     def to_float(self) -> float:
         """Nearest double (0.0 or inf if outside the double range).
@@ -502,14 +521,14 @@ class ExactValue(Record):
         A value whose map bounds its log2 well outside the double range is
         0.0 or inf without finding a prime.  A rational may lie exactly
         halfway between two doubles, so it is divided exactly.  Any other
-        value is irrational; it is formed at 40 digits and rounded to a
+        value is irrational; it is formed in fixed point and rounded to a
         double once, so subnormal results are the nearest subnormal too.
         """
         if self.sign == 0:
             return 0.0
         (a, b), fact, _ = self._parts
         if fact:
-            ln_p, ln_q, err = _log_factorials(fact)
+            ln_p, ln_q, err = logs = _log_factorials(fact)
             log2 = (ln_p - ln_q) / _LN2 + math.log2(a) - math.log2(b)
             log2 += math.log2(self.r) / 2 + self.p * _LOG2_SQRT_PI
             # doubles end at 2^1024 and round to 0.0 below 2^-1075; the
@@ -518,19 +537,17 @@ class ExactValue(Record):
                 return self.sign * math.inf
             if log2 + err / _LN2 < -1080:
                 return self.sign * 0.0
+            self._blocks(logs)
         if self.r == 1 and self.p == 0:
             a, b = self._ints()
             try:
                 return self.sign * (a / b)  # int / int rounds once, as float(Fraction) does
             except OverflowError:
                 return self.sign * math.inf
-        v = self._mag
-        if self.p:
-            v = _CTX.multiply(v, _CTX.power(_SQRT_PI, self.p))
-        return self.sign * float(v)
+        return self.sign * _to_double(*self._mag)
 
     def log10(self) -> float:
-        """log10 of the value, at 40 digits in ``_CTX``, computed once per value.
+        """log10 of the value, computed once per value: its fixed-point ln over ln 10, rounded once.
 
         Never overflows, so it stays meaningful for quantities at matrix
         sizes where the value itself leaves the double range.
@@ -545,14 +562,12 @@ class ExactValue(Record):
         """Raise int.__str__'s ValueError if q has a side certainly too long to print, building nothing."""
         cofactor, fact, _ = self._parts
         if fact:
-            # log2 F = ln(P/Q)/ln 2 is at most the log2 of the numerator
-            # blocks, -log2 F at most that of the denominator blocks, and
-            # less err lies below them by more than their sums' rounding:
-            # the map's test refuses only values that the blocks' test,
-            # once the primes are found, would refuse too
-            ln_p, ln_q, err = _log_factorials(fact)
+            # less err, +-log2 F = ln(P/Q)/ln 2 lies below the log2 of each
+            # side's blocks by more than their sums' rounding: the map's
+            # test refuses only values that the blocks' test would refuse
+            ln_p, ln_q, err = logs = _log_factorials(fact)
             _refuse_long_sides(cofactor, (ln_p - ln_q - err) / _LN2, (ln_q - ln_p - err) / _LN2)
-            cofactor, num, den = self._blocks()
+            cofactor, num, den = self._blocks(logs)
             _refuse_long_sides(cofactor, _log2(num), _log2(den))
 
     def __repr__(self):
@@ -761,12 +776,29 @@ else:
 _MAX_PRODUCT_BITS = 1 << 25
 
 
-def _factorial_blocks(fact: dict[int, int]) -> tuple[list, list]:
-    """prod j!^fact[j] as (numerator, denominator) lists of (block, power > 0) pairs.
+# Most bits a side of a factorial map may have for q to be built from its
+# own factorials (966! has 8192): up to it C's math.factorial and one gcd
+# beat finding and powering out the primes.
+_FACTORIAL_BITS = 1 << 13
 
-    Each block is the product of the primes that share one net exponent,
-    and goes to one side with it, so the two sides are coprime.
+
+def _factorial_blocks(fact: dict[int, int], logs: tuple[float, float, float]) -> tuple[list, list]:
+    """prod j!^fact[j] as coprime (numerator, denominator) lists of (block, power > 0) pairs.
+
+    Where ``logs``, ``_log_factorials(fact)`` or None, puts both sides below
+    ``_FACTORIAL_BITS`` bits and below the digit limit, each side is one
+    block: the product of its factorials over their gcd.  Otherwise each
+    block is the product of the primes that share one net exponent.
     """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+    # every key puts a bit or more on its side, so a long map needs no logs
+    ln_p, ln_q, err = (logs or _log_factorials(fact)) if len(fact) <= 2 * _FACTORIAL_BITS else (math.inf,) * 3
+    if max(ln_p, ln_q) + err < min(_FACTORIAL_BITS, limit * _LOG2_10_UP) * _LN2:
+        sides = [1, 1]
+        for j, k in fact.items():
+            sides[k < 0] *= math.factorial(j) ** abs(k)
+        g = math.gcd(*sides)
+        return [(sides[0] // g, 1)], [(sides[1] // g, 1)]
     bases = [(_tree_product(primes), e) for e, primes in _prime_exponents(fact).items()]
     return [(x, e) for x, e in bases if e > 0], [(x, -e) for x, e in bases if e < 0]
 
@@ -783,19 +815,13 @@ def gamma_map(pairs) -> ExactValue:
     Gamma(k + 1/2) = (2k)!/(4^k k!) sqrt(pi), with 4^k = 2!^(2k), turns the
     product into the factorial map j -> power of j! times pi^(h/2), and the
     value returned keeps that map (see ``ExactValue``): a refused string or
-    a float outside the double range finds no prime.  The primes are found
-    on the first read that needs them.  Legendre's formula over the map's
-    factorials gives the exponent of every prime, taken from one prime table
-    shared by all calls (``_prime_exponents``): primes up to the square
-    root of the largest factorial, or up to the end of its dense run of
-    small factorials, one at a time, and the primes above in blocks that
-    share one exponent.  The cost of that step grows with the number of
-    keys and blocks, not with the number of primes.
-
-    Only a read of q builds numerator and denominator, each once by binary
-    powering over balanced products (Borwein, "On the complexity of
-    calculating factorials", J. Algorithms 6, 1985), and without a gcd.  The
-    blocks that built vol_mixed at n = 1000 took 5.9 s to power out in full.
+    a float outside the double range builds nothing.  Only a read of q
+    builds it: a short map from C's factorials, a long one from its primes,
+    whose exponents Legendre's formula gives over one shared prime table
+    (``_prime_exponents``), each side once by binary powering over balanced
+    products (Borwein, "On the complexity of calculating factorials",
+    J. Algorithms 6, 1985).  The blocks that built vol_mixed at n = 1000
+    took 5.9 s to power out in full.
     """
     fact: dict[int, int] = {}  # j -> power of j!
     twos = half_pi = 0

@@ -629,6 +629,34 @@ def test_unrepresentable_exponents_are_named_in_one_error_line(capsys, command, 
     )
 
 
+def _small_queries():
+    """Every exact query at n <= 8, the sizes a one-shot CLI call asks for, in each format in turn."""
+    for n in range(1, 9):
+        for field in ("complex", "real") if n > 1 else ():
+            yield ["volume", "--n", str(n), "--field", field]
+            yield ["geometry", "--n", str(n), "--field", field]
+            yield from (["edge", "--n", str(n), "--field", field, "--rank-deficiency", str(k)] for k in range(n))
+        for family in ("U", "SU", "O", "SO", "CP", "RP", "FlC", "FlR"):
+            yield from (["group", "--family", family, "--n", str(n), "--convention", c] for c in "ABC")
+        for alpha in ("1/2", "1", "3/2", "2", "5/2", "3"):
+            yield from (["constants", "--n", str(n), "--alpha", alpha, "--beta", beta] for beta in ("1", "2"))
+    for body in ("ball", "cube", "simplex", "diamond", "sphere"):
+        yield from (["reference", "--body", body, "--dim", str(dim)] for dim in range(1, 64))
+
+
+def test_small_answers_are_built_without_finding_a_prime(capsys, monkeypatch):
+    # their factorial maps are short enough for q to be built from the
+    # factorials themselves
+    def unreachable(fact):
+        raise AssertionError("a prime was found")
+
+    monkeypatch.setattr(exactnum, "_prime_exponents", unreachable)
+    for i, argv in enumerate(_small_queries()):
+        assert cli.main([*argv, "--format", ("text", "json", "csv")[i % 3]]) == 0, argv
+    assert i == 700
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv, module, name",
     [

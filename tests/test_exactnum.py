@@ -13,7 +13,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsgeom import exactnum
@@ -458,11 +458,12 @@ def test_products_with_built_values_stay_deferred(monkeypatch):
     assert results == expected and {hash(v) for v in results.values()} == {hash(v) for v in expected.values()}
     assert repr(results) == repr(expected) and len(calls) == 2 * len(results)
     # a product of Gamma(5) = 24 and Gamma(7/2) = 15/8 sqrt(pi) adds their
-    # maps and builds nothing; its first read builds 45 = 3^2 * 5 once
+    # maps and builds nothing; its first read builds 45 = 4! 6! / (3! 2!^6)
+    # once, from the map's own factorials
     calls.clear()
     product = gamma_exact(5) * gamma_exact(Fraction(7, 2))
     assert calls == []
-    assert product == ExactValue(1, Fraction(45), 1, 1) and calls == [[(3, 2), (5, 1)], []]
+    assert product == ExactValue(1, Fraction(45), 1, 1) and calls == [[(45, 1)], [(1, 1)]]
 
 
 @pytest.mark.parametrize("large_first", [True, False])
@@ -579,9 +580,9 @@ def test_values_the_map_cannot_decide_are_refused_from_their_blocks(monkeypatch,
     _assert_within_half_the_bound(value._parts[1])
     found, find = [], exactnum._factorial_blocks
 
-    def counted(fact):
+    def counted(fact, logs):
         found.append(fact)
-        return find(fact)
+        return find(fact, logs)
 
     monkeypatch.setattr(exactnum, "_factorial_blocks", counted)
     monkeypatch.setattr(exactnum, "_power_product", _unreachable_power_product)
@@ -654,6 +655,68 @@ def test_without_a_limit_every_value_renders_and_parses_back(digit_limit):
     for field in ("complex", "real"):
         v = vol_mixed(StateSpace(60, field))
         assert parse(str(v)) == v == vol_mixed(StateSpace(60, field))
+
+
+
+# -- floats and logs in fixed point, and the two routes to q --------------------
+
+_SQUAREFREE = [r for r in range(1, 300) if _squarefree(r)[0] == 1]
+
+
+def _oracle(value, gammas, q, r, p):
+    """float and log10 of q sqrt(r) pi^(p/2) prod Gamma(m/2)^k at 400 bits, each rounded from 60 digits."""
+    with mpmath.workprec(400):
+        x = mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(r) * mpmath.pi ** (mpmath.mpf(p) / 2)
+        for m, k in gammas.items():
+            x *= mpmath.gamma(mpmath.mpf(m) / 2) ** k
+        return float(mpmath.nstr(x, 60)), float(mpmath.nstr(mpmath.log10(x), 60))
+
+
+# q 2^e spans subnormal results and results past 2^1024
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 2**120),
+    st.integers(1, 2**120),
+    st.integers(-1250, 1250),
+    st.sampled_from(_SQUAREFREE),
+    st.integers(-90, 90),
+    st.dictionaries(st.integers(1, 2400), st.integers(-2, 2), max_size=3),
+)
+@example(1, 1, -1074, 1, 1, {})  # sqrt(pi) times the least subnormal
+@example(3, 1, -1076, 2, 0, {})  # 3 sqrt(2) / 2^1076, subnormal
+@example(1, 1, 1023, 3, 0, {})  # sqrt(3) 2^1023, past the largest double
+@example(1, 1, 1021, 1, 3, {})  # pi^(3/2) 2^1021, just below it
+@example(1, 1, 0, 1, 1, {2400: 1, 2399: -1, 7: 2})  # Gamma(1200) / Gamma(1199.5)
+def test_floats_and_logs_match_a_60_digit_oracle(a, b, e, r, p, gammas):
+    q = Fraction(a, b) * Fraction(2) ** e
+    value = from_rational(q) * exact_sqrt(r) * ExactValue(1, Fraction(1), 1, p) * gamma_product(gammas)
+    assert (value.to_float(), value.log10()) == _oracle(value, gammas, q, r, p)
+
+
+_straddling_maps = st.dictionaries(st.integers(2, 1700), st.integers(-2, 2).filter(bool), min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_straddling_maps)
+def test_both_routes_build_the_same_coprime_ints(fact):
+    # sides from a few bits to about 30 000, on both sides of the 8192 bits
+    # below which q is built from the map's own factorials
+    def ints(bits=exactnum._FACTORIAL_BITS):
+        with mock.patch.object(exactnum, "_FACTORIAL_BITS", bits):
+            return ExactValue._from_parts(1, 1, 0, (1, 1), dict(fact))._ints()
+
+    sides = [1, 1]
+    for j, k in fact.items():
+        sides[k < 0] *= math.factorial(j) ** abs(k)
+    want = Fraction(*sides).as_integer_ratio()
+    before = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        if before is not None:
+            sys.set_int_max_str_digits(0)  # so the raised bound alone picks the factorial route
+        assert ints(0) == ints(1 << 30) == ints() == want
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
 
 
 # -- the integer cofactor --------------------------------------------------------
