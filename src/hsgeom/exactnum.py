@@ -104,10 +104,10 @@ def _fixed_power(bases) -> tuple[int, int]:
     """prod x^e over (int x > 0, power e > 0) pairs as (m, s), the product being about m * 2^s.
 
     Binary powering, as in ``_power_product``, of the bases' top _FIX bits,
-    with m cut to _FIX bits at each step and after every 7 bases.  A cut errs
-    by 2^(1 - _FIX) at most, raised to at most the largest power by the
-    later squarings, so m errs by under (sum e + n max e) 2^(1 - _FIX),
-    relative, over n pairs.
+    with m cut to _FIX bits at each step, and within one whenever it passes
+    8 _FIX bits.  A cut errs by 2^(1 - _FIX) at most, raised to at most the
+    largest power by the later squarings, so m errs by under
+    (sum e + (n + 2) max e) 2^(1 - _FIX), relative, over n pairs.
     """
     cuts = [max(x.bit_length() - _FIX, 0) for x, _ in bases]
     tops, m, s = [(x >> cut, e) for (x, e), cut in zip(bases, cuts)], 1, 0
@@ -121,17 +121,6 @@ def _fixed_power(bases) -> tuple[int, int]:
         cut = max(m.bit_length() - _FIX, 0)
         m, s = m >> cut, s + cut
     return m, s + sum(e * cut for (_, e), cut in zip(bases, cuts))
-
-
-def _to_double(m: int, s: int) -> float:
-    """The double nearest m * 2^s for an int m >= 0, rounded once: 0.0 or inf outside the double range."""
-    bits = m.bit_length() + s
-    if not -1075 <= bits <= 1025:  # below half the least subnormal, or past 2^1025
-        return 0.0 if bits < 0 else math.inf
-    try:
-        return m / (1 << -s) if s < 0 else float(m << s)
-    except OverflowError:
-        return math.inf
 
 
 _LN2_FIX = _atanh2(_ONE // 3)  # 2 atanh(1/3) = ln 2
@@ -314,11 +303,10 @@ class ExactValue(Record):
       ``to_float`` returns 0.0 or inf for a value certainly outside the
       double range.
     - ``_blocks`` keeps ``blocks``, a (num, den) pair of coprime (block,
-      power) lists: while that bound puts the map's sides below
-      ``_FACTORIAL_BITS``, one block a side, its factorials' product over
-      their gcd; past it the primes, grouped into blocks that share one
-      exponent, from which ``str`` refuses.  ``log10`` and ``to_float``
-      read their top bits.
+      power) lists: below ``_FACTORIAL_BITS`` a side, one block a side, the
+      factorials' product over their gcd; past it the primes, grouped into
+      blocks that share one exponent.  ``log10`` and ``to_float`` read
+      their top bits.
     - q's integers are built from the blocks the first time something
       needs them (``str``, ``==``, ``hash``, ``repr``, the field itself),
       and the value then holds ((numerator, denominator), {}, ((), ())).
@@ -506,10 +494,10 @@ class ExactValue(Record):
         """|value| as (m, s), about m * 2^s with m of _FIX bits or more, from the top bits of the blocks."""
         (a, b), num, den = self._blocks()
         sides = [[(a, 1), *num], [(b, 1), *den]]
-        if self.p:  # pi^(p/2), from sqrt(pi) * 2^_FIX on the side of the sign of p
+        if self.p:  # pi^(p/2), as (sqrt(pi) 2^_FIX)^|p| on the side of the sign of p
             sides[self.p < 0].append((_SQRT_PI_FIX, abs(self.p)))
         (n, s), (d, t) = map(_fixed_power, sides)
-        s -= _FIX * self.p
+        s -= _FIX * self.p  # and 2^(_FIX p) taken out
         if self.r != 1:
             n, s = n * math.isqrt(self.r << 2 * _FIX), s - _FIX
         shift = _FIX + d.bit_length()
@@ -544,7 +532,14 @@ class ExactValue(Record):
                 return self.sign * (a / b)  # int / int rounds once, as float(Fraction) does
             except OverflowError:
                 return self.sign * math.inf
-        return self.sign * _to_double(*self._mag)
+        m, s = self._mag
+        bits = m.bit_length() + s
+        if not -1075 <= bits <= 1025:  # below half the least subnormal, or past 2^1025
+            return self.sign * (0.0 if bits < 0 else math.inf)
+        try:
+            return self.sign * (m / (1 << -s) if s < 0 else float(m << s))  # rounded once
+        except OverflowError:
+            return self.sign * math.inf
 
     def log10(self) -> float:
         """log10 of the value, computed once per value: its fixed-point ln over ln 10, rounded once.
@@ -562,9 +557,10 @@ class ExactValue(Record):
         """Raise int.__str__'s ValueError if q has a side certainly too long to print, building nothing."""
         cofactor, fact, _ = self._parts
         if fact:
-            # less err, +-log2 F = ln(P/Q)/ln 2 lies below the log2 of each
-            # side's blocks by more than their sums' rounding: the map's
-            # test refuses only values that the blocks' test would refuse
+            # log2 F = ln(P/Q)/ln 2 is at most the log2 of the numerator
+            # blocks, -log2 F at most that of the denominator blocks, and
+            # less err lies below them by more than their sums' rounding:
+            # the map's test refuses only what the blocks' test would refuse
             ln_p, ln_q, err = logs = _log_factorials(fact)
             _refuse_long_sides(cofactor, (ln_p - ln_q - err) / _LN2, (ln_q - ln_p - err) / _LN2)
             cofactor, num, den = self._blocks(logs)
@@ -782,7 +778,7 @@ _MAX_PRODUCT_BITS = 1 << 25
 _FACTORIAL_BITS = 1 << 13
 
 
-def _factorial_blocks(fact: dict[int, int], logs: tuple[float, float, float]) -> tuple[list, list]:
+def _factorial_blocks(fact: dict[int, int], logs: tuple[float, float, float] | None) -> tuple[list, list]:
     """prod j!^fact[j] as coprime (numerator, denominator) lists of (block, power > 0) pairs.
 
     Where ``logs``, ``_log_factorials(fact)`` or None, puts both sides below
@@ -790,15 +786,15 @@ def _factorial_blocks(fact: dict[int, int], logs: tuple[float, float, float]) ->
     block: the product of its factorials over their gcd.  Otherwise each
     block is the product of the primes that share one net exponent.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
-    # every key puts a bit or more on its side, so a long map needs no logs
-    ln_p, ln_q, err = (logs or _log_factorials(fact)) if len(fact) <= 2 * _FACTORIAL_BITS else (math.inf,) * 3
-    if max(ln_p, ln_q) + err < min(_FACTORIAL_BITS, limit * _LOG2_10_UP) * _LN2:
-        sides = [1, 1]
-        for j, k in fact.items():
-            sides[k < 0] *= math.factorial(j) ** abs(k)
-        g = math.gcd(*sides)
-        return [(sides[0] // g, 1)], [(sides[1] // g, 1)]
+    if len(fact) <= 2 * _FACTORIAL_BITS:  # each key puts a bit or more on its side
+        ln_p, ln_q, err = logs or _log_factorials(fact)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+        if max(ln_p, ln_q) + err < min(_FACTORIAL_BITS, limit * _LOG2_10_UP) * _LN2:
+            sides = [1, 1]
+            for j, k in fact.items():
+                sides[k < 0] *= math.factorial(j) ** abs(k)
+            g = math.gcd(*sides)
+            return [(sides[0] // g, 1)], [(sides[1] // g, 1)]
     bases = [(_tree_product(primes), e) for e, primes in _prime_exponents(fact).items()]
     return [(x, e) for x, e in bases if e > 0], [(x, -e) for x, e in bases if e < 0]
 
