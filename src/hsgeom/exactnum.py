@@ -103,24 +103,19 @@ def _fixed_ln(m: int, s: int) -> int:
 def _fixed_power(bases) -> tuple[int, int]:
     """prod x^e over (int x > 0, power e > 0) pairs as (m, s), the product being about m * 2^s.
 
-    Binary powering, as in ``_power_product``, of the bases' top _FIX bits,
-    with m cut to _FIX bits at each step, and within one whenever it passes
-    8 _FIX bits.  A cut errs by 2^(1 - _FIX) at most, raised to at most the
-    largest power by the later squarings, so m errs by under
-    (sum e + (n + 2) max e) 2^(1 - _FIX), relative, over n pairs.
+    Binary powering, as in ``_power_product``, with m cut to its top _FIX
+    bits after every product.  A cut errs by 2^(1 - _FIX) at most, raised to
+    at most the largest power by the later squarings, so over n pairs m
+    errs by under 4 (n + 1) max e 2^-_FIX, relative.
     """
-    cuts = [max(x.bit_length() - _FIX, 0) for x, _ in bases]
-    tops, m, s = [(x >> cut, e) for (x, e), cut in zip(bases, cuts)], 1, 0
-    for b in reversed(range(max(e for _, e in tops).bit_length())):
-        m, s = m * m, 2 * s
-        for x, e in tops:
-            if e >> b & 1:
-                m *= x
-                if m.bit_length() > 8 * _FIX:  # many bases: keep the products short
-                    m, s = m >> 7 * _FIX, s + 7 * _FIX
-        cut = max(m.bit_length() - _FIX, 0)
-        m, s = m >> cut, s + cut
-    return m, s + sum(e * cut for (_, e), cut in zip(bases, cuts))
+    m, s = 1, 0
+    for b in reversed(range(max(e for _, e in bases).bit_length())):
+        s *= 2
+        for x in [m] + [y for y, e in bases if e >> b & 1]:  # m first: its square
+            m *= x
+            cut = max(m.bit_length() - _FIX, 0)
+            m, s = m >> cut, s + cut
+    return m, s
 
 
 _LN2_FIX = _atanh2(_ONE // 3)  # 2 atanh(1/3) = ln 2
@@ -846,7 +841,9 @@ def gamma_product(powers) -> ExactValue:
     return gamma_map(powers.items())
 
 
-_GRAMMAR = re.compile(
+# The pattern of ``parse``, compiled by ``re``'s cache on the first parse,
+# not at import: no exact CLI call parses
+_GRAMMAR = (
     r"^(?P<neg>-)?(?P<num>\d+)(?:/(?P<den>\d+))?"
     r"(?:\*sqrt\((?P<rad>\d+)\))?"
     r"(?:\*pi\^\((?P<p>-?\d+)/2\))?$"
@@ -860,7 +857,7 @@ def parse(text: str) -> ExactValue:
     a fraction not in lowest terms or over 1, a leading zero, a signed or
     scaled zero, a unit or non-squarefree radicand, pi^(0/2), whitespace.
     """
-    m = _GRAMMAR.match(text)
+    m = re.match(_GRAMMAR, text)
     value = None
     if m is not None and (den := int(m["den"] or 1)):
         q, sign = Fraction(int(m["num"]), den), -1 if m["neg"] else 1
