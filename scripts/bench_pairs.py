@@ -12,10 +12,11 @@ the sides swap directories every pair, because ``mc_verify`` readings move
 with the checkout directory.  The output holds every run's gated metrics
 and failure summary, and per workload and side the median and quartiles of
 each gated metric (``BENCHMARK.json``'s ``end_to_end``), the pairs the
-change wins on each, the median over pairs of change / parent, the one-sided
-sign-test p-value of the wins (see ``sign_test_p``), the seeds, the environment block of the first run (less its seed, source hash
-and git commit, which a ``git archive`` checkout does not have; the
-revisions block names both commits) and the command line.
+change wins on each, the median over pairs of change / parent, the
+one-sided sign-test p-value of the wins (see ``sign_test_p``), the seeds,
+the environment block of the first run (less its seed, source hash and git
+commit, which a ``git archive`` checkout does not have; the revisions block
+names both commits) and the command line.
 """
 
 from __future__ import annotations
