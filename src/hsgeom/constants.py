@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, repeat
 
 from .exactnum import ONE, ExactValue, Record, as_integer, gamma_map
 
@@ -46,11 +45,11 @@ def laguerre_integral(params: EnsembleParams) -> ExactValue:
     """
     n, twice_alpha, beta = params.n, int(2 * params.alpha), params.beta
     return gamma_map(
-        chain(
-            zip(range(2 + beta, 3 + n * beta, beta), repeat(1)),  # Gamma(1 + j*beta/2)
-            zip(range(twice_alpha, twice_alpha + n * beta, beta), repeat(1)),  # Gamma(alpha + (j-1)*beta/2)
-            [(2 + beta, -n)],  # Gamma(1 + beta/2)^n
-        )
+        [
+            (range(2 + beta, 3 + n * beta, beta), 1),  # Gamma(1 + j*beta/2)
+            (range(twice_alpha, twice_alpha + n * beta, beta), 1),  # Gamma(alpha + (j-1)*beta/2)
+            (2 + beta, -n),  # Gamma(1 + beta/2)^n
+        ]
     )
 
 

@@ -799,9 +799,12 @@ def gamma_map(pairs) -> ExactValue:
 
     Keys are twice the Gamma arguments, so every key is a positive integer
     and half-integer arguments need no Fraction: ``[(5, 2), (8, -1)]`` is
-    Gamma(5/2)^2 / Gamma(4).  A key may come more than once.  Keys above
-    ``_MAX_GAMMA_KEY`` raise ValueError; zero powers are ignored and no
-    pairs give ONE.
+    Gamma(5/2)^2 / Gamma(4).  A key may come more than once.  A pair's key
+    may also be an ascending ``range`` of keys that all take its power:
+    ``[(range(2, 9, 2), 1)]`` is Gamma(1) Gamma(2) Gamma(3) Gamma(4).  Keys
+    above ``_MAX_GAMMA_KEY`` raise ValueError, a range from its last key
+    before any key is read; zero powers and empty ranges are ignored and
+    no pairs give ONE.
 
     Gamma(k + 1/2) = (2k)!/(4^k k!) sqrt(pi), with 4^k = 2!^(2k), turns the
     product into the factorial map j -> power of j! times pi^(h/2), and the
@@ -816,21 +819,23 @@ def gamma_map(pairs) -> ExactValue:
     """
     fact: dict[int, int] = {}  # j -> power of j!
     twos = half_pi = 0
-    for m, k in pairs:
-        if not isinstance(m, int) or m < 1 or not isinstance(k, int):
-            raise ValueError(f"gamma_product needs positive integer keys and integer powers, got {m}: {k}")
-        if not k:
+    for key, k in pairs:
+        keys = range(key, key + 1) if isinstance(key, int) else key
+        if not isinstance(keys, range) or keys.start < 1 or keys.step < 0 or not isinstance(k, int):
+            raise ValueError(f"gamma_product needs positive integer keys and integer powers, got {key}: {k}")
+        if not k or not keys:
             continue
-        if m > _MAX_GAMMA_KEY:
+        if keys[-1] > _MAX_GAMMA_KEY:
             raise ValueError(f"Gamma argument too large for an exact value: twice it exceeds {_MAX_GAMMA_KEY}")
-        if m % 2 == 0:
-            fact[m // 2 - 1] = fact.get(m // 2 - 1, 0) + k
-        else:
-            j = m // 2
-            fact[2 * j] = fact.get(2 * j, 0) + k
-            fact[j] = fact.get(j, 0) - k
-            twos -= 2 * j * k
-            half_pi += k
+        for m in keys:
+            if m % 2 == 0:
+                fact[m // 2 - 1] = fact.get(m // 2 - 1, 0) + k
+            else:
+                j = m // 2
+                fact[2 * j] = fact.get(2 * j, 0) + k
+                fact[j] = fact.get(j, 0) - k
+                twos -= 2 * j * k
+                half_pi += k
     fact[2] = fact.get(2, 0) + twos
     fact = {j: k for j, k in fact.items() if k and j > 1}  # 0! = 1! = 1
     return ExactValue._from_parts(1, 1, half_pi, _UNIT, fact)

@@ -15,7 +15,6 @@ B and C coincide.
 from __future__ import annotations
 
 import enum
-from itertools import chain, repeat
 
 from .exactnum import ExactValue, Record, as_integer, exact_sqrt, gamma_map
 
@@ -93,8 +92,7 @@ def _spheres(n: int, step: int, roots: int) -> ExactValue:
     With step 2 this is U(n) under B, a product of the unit spheres
     S^1, S^3, ..., S^(2n-1); with step 1 it is O(n), of S^0 ... S^(n-1).
     """
-    pi_and_twos = [(1, step * n * (n + 1) // 2), (6, n + roots // 2)]
-    value = gamma_map(chain(pi_and_twos, zip(range(step, step * n + 1, step), repeat(-1))))
+    value = gamma_map([(1, step * n * (n + 1) // 2), (6, n + roots // 2), (range(step, step * n + 1, step), -1)])
     return value * exact_sqrt(2) if roots % 2 else value
 
 
@@ -116,8 +114,9 @@ def vol_group(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
         return _unitary(n, conv)
     if family is Family.SPECIAL_UNITARY:
         # SU(N) is not U(N)/U(1): the determinant constraint stretches the
-        # quotient by sqrt(N).
-        return exact_sqrt(n) * _unitary(n, conv) / _unitary(1, conv)
+        # quotient by sqrt(N), taken after the map so that a too-large N is
+        # refused before trial division.
+        return _unitary(n, conv) * exact_sqrt(n) / _unitary(1, conv)
     if family is Family.ORTHOGONAL:
         return _orthogonal(n, conv)
     if family is Family.SPECIAL_ORTHOGONAL:

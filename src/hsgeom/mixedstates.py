@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import chain, repeat
 
 from .constants import EnsembleParams, c_norm
 from .exactnum import ONE, ExactValue, Record, as_integer, exact_sqrt, from_rational, gamma_exact, gamma_map
@@ -77,10 +76,10 @@ def vol_edge(space: StateSpace, k: int) -> ExactValue:
     if space.field == COMPLEX and k == 0:
         # The complex body has a direct formula, cheaper than the flag route:
         # sqrt(N) (2 pi)^(N(N-1)/2) Gamma(1)...Gamma(N) / Gamma(N^2), with the
-        # power of two taken in as Gamma(3) = 2 and that of pi as Gamma(1/2)^2
+        # power of two taken in as Gamma(3) = 2 and that of pi as Gamma(1/2)^2;
+        # the map before sqrt(N), so a too-large N is refused before trial division
         half = n * (n - 1) // 2
-        powers = chain(zip(range(2, 2 * n + 1, 2), repeat(1)), [(2 * n * n, -1), (6, half), (1, 2 * half)])
-        return exact_sqrt(n) * gamma_map(powers)
+        return gamma_map([(range(2, 2 * n + 1, 2), 1), (2 * n * n, -1), (6, half), (1, 2 * half)]) * exact_sqrt(n)
     if space.field == COMPLEX:
         flag_family, alpha, beta = Family.COMPLEX_FLAG, Fraction(1 + 2 * k), 2
     else:
@@ -141,9 +140,11 @@ class GeometrySummary(Record):
 def geometry(space: StateSpace) -> GeometrySummary:
     """Radii, gamma and chi coefficients of the state space."""
     n, d = space.n, space.dim
+    # the volume first: its Gamma key check refuses a large n before the
+    # trial division of sqrt((n-1)/n), which runs up to n
+    log_rho = (vol_mixed(space) / ball_volume(d)).log10() / d
     circum = exact_sqrt(Fraction(n - 1, n))
     inscribed = circum / (n - 1)
-    log_rho = (vol_mixed(space) / ball_volume(d)).log10() / d
     # Every boundary point lies on a hyperplane tangent to the insphere, so
     # the boundary area is D/r times the volume (Zyczkowski & Sommers 2003).
     gamma = d / inscribed

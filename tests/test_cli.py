@@ -721,6 +721,47 @@ def test_refused_arguments_exit_two_before_the_work(capsys, monkeypatch, argv, m
         assert captured.err == f"error: {_REFUSED_LINES[tuple(argv)]}\n"
 
 
+_KEY_BOUND_QUERIES = [
+    *(
+        [command, "--field", field]
+        for command in ("volume", "edge", "geometry")
+        for field in ("complex", "real")
+    ),
+    *(["group", "--family", family] for family in ("U", "SU", "O", "SO", "FlC", "FlR")),
+    ["constants", "--alpha", "1"],
+    ["constants", "--alpha", "1/2", "--beta", "1"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([*query, "--n", n] for query in _KEY_BOUND_QUERIES for n in ("1000000000", str(2**61 - 1))),
+        # (n - 1) n is prime to every square below n^2: trial division runs to n
+        ["geometry", "--n", "1000000007"],
+        ["geometry", "--n", "1000000007", "--field", "real"],
+    ],
+)
+def test_a_gamma_key_past_the_bound_is_refused_from_the_arguments(capsys, monkeypatch, argv):
+    # a progression of Gamma keys is refused from its last key: no key of it
+    # is read, no map is built and no radicand is trial-divided (at 2^61 - 1
+    # sqrt(N) alone would not finish)
+    def unreachable(n):
+        raise AssertionError("a radicand was trial-divided")
+
+    monkeypatch.setattr(exactnum, "_squarefree", unreachable)
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: Gamma argument too large for an exact value: twice it exceeds 2097152\n"
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "argv",
     [

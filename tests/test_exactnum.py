@@ -1,14 +1,17 @@
 """Canonical-form arithmetic, exact Gamma, conversions, and the string grammar."""
 
-import decimal
 import hashlib
+import json
 import math
 import operator
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -258,25 +261,32 @@ def test_to_float_edges():
     assert vol_mixed(StateSpace(21, "real")).to_float() == 6.170933283891557e-309
 
 
-def test_conversions_ignore_the_callers_decimal_context():
-    values = [vol_mixed(StateSpace(n, f)) for n in (2, 5, 21, 60) for f in ("complex", "real")]
-    values += [PI**-7 / 3, gamma_exact(400) * PI**500]
+# floats and logs from normal to subnormal and past the double range, and
+# geometry's log10 of a ratio with about 10^5 digits at n = 200
+_CONVERSIONS = """
+from hsgeom.exactnum import PI, gamma_exact
+from hsgeom.mixedstates import StateSpace, geometry, vol_mixed
+values = [vol_mixed(StateSpace(n, f)) for n in (2, 5, 21, 60) for f in ("complex", "real")]
+values += [PI**-7 / 3, gamma_exact(400) * PI**500]
+results = [x for v in values for x in (v.to_float(), v.log10())]
+for g in [geometry(StateSpace(n, f)) for n in (4, 200) for f in ("complex", "real")]:
+    results += [g.effective_radius, g.chi1_log10, g.chi2_log10, g.chi_log10]
+"""
 
-    def results():
-        g = geometry(StateSpace(4))
-        return (
-            [(v.to_float(), v.log10()) for v in values],
-            # the log10 of a ratio with about 10^5 digits
-            [geometry(StateSpace(200, f)) for f in ("complex", "real")],
-            (g.chi_log10, g.effective_radius),
-        )
 
-    before = results()
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding = 5, 10, -10, decimal.ROUND_DOWN
-        for signal in ctx.traps:
-            ctx.traps[signal] = True
-        assert results() == before
+def test_conversions_match_an_interpreter_without_decimal():
+    # fractions imports decimal itself; blocked after it, any import of
+    # decimal by the package raises ImportError
+    script = f"import fractions, json, sys\nsys.modules['decimal'] = None\n{_CONVERSIONS}print(json.dumps(results))\n"
+    src = str(Path(exactnum.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    namespace = {}
+    exec(_CONVERSIONS, namespace)
+    assert json.loads(done.stdout) == namespace["results"]
 
 
 def _random_factor(rng: random.Random) -> ExactValue:

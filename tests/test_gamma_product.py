@@ -8,11 +8,12 @@ factorial maps add; both routes must agree field by field.
 
 import math
 import sys
+import tracemalloc
 from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsgeom import exactnum
@@ -241,6 +242,54 @@ def test_gamma_product_rejects_keys_above_the_bound():
         with pytest.raises(ValueError, match="too large"):
             gamma_product({key: 1, 4: 1})
     assert gamma_product({10**400: 0}) == ONE
+
+
+# a key or an ascending range of keys, from either parity, with odd and even steps
+_keys = st.one_of(
+    st.integers(1, 80),
+    st.builds(range, st.integers(1, 60), st.integers(0, 120), st.integers(1, 4)),
+)
+
+
+def _expanded(pairs):
+    """The same Gamma powers with every range spelled out one key at a time."""
+    return [(m, k) for keys, k in pairs for m in (keys if isinstance(keys, range) else [keys])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_keys, st.integers(-3, 3)), max_size=6))
+# overlapping progressions that cancel in part, and in full
+@example([(range(1, 30), 2), (range(5, 25, 3), -2), (7, 1)])
+@example([(range(2, 40, 2), 1), (range(3, 60, 3), -1), (range(2, 40, 2), -1), (range(3, 60, 3), 1)])
+def test_a_range_of_keys_is_its_keys_one_pair_at_a_time(pairs):
+    # the same factorial map in the same order, so the same q, floats and logs
+    by_range, by_key = exactnum.gamma_map(pairs), exactnum.gamma_map(_expanded(pairs))
+    assert (by_range._parts[0], list(by_range._parts[1].items())) == (by_key._parts[0], list(by_key._parts[1].items()))
+    assert (by_range.p, by_range.q, by_range.to_float(), by_range.log10()) == (
+        by_key.p, by_key.q, by_key.to_float(), by_key.log10()
+    )
+
+
+def test_a_range_past_the_key_bound_is_refused_before_any_key_is_read():
+    # a walk over the keys would fill a million-entry map before it reached
+    # the first key past the bound
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            exactnum.gamma_map([(4, 1), (range(1, 10**9 + 1), -1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # an empty range, or a zero power, holds no Gamma to refuse
+    for pairs in ([(range(10**9, 10**9), 1)], [(range(1, 10**9 + 1), 0)], [(range(5, 5), 3), (10**9, 0)]):
+        assert exactnum.gamma_map(pairs)._parts == ONE._parts
+
+
+@pytest.mark.parametrize("pair", [(range(9, 1, -2), 1), (range(5, 1, -1), 1), (range(0, 5), 1), (range(1, 5), 1.0)])
+def test_a_descending_range_a_range_from_zero_and_a_float_power_are_refused(pair):
+    with pytest.raises(ValueError, match="positive integer keys and integer powers"):
+        exactnum.gamma_map([pair])
 
 
 def _str_without_digit_limit(value: ExactValue) -> str:
