@@ -32,7 +32,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import accumulate, compress, count, repeat
 from operator import floordiv, le, mul
 
@@ -238,25 +238,30 @@ def _squarefree(n: int) -> tuple[int, int]:
 class Record:
     """Base of the package's immutable records.
 
-    A subclass lists its fields in ``__slots__`` and stores them in its own
-    ``__init__`` with one ``_set`` call; a slot named with a leading
-    underscore holds private state and is no field.  Equality and hashing
-    compare ``_key``, the fields in ``__slots__`` order.  Records are equal
-    only to records of their own type, assignment and deletion raise
+    A subclass lists its fields in ``__slots__``; a slot named with a
+    leading underscore holds private state and is no field.  ``__init__``
+    takes every field once, by position or by name, and a subclass that
+    checks its fields calls it from its own.  Equality and hashing compare
+    ``_key``, the fields in ``__slots__`` order.  Records are equal only to
+    records of their own type, assignment and deletion raise
     AttributeError, and the repr lists the fields in ``__slots__`` order.
     """
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *values, **named):
+        if named:  # the fields after the positional ones, in order; a name left over is refused
+            values += tuple(named.pop(name) for name in self._fields[len(values) :] if name in named)
+        if named or len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes each of its fields once: {', '.join(self._fields)}")
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> list[str]:
-        return [name for name in self.__slots__ if not name.startswith("_")]
-
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields())
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -273,7 +278,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -292,16 +297,18 @@ class ExactValue(Record):
     a map, as from ``gamma_product``, is read in three steps, each taken
     once and only when needed:
 
-    - ``str`` and ``to_float`` first bound the logs of the map's two sides
-      (``_log_factorials``).  ``str`` refuses at once a side with certainly
-      more digits than ``sys.get_int_max_str_digits()`` allows, and
-      ``to_float`` returns 0.0 or inf for a value certainly outside the
-      double range.
+    - ``_bound`` holds the cofactor with the Stirling bound of the logs of
+      the map's two sides (``_log_factorials``).  From it ``str`` refuses
+      at once a side with certainly more digits than
+      ``sys.get_int_max_str_digits()`` allows, and ``to_float`` returns
+      0.0 or inf for a value certainly outside the double range.
     - ``_blocks`` keeps ``blocks``, a (num, den) pair of coprime (block,
-      power) lists: below ``_FACTORIAL_BITS`` a side, one block a side, the
-      factorials' product over their gcd; past it the primes, grouped into
-      blocks that share one exponent.  ``log10`` and ``to_float`` read
-      their top bits.
+      power) lists, from one of two routes chosen once: a map of at most
+      2 * ``_FACTORIAL_BITS`` keys whose bound puts both sides below
+      ``_FACTORIAL_BITS`` bits gives one block a side, its factorials'
+      product over their gcd (``_factorial_blocks``); any other map gives
+      its primes, grouped into blocks that share one exponent
+      (``_prime_blocks``).  ``log10`` and ``to_float`` read their top bits.
     - q's integers are built from the blocks the first time something
       needs them (``str``, ``==``, ``hash``, ``repr``, the field itself),
       and the value then holds ((numerator, denominator), {}, ((), ())).
@@ -313,17 +320,20 @@ class ExactValue(Record):
     scales it, and a built factor goes into the cofactor.  The q built does
     not depend on how or when the value was made.
 
-    A value remembers ``q`` and, for ``to_float`` and ``log10``, ``_mag``
-    (|value| at ``_FIX`` bits) and ``_log``, each made on its first read.
-    A memo is stored whole by one slot assignment, so no thread sees half
-    of one; threads that read it at once each make and store it.
+    A value remembers ``q``, ``_bound`` and, for ``to_float`` and
+    ``log10``, ``_mag`` (|value| at ``_FIX`` bits) and ``_log``, each made
+    on its first read.  A memo is stored whole by one slot assignment, so
+    no thread sees half of one; threads that read it at once each make and
+    store it.  ``_bound`` pairs the map with the cofactor of the same
+    ``_parts``, so it bounds q even where another thread builds q meanwhile.
     """
 
-    __slots__ = ("sign", "q", "r", "p", "_parts", "_mag", "_log")
+    __slots__ = ("sign", "q", "r", "p", "_parts", "_bound", "_mag", "_log")
 
     def __init__(self, sign: int, q: Fraction, r: int, p: int):
         q, r, p = Fraction(q), as_integer(r, "r"), as_integer(p, "p")
-        self._set(sign, q, r, p, ((q.numerator, q.denominator), {}, _NO_BLOCKS))
+        super().__init__(sign, q, r, p)
+        object.__setattr__(self, "_parts", ((q.numerator, q.denominator), {}, _NO_BLOCKS))
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
         if sign == 0:
@@ -350,23 +360,28 @@ class ExactValue(Record):
         object.__setattr__(v, "_parts", (cofactor, fact, None if fact else _NO_BLOCKS))
         return v
 
-    def _blocks(self, logs: tuple | None = None) -> tuple:
+    def _blocks(self) -> tuple:
         """(cofactor, num, den): ``_parts`` with the map's blocks, found on the first call.
 
-        ``logs`` is the map's ``_log_factorials``, where the caller has it.  ``_parts`` is
-        replaced whole, so a reader never pairs a cofactor with another state's blocks.
+        The route is chosen here alone (see the class docstring).  ``_parts`` is replaced
+        whole, so a reader never pairs a cofactor with another state's blocks.
         """
         cofactor, fact, blocks = self._parts
         if blocks is None:
-            blocks = _factorial_blocks(fact, logs)
+            find = _prime_blocks
+            if len(fact) <= 2 * _FACTORIAL_BITS:  # each key puts a bit or more on its side
+                _, ln_p, ln_q, err = self._bound
+                if max(ln_p, ln_q) + err < _FACTORIAL_BITS * _LN2:
+                    find = _factorial_blocks
+            blocks = find(fact)
             object.__setattr__(self, "_parts", (cofactor, fact, blocks))
         return cofactor, *blocks
 
     def _ints(self) -> tuple[int, int]:
         """q's (numerator, denominator), built from the blocks on a map's first call.
 
-        The block products are coprime and so are the cofactor's ints: only
-        a gcd of each product with the cofactor is left to take out.
+        The block products are coprime and so are the cofactor's ints, so
+        ``_times`` takes out all that is left: a gcd of each product with the cofactor.
         """
         cofactor, fact, _ = self._parts
         if not fact:
@@ -375,9 +390,7 @@ class ExactValue(Record):
         # sum e * (bits of x - 1) over a side's (block x, power e) pairs is
         # a lower bound of its bits, exact for powers of two
         _refuse_too_large(*(sum(e * (x.bit_length() - 1) for x, e in side) for side in (num, den)))
-        (a, b), n, d = cofactor, _power_product(num), _power_product(den)
-        g, h = math.gcd(a, d), math.gcd(b, n)
-        ints = a // g * (n // h), b // h * (d // g)
+        ints = _times(cofactor, (_power_product(num), _power_product(den)))
         object.__setattr__(self, "_parts", (ints, {}, _NO_BLOCKS))
         return ints
 
@@ -385,6 +398,9 @@ class ExactValue(Record):
         # reached only for a slot never set: q or a memo, made on first read
         if name == "q":
             value = _coprime_fraction(*self._ints())
+        elif name == "_bound":
+            cofactor, fact, _ = self._parts
+            value = cofactor, *_log_factorials(fact)
         elif name == "_mag":
             value = self._magnitude()
         elif name == "_log":
@@ -393,10 +409,6 @@ class ExactValue(Record):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, value)
         return value
-
-    def _key(self) -> tuple:
-        # q in lowest terms is decided by its two integers, compared without a Fraction
-        return self.sign, *self._ints(), self.r, self.p
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -509,9 +521,8 @@ class ExactValue(Record):
         """
         if self.sign == 0:
             return 0.0
-        (a, b), fact, _ = self._parts
-        if fact:
-            ln_p, ln_q, err = logs = _log_factorials(fact)
+        if self._parts[1]:
+            (a, b), ln_p, ln_q, err = self._bound
             log2 = (ln_p - ln_q) / _LN2 + math.log2(a) - math.log2(b)
             log2 += math.log2(self.r) / 2 + self.p * _LOG2_SQRT_PI
             # doubles end at 2^1024 and round to 0.0 below 2^-1075; the
@@ -520,20 +531,16 @@ class ExactValue(Record):
                 return self.sign * math.inf
             if log2 + err / _LN2 < -1080:
                 return self.sign * 0.0
-            self._blocks(logs)
-        if self.r == 1 and self.p == 0:
-            a, b = self._ints()
-            try:
-                return self.sign * (a / b)  # int / int rounds once, as float(Fraction) does
-            except OverflowError:
-                return self.sign * math.inf
-        m, s = self._mag
-        bits = m.bit_length() + s
-        if not -1075 <= bits <= 1025:  # below half the least subnormal, or past 2^1025
-            return self.sign * (0.0 if bits < 0 else math.inf)
         try:
+            if self.r == 1 and self.p == 0:
+                a, b = self._ints()
+                return self.sign * (a / b)  # int / int rounds once, as float(Fraction) does
+            m, s = self._mag
+            bits = m.bit_length() + s
+            if not -1075 <= bits <= 1025:  # below half the least subnormal, or past 2^1025
+                return self.sign * (0.0 if bits < 0 else math.inf)
             return self.sign * (m / (1 << -s) if s < 0 else float(m << s))  # rounded once
-        except OverflowError:
+        except OverflowError:  # a quotient past the largest double
             return self.sign * math.inf
 
     def log10(self) -> float:
@@ -550,15 +557,14 @@ class ExactValue(Record):
 
     def _refuse_long(self) -> None:
         """Raise int.__str__'s ValueError if q has a side certainly too long to print, building nothing."""
-        cofactor, fact, _ = self._parts
-        if fact:
+        if self._parts[1]:
             # log2 F = ln(P/Q)/ln 2 is at most the log2 of the numerator
             # blocks, -log2 F at most that of the denominator blocks, and
             # less err lies below them by more than their sums' rounding:
             # the map's test refuses only what the blocks' test would refuse
-            ln_p, ln_q, err = logs = _log_factorials(fact)
+            cofactor, ln_p, ln_q, err = self._bound
             _refuse_long_sides(cofactor, (ln_p - ln_q - err) / _LN2, (ln_q - ln_p - err) / _LN2)
-            cofactor, num, den = self._blocks(logs)
+            cofactor, num, den = self._blocks()
             _refuse_long_sides(cofactor, _log2(num), _log2(den))
 
     def __repr__(self):
@@ -749,14 +755,15 @@ def _prime_exponents(fact: dict[int, int]) -> dict[int, list[int]]:
 _MAX_GAMMA_KEY = 1 << 21
 
 
-# Builds a Fraction from a numerator and a positive denominator known to be
-# coprime, skipping their gcd, through a private hook of ``fractions``:
-# ``_from_coprime_ints`` from Python 3.12, the ``_normalize=False`` flag it
-# replaced before that.
-if sys.version_info >= (3, 12):
-    _coprime_fraction = Fraction._from_coprime_ints
-else:
-    _coprime_fraction = partial(Fraction, _normalize=False)
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction of two coprime ints, denominator > 0, stored without their gcd.
+
+    It sets the two slots of ``fractions.Fraction`` as the body of Python
+    3.12's ``Fraction._from_coprime_ints`` does, on every version.
+    """
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = numerator, denominator
+    return value
 
 
 # Most bits q's numerator or denominator may be built with: about 10^7
@@ -773,23 +780,17 @@ _MAX_PRODUCT_BITS = 1 << 25
 _FACTORIAL_BITS = 1 << 13
 
 
-def _factorial_blocks(fact: dict[int, int], logs: tuple[float, float, float] | None) -> tuple[list, list]:
-    """prod j!^fact[j] as coprime (numerator, denominator) lists of (block, power > 0) pairs.
+def _factorial_blocks(fact: dict[int, int]) -> tuple[list, list]:
+    """prod j!^fact[j] as one coprime (block, 1) pair a side: its factorials' product over their gcd."""
+    sides = [1, 1]
+    for j, k in fact.items():
+        sides[k < 0] *= math.factorial(j) ** abs(k)
+    g = math.gcd(*sides)
+    return [(sides[0] // g, 1)], [(sides[1] // g, 1)]
 
-    Where ``logs``, ``_log_factorials(fact)`` or None, puts both sides below
-    ``_FACTORIAL_BITS`` bits and below the digit limit, each side is one
-    block: the product of its factorials over their gcd.  Otherwise each
-    block is the product of the primes that share one net exponent.
-    """
-    if len(fact) <= 2 * _FACTORIAL_BITS:  # each key puts a bit or more on its side
-        ln_p, ln_q, err = logs or _log_factorials(fact)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
-        if max(ln_p, ln_q) + err < min(_FACTORIAL_BITS, limit * _LOG2_10_UP) * _LN2:
-            sides = [1, 1]
-            for j, k in fact.items():
-                sides[k < 0] *= math.factorial(j) ** abs(k)
-            g = math.gcd(*sides)
-            return [(sides[0] // g, 1)], [(sides[1] // g, 1)]
+
+def _prime_blocks(fact: dict[int, int]) -> tuple[list, list]:
+    """prod j!^fact[j] as coprime lists of (block, power > 0) pairs, a block the primes of one net exponent."""
     bases = [(_tree_product(primes), e) for e, primes in _prime_exponents(fact).items()]
     return [(x, e) for x, e in bases if e > 0], [(x, -e) for x, e in bases if e < 0]
 
@@ -808,14 +809,14 @@ def gamma_map(pairs) -> ExactValue:
 
     Gamma(k + 1/2) = (2k)!/(4^k k!) sqrt(pi), with 4^k = 2!^(2k), turns the
     product into the factorial map j -> power of j! times pi^(h/2), and the
-    value returned keeps that map (see ``ExactValue``): a refused string or
-    a float outside the double range builds nothing.  Only a read of q
-    builds it: a short map from C's factorials, a long one from its primes,
-    whose exponents Legendre's formula gives over one shared prime table
-    (``_prime_exponents``), each side once by binary powering over balanced
-    products (Borwein, "On the complexity of calculating factorials",
-    J. Algorithms 6, 1985).  The blocks that built vol_mixed at n = 1000
-    took 5.9 s to power out in full.
+    value returned keeps that map (see ``ExactValue``).  The map's one
+    Stirling bound refuses a string too long to print, and gives a float
+    outside the double range, with nothing built, and it picks the one
+    route to q's blocks: a short map's C factorials, or the primes of any
+    other, whose exponents Legendre's formula gives over one shared prime
+    table (``_prime_exponents``).  Only a read of q builds it, each side once
+    by binary powering over balanced products (Borwein, "On the complexity
+    of calculating factorials", J. Algorithms 6, 1985).
     """
     fact: dict[int, int] = {}  # j -> power of j!
     twos = half_pi = 0

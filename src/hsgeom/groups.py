@@ -58,7 +58,7 @@ class CosetSpec(Record):
 
     def __init__(self, family: Family, n: int):
         n = as_integer(n, "n")
-        self._set(family, n)
+        super().__init__(family, n)
         if family in _GROUP_FAMILIES:
             if n < 1:
                 raise ValueError(f"{family.value}({n}): group size must be >= 1")

@@ -45,7 +45,7 @@ class StateSpace(Record):
 
     def __init__(self, n: int, field: str = COMPLEX):
         n = as_integer(n, "n")
-        self._set(n, field)
+        super().__init__(n, field)
         if n < 2:
             raise ValueError(f"state space needs n >= 2, got {n}")
         if field not in (COMPLEX, REAL):
@@ -112,18 +112,6 @@ class GeometrySummary(Record):
         "chi_log10",
     )
 
-    def __init__(
-        self,
-        circumradius: ExactValue,
-        inradius: ExactValue,
-        effective_radius: float,
-        gamma: ExactValue,
-        chi1_log10: float,
-        chi2_log10: float,
-        chi_log10: float,
-    ):
-        self._set(circumradius, inradius, effective_radius, gamma, chi1_log10, chi2_log10, chi_log10)
-
     @property
     def chi1(self) -> float:
         return 10.0**self.chi1_log10
@@ -173,9 +161,6 @@ class ReferenceBody(Record):
     """Volume and boundary ratio of a reference body; spheres have no ratio."""
 
     __slots__ = ("kind", "volume", "boundary_ratio")
-
-    def __init__(self, kind: ReferenceKind, volume: ExactValue, boundary_ratio: ExactValue | None):
-        self._set(kind, volume, boundary_ratio)
 
     @property
     def gamma(self) -> ExactValue:

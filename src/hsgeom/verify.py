@@ -52,9 +52,6 @@ __all__ = [
 class MCEstimate(Record):
     __slots__ = ("mean", "stderr", "n_samples", "seed", "chunks")
 
-    def __init__(self, mean: float, stderr: float, n_samples: int, seed: int, chunks: int):
-        self._set(mean, stderr, n_samples, seed, chunks)
-
 
 # Rows per hit-or-miss block.  A chunk draws, scales and tests one block at
 # a time, so it holds one block whatever its size; the positivity test's

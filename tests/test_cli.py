@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -776,6 +777,26 @@ def test_an_alpha_whose_log_gamma_overflows_is_named(capsys, argv):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: alpha=1e+308 and beta=")
     assert captured.err.endswith("are too large at n=2: log C overflows a double\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--n", "1000000000", "--alpha", "0.3"],
+        ["constants", "--n", "1000000000", "--alpha", "1/3", "--beta", "1"],
+        ["verify", "--suite", "norm", "--n", "1000000000", "--alpha", "0.3", "--samples", "10", "--chunks", "1"],
+    ],
+)
+def test_a_float_path_n_past_the_bound_is_refused_before_any_log_gamma(capsys, monkeypatch, argv):
+    # 3n lgamma calls would run for minutes at n = 10^9
+    def unreachable(x):
+        raise AssertionError("lgamma was called")
+
+    monkeypatch.setattr(math, "lgamma", unreachable)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: n must be at most 1048576 for log C, got 1000000000\n"
 
 
 def test_domain_error_exits_two(capsys):

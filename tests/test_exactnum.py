@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 from unittest import mock
 
@@ -387,14 +388,13 @@ def test_parse_rejects_junk():
             parse(bad)
 
 
-def test_coprime_fraction_is_chosen_by_version():
-    if sys.version_info >= (3, 12):  # before it, the _normalize flag
-        assert _coprime_fraction == Fraction._from_coprime_ints
+def test_coprime_fraction_equals_and_hashes_as_fraction_does():
     pairs = [(0, 1), (1, 1), (-3, 4), (2**89 - 1, 3**50), (-(10**40) - 1, 10**39)]
     for num, den in pairs:
         value = _coprime_fraction(num, den)
         assert type(value) is Fraction
         assert value == Fraction(num, den) and (value.numerator, value.denominator) == (num, den)
+        assert hash(value) == hash(Fraction(num, den)) and value + 0 == Fraction(num, den)
 
 
 # -- deferred values: q is built only when something reads it --------------------
@@ -505,6 +505,25 @@ def test_deferred_values_read_their_floats_without_building(monkeypatch):
         (-tiny).log10()
 
 
+@pytest.mark.parametrize("order", list(permutations(("str", "to_float", "log10"))), ids="-".join)
+def test_a_value_bounds_its_map_once_in_any_read_order(monkeypatch, order):
+    # each of the three reads of vol_mixed(30), 263 digits, needs the map's
+    # bound: the refusal and the float's range test read it, and so does the
+    # route to the blocks that log10 reads
+    calls, bound = [], exactnum._log_factorials
+
+    def counted(fact):
+        calls.append(fact)
+        return bound(fact)
+
+    reads = {"str": str, "to_float": ExactValue.to_float, "log10": ExactValue.log10}
+    want = {name: read(vol_mixed(StateSpace(30))) for name, read in reads.items()}
+    monkeypatch.setattr(exactnum, "_log_factorials", counted)
+    value = vol_mixed(StateSpace(30))
+    assert {name: reads[name](value) for name in order} == want
+    assert len(calls) == 1
+
+
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit"
 )
@@ -588,13 +607,14 @@ def test_values_the_map_cannot_decide_are_refused_from_their_blocks(monkeypatch,
     digit_limit(4300)
     value = _LONG_VALUES[name]()
     _assert_within_half_the_bound(value._parts[1])
-    found, find = [], exactnum._factorial_blocks
+    found = []
+    for route in ("_factorial_blocks", "_prime_blocks"):
 
-    def counted(fact, logs):
-        found.append(fact)
-        return find(fact, logs)
+        def counted(fact, find=getattr(exactnum, route)):
+            found.append(fact)
+            return find(fact)
 
-    monkeypatch.setattr(exactnum, "_factorial_blocks", counted)
+        monkeypatch.setattr(exactnum, route, counted)
     monkeypatch.setattr(exactnum, "_power_product", _unreachable_power_product)
     with pytest.raises(ValueError) as refused:
         str(value)
@@ -642,7 +662,10 @@ def test_the_map_bound_never_refuses_a_value_whose_sides_fit(powers, a, b):
         for limit in sorted({640, *range(max(640, digits - 3), digits + 2)}):
             sys.set_int_max_str_digits(limit)
             value = fresh()
-            with mock.patch.object(exactnum, "_factorial_blocks", side_effect=_PrimeFound):
+            with (
+                mock.patch.object(exactnum, "_factorial_blocks", side_effect=_PrimeFound),
+                mock.patch.object(exactnum, "_prime_blocks", side_effect=_PrimeFound),
+            ):
                 try:
                     str(value)
                 except _PrimeFound:
@@ -719,14 +742,7 @@ def test_both_routes_build_the_same_coprime_ints(fact):
     for j, k in fact.items():
         sides[k < 0] *= math.factorial(j) ** abs(k)
     want = Fraction(*sides).as_integer_ratio()
-    before = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    try:
-        if before is not None:
-            sys.set_int_max_str_digits(0)  # so the raised bound alone picks the factorial route
-        assert ints(0) == ints(1 << 30) == ints() == want
-    finally:
-        if before is not None:
-            sys.set_int_max_str_digits(before)
+    assert ints(0) == ints(1 << 30) == ints() == want
 
 
 # -- the integer cofactor --------------------------------------------------------

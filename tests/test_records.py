@@ -1,6 +1,7 @@
 """The contract shared by the package's immutable records."""
 
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,22 @@ def test_record_contract(cls, fields, other, text, refused):
         with pytest.raises(ValueError) as exc:
             cls(**bad)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls, fields", [(row[0], row[1]) for row in RECORDS if row[4] is None])
+def test_a_record_takes_each_field_once_by_position_or_by_name(cls, fields):
+    names, values = list(fields), list(fields.values())
+    assert cls(*values[:2], **dict(list(fields.items())[2:])) == cls(**fields)
+    listed = re.escape(f"{cls.__name__} takes each of its fields once: {', '.join(names)}")
+    for args, kwargs in [
+        (values[:-1], {}),  # one missing
+        ([*values, 1], {}),  # one too many
+        (values, {names[0]: values[0]}),  # one twice
+        (values[1:], {names[0]: values[0]}),  # named before the positional ones
+        (values[:-1], {"extra": 1}),  # unknown
+    ]:
+        with pytest.raises(TypeError, match=listed):
+            cls(*args, **kwargs)
 
 
 def test_record_defaults_and_canonical_fields():
