@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import ONE, ExactValue, Record, as_integer, gamma_map
+from .exactnum import ExactValue, Record, as_integer, gamma_map, pairs_power
 
 __all__ = ["EnsembleParams", "laguerre_integral", "c_norm", "log_c_norm"]
 
@@ -37,20 +37,42 @@ class EnsembleParams(Record):
             raise ValueError(f"beta must be 1 or 2 in exact mode, got {beta}")
 
 
+def laguerre_pairs(n: int, twice_alpha: int, beta: int) -> list:
+    """The Gamma pairs of the Laguerre integral at alpha = twice_alpha / 2.
+
+    The ints are those of parameters that ``EnsembleParams`` accepts; the
+    closed forms pass them without building one.
+    """
+    return [
+        (range(2 + beta, 3 + n * beta, beta), 1),  # Gamma(1 + j*beta/2)
+        (range(twice_alpha, twice_alpha + n * beta, beta), 1),  # Gamma(alpha + (j-1)*beta/2)
+        (2 + beta, -n),  # Gamma(1 + beta/2)^n
+    ]
+
+
+def c_norm_pairs(n: int, twice_alpha: int, beta: int) -> list:
+    """The Gamma pairs of C_n^(alpha, beta), alpha = twice_alpha / 2: its top Gamma over the Laguerre integral's.
+
+    At n = 1 there are none: Gamma(alpha) / Gamma(alpha) for every alpha is
+    formed from no Gamma, so an alpha past the key bound is not refused there.
+    """
+    if n == 1:
+        return []
+    return [(twice_alpha * n + beta * n * (n - 1), 1), *pairs_power(laguerre_pairs(n, twice_alpha, beta), -1)]
+
+
+def _int_args(params: EnsembleParams) -> tuple[int, int, int]:
+    """(n, twice alpha, beta) of the parameters, the arguments of the pair lists."""
+    return params.n, int(2 * params.alpha), params.beta
+
+
 def laguerre_integral(params: EnsembleParams) -> ExactValue:
     """Exact value of the Laguerre-ensemble integral.
 
     prod_{j=1}^{n} Gamma(1 + j*beta/2) * Gamma(alpha + (j-1)*beta/2)
     divided by Gamma(1 + beta/2)^n.
     """
-    n, twice_alpha, beta = params.n, int(2 * params.alpha), params.beta
-    return gamma_map(
-        [
-            (range(2 + beta, 3 + n * beta, beta), 1),  # Gamma(1 + j*beta/2)
-            (range(twice_alpha, twice_alpha + n * beta, beta), 1),  # Gamma(alpha + (j-1)*beta/2)
-            (2 + beta, -n),  # Gamma(1 + beta/2)^n
-        ]
-    )
+    return gamma_map(laguerre_pairs(*_int_args(params)))
 
 
 def c_norm(params: EnsembleParams) -> ExactValue:
@@ -58,12 +80,7 @@ def c_norm(params: EnsembleParams) -> ExactValue:
 
     Gamma(alpha*n + beta*n*(n-1)/2) divided by the Laguerre integral.
     """
-    n, beta = params.n, params.beta
-    if n == 1:
-        # Gamma(alpha) / Gamma(alpha) for every alpha: formed from no Gamma,
-        # so an alpha past the key bound is not refused here
-        return ONE
-    return gamma_map([(int(2 * params.alpha) * n + beta * n * (n - 1), 1)]) / laguerre_integral(params)
+    return gamma_map(c_norm_pairs(*_int_args(params)))
 
 
 # Largest n of the float path, the largest Gamma argument the exact layer

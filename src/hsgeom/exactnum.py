@@ -803,9 +803,11 @@ def gamma_map(pairs) -> ExactValue:
     Gamma(5/2)^2 / Gamma(4).  A key may come more than once.  A pair's key
     may also be an ascending ``range`` of keys that all take its power:
     ``[(range(2, 9, 2), 1)]`` is Gamma(1) Gamma(2) Gamma(3) Gamma(4).  Keys
-    above ``_MAX_GAMMA_KEY`` raise ValueError, a range from its last key
-    before any key is read; zero powers and empty ranges are ignored and
-    no pairs give ONE.
+    above ``_MAX_GAMMA_KEY`` raise ValueError, a range from its last key:
+    every pair is checked, in order, before any key of any pair is read, so
+    the first bad pair names the error.  Zero powers and empty ranges are
+    ignored and no pairs give ONE; ``pairs_power`` raises a list of pairs
+    to a power, as a closed form joins its factors' lists into one map.
 
     Gamma(k + 1/2) = (2k)!/(4^k k!) sqrt(pi), with 4^k = 2!^(2k), turns the
     product into the factorial map j -> power of j! times pi^(h/2), and the
@@ -818,28 +820,39 @@ def gamma_map(pairs) -> ExactValue:
     by binary powering over balanced products (Borwein, "On the complexity
     of calculating factorials", J. Algorithms 6, 1985).
     """
-    fact: dict[int, int] = {}  # j -> power of j!
-    twos = half_pi = 0
+    checked = []  # every pair is checked, in order, before any key is read
     for key, k in pairs:
-        keys = range(key, key + 1) if isinstance(key, int) else key
-        if not isinstance(keys, range) or keys.start < 1 or keys.step < 0 or not isinstance(k, int):
+        if isinstance(key, int):
+            keys, good = (key,), key >= 1
+        else:
+            keys, good = key, isinstance(key, range) and key.start >= 1 and key.step > 0
+        if not good or not isinstance(k, int):
             raise ValueError(f"gamma_product needs positive integer keys and integer powers, got {key}: {k}")
-        if not k or not keys:
-            continue
-        if keys[-1] > _MAX_GAMMA_KEY:
-            raise ValueError(f"Gamma argument too large for an exact value: twice it exceeds {_MAX_GAMMA_KEY}")
+        if k and keys:
+            if keys[-1] > _MAX_GAMMA_KEY:
+                raise ValueError(f"Gamma argument too large for an exact value: twice it exceeds {_MAX_GAMMA_KEY}")
+            checked.append((keys, k))
+    fact: dict[int, int] = {}  # j -> power of j!
+    get = fact.get
+    twos = half_pi = 0
+    for keys, k in checked:
         for m in keys:
-            if m % 2 == 0:
-                fact[m // 2 - 1] = fact.get(m // 2 - 1, 0) + k
-            else:
-                j = m // 2
-                fact[2 * j] = fact.get(2 * j, 0) + k
-                fact[j] = fact.get(j, 0) - k
+            j = m >> 1
+            if m & 1:
+                fact[2 * j] = get(2 * j, 0) + k
+                fact[j] = get(j, 0) - k
                 twos -= 2 * j * k
                 half_pi += k
+            else:
+                fact[j - 1] = get(j - 1, 0) + k
     fact[2] = fact.get(2, 0) + twos
     fact = {j: k for j, k in fact.items() if k and j > 1}  # 0! = 1! = 1
     return ExactValue._from_parts(1, 1, half_pi, _UNIT, fact)
+
+
+def pairs_power(pairs, e: int) -> list:
+    """The pairs of gamma_map(pairs)^e: each power times e, each key or range kept."""
+    return [(key, e * k) for key, k in pairs]
 
 
 def gamma_product(powers) -> ExactValue:

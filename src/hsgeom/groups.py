@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 
-from .exactnum import ExactValue, Record, as_integer, exact_sqrt, gamma_map
+from .exactnum import ExactValue, Record, as_integer, exact_sqrt, gamma_map, pairs_power
 
 __all__ = [
     "Convention",
@@ -73,54 +73,80 @@ def sphere_volume(k: int) -> ExactValue:
     return 2 * gamma_map([(1, k + 1), (k + 1, -1)])
 
 
-def ball_volume(k: int) -> ExactValue:
-    """Volume of the unit k-ball B^k: pi^(k/2) / Gamma(k/2 + 1)."""
+def ball_pairs(k: int) -> list:
+    """The Gamma pairs of the unit k-ball's volume (see ``ball_volume``)."""
     if k < 0:
         raise ValueError(f"ball dimension must be >= 0, got {k}")
-    return gamma_map([(1, k), (k + 2, -1)])
+    return [(1, k), (k + 2, -1)]
+
+
+def ball_volume(k: int) -> ExactValue:
+    """Volume of the unit k-ball B^k: pi^(k/2) / Gamma(k/2 + 1)."""
+    return gamma_map(ball_pairs(k))
 
 
 # Integer powers of two go into the Gamma maps as Gamma(3) = 2, keyed 6, and
 # only an odd power of sqrt(2) is a factor of its own: 2^k as a value of its
 # own made the real-field edge volumes up to a third slower.  Powers of pi go
-# in as Gamma(1/2) = sqrt(pi), keyed 1, which adds no factorial.
+# in as Gamma(1/2) = sqrt(pi), keyed 1, which adds no factorial.  Each factor
+# below gives its Gamma pairs and the odd power of sqrt(2) left over, and a
+# closed form joins its factors' pairs into one map (``root_map``).
 
 
-def _spheres(n: int, step: int, roots: int) -> ExactValue:
-    """sqrt(2)^roots * prod_{k=1..n} 2 pi^(step k / 2) / Gamma(step k / 2).
+def root_map(pairs, roots: int, radicand=1) -> ExactValue:
+    """gamma_map(pairs) * sqrt(2)^roots * sqrt(radicand), from one map and one square root.
+
+    The square root is taken after the map, so a Gamma key past the bound
+    is refused before the radicand is trial-divided.
+    """
+    value = gamma_map([*pairs, (6, roots // 2)])
+    radicand *= 2 ** (roots % 2)
+    return value if radicand == 1 else value * exact_sqrt(radicand)
+
+
+def _sphere_pairs(n: int, step: int, roots: int) -> tuple[list, int]:
+    """sqrt(2)^roots * prod_{k=1..n} 2 pi^(step k / 2) / Gamma(step k / 2), as (pairs, odd roots).
 
     With step 2 this is U(n) under B, a product of the unit spheres
     S^1, S^3, ..., S^(2n-1); with step 1 it is O(n), of S^0 ... S^(n-1).
     """
-    value = gamma_map([(1, step * n * (n + 1) // 2), (6, n + roots // 2), (range(step, step * n + 1, step), -1)])
-    return value * exact_sqrt(2) if roots % 2 else value
+    return [(1, step * n * (n + 1) // 2), (6, n + roots // 2), (range(step, step * n + 1, step), -1)], roots % 2
 
 
-def _unitary(n: int, conv: Convention) -> ExactValue:
+def _unitary_pairs(n: int, conv: Convention) -> tuple[list, int]:
     # a_X Vol_B[U(n)], where a_A = 2^(n(n-1)/2), a_B = 1 and a_C = 2^(-n/2)
-    return _spheres(n, 2, {Convention.A: n * (n - 1), Convention.B: 0, Convention.C: -n}[conv])
+    return _sphere_pairs(n, 2, n * (n - 1) if conv is Convention.A else -n if conv is Convention.C else 0)
 
 
-def _orthogonal(n: int, conv: Convention) -> ExactValue:
+def _orthogonal_pairs(n: int, conv: Convention) -> tuple[list, int]:
     # B (= C): the product of unit spheres; A: an extra sqrt(2) per
     # off-diagonal entry, 2^(n(n-1)/4) in total
-    return _spheres(n, 1, n * (n - 1) // 2 if conv is Convention.A else 0)
+    return _sphere_pairs(n, 1, n * (n - 1) // 2 if conv is Convention.A else 0)
+
+
+def flag_pairs(family: Family, n: int, conv: Convention) -> tuple[list, int]:
+    """U(n) / U(1)^n (FlC) or O(n) / O(1)^n (FlR), as (pairs, odd roots); sizes 0 and 1 both give 1."""
+    group = _unitary_pairs if family is Family.COMPLEX_FLAG else _orthogonal_pairs
+    (pairs, roots), (unit, unit_roots) = group(n, conv), group(1, conv)
+    return pairs + pairs_power(unit, -n), roots - n * unit_roots
 
 
 def vol_group(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
     """Exact volume of U(N), SU(N), O(N) or SO(N) under the given convention."""
     n, family = spec.n, spec.family
     if family is Family.UNITARY:
-        return _unitary(n, conv)
+        return root_map(*_unitary_pairs(n, conv))
     if family is Family.SPECIAL_UNITARY:
         # SU(N) is not U(N)/U(1): the determinant constraint stretches the
-        # quotient by sqrt(N), taken after the map so that a too-large N is
-        # refused before trial division.
-        return _unitary(n, conv) * exact_sqrt(n) / _unitary(1, conv)
+        # quotient by sqrt(N)
+        (pairs, roots), (unit, unit_roots) = _unitary_pairs(n, conv), _unitary_pairs(1, conv)
+        return root_map(pairs + pairs_power(unit, -1), roots - unit_roots, n)
     if family is Family.ORTHOGONAL:
-        return _orthogonal(n, conv)
+        return root_map(*_orthogonal_pairs(n, conv))
     if family is Family.SPECIAL_ORTHOGONAL:
-        return _orthogonal(n, conv) / 2
+        # O(N) / 2, the 2 as Gamma(3)
+        pairs, roots = _orthogonal_pairs(n, conv)
+        return root_map([*pairs, (6, -1)], roots)
     raise ValueError(f"{family.value} is not a group family; use vol_coset")
 
 
@@ -135,11 +161,5 @@ def vol_coset(spec: CosetSpec, conv: Convention = Convention.A) -> ExactValue:
     if family is Family.REAL_PROJECTIVE:
         # O(k+1) / (O(1) x O(k)) = Vol(S^k)/2 = pi^((k+1)/2) / Gamma((k+1)/2),
         # times sqrt(2)^k under A
-        roots = n if conv is Convention.A else 0
-        value = gamma_map([(n + 1, -1), (6, roots // 2), (1, n + 1)])
-        return value * exact_sqrt(2) if roots % 2 else value
-    if family is Family.COMPLEX_FLAG:
-        # U(N) / U(1)^N; sizes 0 and 1 both give volume 1.
-        return _unitary(n, conv) / _unitary(1, conv).pow_int(n)
-    # REAL_FLAG: O(N) / O(1)^N with Vol[O(1)] = 2.
-    return _orthogonal(n, conv) / _orthogonal(1, conv).pow_int(n)
+        return root_map([(n + 1, -1), (1, n + 1)], n if conv is Convention.A else 0)
+    return root_map(*flag_pairs(family, n, conv))

@@ -19,9 +19,9 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .constants import EnsembleParams, c_norm
-from .exactnum import ONE, ExactValue, Record, as_integer, exact_sqrt, from_rational, gamma_exact, gamma_map
-from .groups import Convention, CosetSpec, Family, ball_volume, sphere_volume, vol_coset
+from .constants import c_norm_pairs
+from .exactnum import ONE, ExactValue, Record, as_integer, exact_sqrt, from_rational, gamma_exact, pairs_power
+from .groups import Convention, Family, ball_pairs, ball_volume, flag_pairs, root_map, sphere_volume
 
 __all__ = [
     "StateSpace",
@@ -70,25 +70,36 @@ def vol_edge(space: StateSpace, k: int) -> ExactValue:
     k = 0 is the full body, k = 1 its boundary hyperarea, k = N - 1 the set
     of pure states.
     """
+    return root_map(*_edge_pairs(space, k))
+
+
+def _edge_pairs(space: StateSpace, k: int) -> tuple[list, int, int]:
+    """The order-k edge volume as ``root_map``'s (pairs, roots, radicand)."""
     n = space.n
     if not 0 <= k <= n - 1:
         raise ValueError(f"rank deficiency must be in [0, {n - 1}], got {k}")
     if space.field == COMPLEX and k == 0:
         # The complex body has a direct formula, cheaper than the flag route:
         # sqrt(N) (2 pi)^(N(N-1)/2) Gamma(1)...Gamma(N) / Gamma(N^2), with the
-        # power of two taken in as Gamma(3) = 2 and that of pi as Gamma(1/2)^2;
-        # the map before sqrt(N), so a too-large N is refused before trial division
+        # power of two taken in as Gamma(3) = 2 and that of pi as Gamma(1/2)^2
         half = n * (n - 1) // 2
-        return gamma_map([(range(2, 2 * n + 1, 2), 1), (2 * n * n, -1), (6, half), (1, 2 * half)]) * exact_sqrt(n)
+        return [(range(2, 2 * n + 1, 2), 1), (2 * n * n, -1), (6, half), (1, 2 * half)], 0, n
+    # sqrt(N-k)/(N-k)! * Vol_A[Fl(N)]/Vol_A[Fl(k)] / C_(N-k)^(alpha, beta), with
+    # alpha = 1 + 2k, beta = 2 (complex) or alpha = 1 + k, beta = 1 (real): one
+    # map of the factors' pairs, a divisor's powers negated
     if space.field == COMPLEX:
-        flag_family, alpha, beta = Family.COMPLEX_FLAG, Fraction(1 + 2 * k), 2
+        flag_family, twice_alpha, beta = Family.COMPLEX_FLAG, 2 + 4 * k, 2
     else:
-        flag_family, alpha, beta = Family.REAL_FLAG, Fraction(1 + k), 1
-    # sqrt(N-k)/(N-k)! * Vol_A[Fl(N)]/Vol_A[Fl(k)] / C_(N-k)^(alpha, beta)
-    top = vol_coset(CosetSpec(flag_family, n), Convention.A)
-    bottom = vol_coset(CosetSpec(flag_family, k), Convention.A)
-    scale = exact_sqrt(n - k) / gamma_map([(2 * (n - k) + 2, 1)])  # (N-k)! = Gamma(N-k+1)
-    return scale * top / bottom / c_norm(EnsembleParams(n - k, alpha, beta))
+        flag_family, twice_alpha, beta = Family.REAL_FLAG, 2 + 2 * k, 1
+    top, top_roots = flag_pairs(flag_family, n, Convention.A)
+    bottom, bottom_roots = flag_pairs(flag_family, k, Convention.A)
+    pairs = [
+        *top,
+        *pairs_power(bottom, -1),
+        (2 * (n - k) + 2, -1),  # (N-k)! = Gamma(N-k+1)
+        *pairs_power(c_norm_pairs(n - k, twice_alpha, beta), -1),
+    ]
+    return pairs, top_roots - bottom_roots, n - k
 
 
 class GeometrySummary(Record):
@@ -128,9 +139,11 @@ class GeometrySummary(Record):
 def geometry(space: StateSpace) -> GeometrySummary:
     """Radii, gamma and chi coefficients of the state space."""
     n, d = space.n, space.dim
-    # the volume first: its Gamma key check refuses a large n before the
-    # trial division of sqrt((n-1)/n), which runs up to n
-    log_rho = (vol_mixed(space) / ball_volume(d)).log10() / d
+    # the volume over the unit D-ball's, one map, first: its Gamma key check
+    # refuses a large n before the trial division of sqrt((n-1)/n), which
+    # runs up to n
+    pairs, roots, radicand = _edge_pairs(space, 0)
+    log_rho = root_map([*pairs, *pairs_power(ball_pairs(d), -1)], roots, radicand).log10() / d
     circum = exact_sqrt(Fraction(n - 1, n))
     inscribed = circum / (n - 1)
     # Every boundary point lies on a hyperplane tangent to the insphere, so

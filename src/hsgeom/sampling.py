@@ -74,11 +74,13 @@ def _ginibre(n: int, rng: np.random.Generator, size: int) -> tuple[np.ndarray, n
 
 
 # Entries of each part per transposing copy, which then stays in cache.  The
-# kernel runs on blocks of _COPIES_PER_BLOCK copies (2^18 entries, 4096 draws
-# at n = 8): large enough that each of its numpy calls spans many draws, small
-# enough that its rows stay in cache.
+# kernel runs on blocks of block_rows(n) draws (2^18 entries, 4096 draws at
+# n = 8), so the batch of every streaming caller takes one pass: large enough
+# that each of its numpy calls spans many draws, small enough that its rows
+# stay in cache.  The last copy of a block may be short; past n = 128, where
+# a copy holds one draw, a block is _MIN_COPIES copies.
 _COPY_ENTRIES = 1 << 14
-_COPIES_PER_BLOCK = 16
+_MIN_COPIES = 16
 
 
 def _gram_parts(a: np.ndarray, b: np.ndarray, w_re: np.ndarray, w_im: np.ndarray) -> None:
@@ -130,16 +132,17 @@ def _normalized_gram(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """
     size, n, _ = re.shape
     step = max(1, _COPY_ENTRIES // (n * n))
-    block = _COPIES_PER_BLOCK * step
+    block = max(block_rows(n), _MIN_COPIES * step)
     out = np.empty((size, n, n), dtype=complex)
     for start in range(0, size, block):
         count = min(block, size - start)
         part = slice(start, start + count)
         a_blk, b_blk = out[part].view(float).reshape(2, n, n, count)
-        for lo in range(0, count, step):
-            drawn = slice(start + lo, start + lo + step)
-            a_blk[..., lo : lo + step] = re[drawn].transpose(1, 2, 0)
-            b_blk[..., lo : lo + step] = im[drawn].transpose(1, 2, 0)
+        copies = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+        for lo, hi in copies:
+            drawn = slice(start + lo, start + hi)
+            a_blk[..., lo:hi] = re[drawn].transpose(1, 2, 0)
+            b_blk[..., lo:hi] = im[drawn].transpose(1, 2, 0)
         w_re, w_im = re[part].reshape(n, n, count), im[part].reshape(n, n, count)
         _gram_parts(a_blk, b_blk, w_re, w_im)
         # a zero trace needs every one of at least 8 Gaussian entries to be 0.0
@@ -150,10 +153,10 @@ def _normalized_gram(re: np.ndarray, im: np.ndarray) -> np.ndarray:
         # multiplying both parts by its reciprocal
         w_re *= np.divide(1.0, trace, out=trace)
         w_im *= trace
-        for lo in range(0, count, step):
-            dest = out[start + lo : start + lo + step].transpose(1, 2, 0)
-            dest.real = w_re[..., lo : lo + step]
-            dest.imag = w_im[..., lo : lo + step]
+        for lo, hi in copies:
+            dest = out[start + lo : start + hi].transpose(1, 2, 0)
+            dest.real = w_re[..., lo:hi]
+            dest.imag = w_im[..., lo:hi]
     return out
 
 

@@ -741,6 +741,10 @@ _KEY_BOUND_QUERIES = [
         # (n - 1) n is prime to every square below n^2: trial division runs to n
         ["geometry", "--n", "1000000007"],
         ["geometry", "--n", "1000000007", "--field", "real"],
+        # at N = 10^6 the progressions are within the bound and the key of
+        # Gamma(N^2) or of C_N's top Gamma is not: it is checked before any
+        # key of them is read
+        *([*query, "--n", "1000000"] for query in _KEY_BOUND_QUERIES if query[0] in ("volume", "edge", "geometry")),
     ],
 )
 def test_a_gamma_key_past_the_bound_is_refused_from_the_arguments(capsys, monkeypatch, argv):

@@ -11,12 +11,13 @@ import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsgeom import exactnum
+from hsgeom import constants, exactnum, groups, mixedstates
 from hsgeom.constants import EnsembleParams, c_norm, laguerre_integral
 from hsgeom.exactnum import (
     _MAX_GAMMA_KEY,
@@ -30,7 +31,7 @@ from hsgeom.exactnum import (
     gamma_product,
 )
 from hsgeom.groups import _GROUP_FAMILIES, Convention, CosetSpec, Family, sphere_volume, vol_coset, vol_group
-from hsgeom.mixedstates import StateSpace, vol_edge, vol_mixed
+from hsgeom.mixedstates import StateSpace, geometry, vol_edge, vol_mixed
 
 # -- reference: one Gamma factor at a time --------------------------------------
 
@@ -286,6 +287,21 @@ def test_a_range_past_the_key_bound_is_refused_before_any_key_is_read():
         assert exactnum.gamma_map(pairs)._parts == ONE._parts
 
 
+def test_every_pair_is_checked_before_any_key_is_read():
+    # a million keys within the bound come before the one past it, and the
+    # first bad pair names the error
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            exactnum.gamma_map([(range(1, 10**6), 1), (range(2, 10**6, 2), -1), (10**9, 1), (0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    with pytest.raises(ValueError, match="positive integer keys and integer powers"):
+        exactnum.gamma_map([(range(1, 10**6), 1), (0, 1), (10**9, 1)])
+
+
 @pytest.mark.parametrize("pair", [(range(9, 1, -2), 1), (range(5, 1, -1), 1), (range(0, 5), 1), (range(1, 5), 1.0)])
 def test_a_descending_range_a_range_from_zero_and_a_float_power_are_refused(pair):
     with pytest.raises(ValueError, match="positive integer keys and integer powers"):
@@ -341,15 +357,18 @@ def test_a_value_made_by_arithmetic_past_the_size_bound_is_refused_at_its_first_
 # -- every closed form against the per-factor loops -------------------------------
 
 
-@pytest.mark.parametrize("n", [50, 120])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 50, 120])
 @pytest.mark.parametrize("field", ["complex", "real"])
 def test_volume_and_edges_match_per_factor_loops(n, field):
     assert vol_mixed(StateSpace(n, field)) == _vol_mixed(n, field)
-    for k in (1, n - 1):
+    # every k at small n: the flag route at k = 0 in both fields (the real
+    # volume, and the complex one that the direct formula gives), and at
+    # k = n - 1, where C_1 = 1 brings no pairs
+    for k in range(n) if n <= 8 else (1, n - 1):
         assert vol_edge(StateSpace(n, field), k) == _vol_edge(n, field, k)
 
 
-@pytest.mark.parametrize("n", [50, 120])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 120])
 @pytest.mark.parametrize(
     "alpha,beta", [(Fraction(1), 2), (Fraction(3, 2), 2), (Fraction(1), 1), (Fraction(1, 2), 1)]
 )
@@ -357,6 +376,40 @@ def test_c_norm_matches_per_factor_loop(n, alpha, beta):
     params = EnsembleParams(n, alpha, beta)
     assert laguerre_integral(params) == _laguerre(n, alpha, beta)
     assert c_norm(params) == _c_norm(n, alpha, beta)
+
+
+def test_each_closed_form_is_one_gamma_map(monkeypatch):
+    # each joins its factors' pairs into one map, then takes one square root
+    calls = []
+    original = exactnum.gamma_map
+
+    def counted(pairs):
+        calls.append(pairs)
+        return original(pairs)
+
+    for module in (exactnum, constants, groups, mixedstates):  # each name a call may go through
+        monkeypatch.setattr(module, "gamma_map", counted, raising=False)
+    forms = {}
+    for field in ("complex", "real"):
+        space = StateSpace(6, field)
+        forms[f"vol_mixed {field}"] = partial(vol_mixed, space)
+        forms[f"geometry {field}"] = partial(geometry, space)  # the volume over the D-ball's
+        for k in range(1, 6):
+            forms[f"vol_edge {field} {k}"] = partial(vol_edge, space, k)
+    for family in Family:
+        volume = vol_group if family in _GROUP_FAMILIES else vol_coset
+        for conv in Convention:
+            forms[f"{family.value} {conv.value}"] = partial(volume, CosetSpec(family, 6), conv)
+    for alpha, beta in ((Fraction(1), 2), (Fraction(1, 2), 1)):
+        params = EnsembleParams(6, alpha, beta)
+        forms[f"c_norm {alpha} {beta}"] = partial(c_norm, params)
+        forms[f"laguerre_integral {alpha} {beta}"] = partial(laguerre_integral, params)
+    counts = {}
+    for name, form in forms.items():
+        calls.clear()
+        form()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(forms, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 30])

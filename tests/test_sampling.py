@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from hsgeom import sampling
 from hsgeom.sampling import (
+    block_rows,
     eigvals_hermitian,
     gell_mann_basis,
     make_rng,
@@ -70,6 +72,29 @@ def test_samplers_match_the_einsum_formula_bit_for_bit(n, kind):
             want = _einsum_reference(n, kind, make_rng(n, size), size)
         assert got.shape == want.shape == (size, n, n) and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), (n, kind, size)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_streaming_block_of_complex_draws_takes_one_kernel_pass(monkeypatch, n):
+    # block_rows(n) draws, the batch of every streaming caller, is one block:
+    # at n = 3 a block of 16 copies of 1820 draws left 7 for a second pass
+    passes = []
+    kernel = sampling._gram_parts
+
+    def counted(a, b, w_re, w_im):
+        passes.append(a.shape[-1])
+        kernel(a, b, w_re, w_im)
+
+    monkeypatch.setattr(sampling, "_gram_parts", counted)
+    sample_hs_batch(n, "complex", make_rng(n), block_rows(n))
+    assert passes == [block_rows(n)]
+    # a block and 5 draws more, where a block's last copy ends short of a full
+    # copy, keep the einsum bytes
+    passes.clear()
+    size = block_rows(n) + 5
+    got = sample_hs_batch(n, "complex", make_rng(n, 1), size)
+    assert passes == [block_rows(n), 5]
+    assert got.tobytes() == _einsum_reference(n, "complex", make_rng(n, 1), size).tobytes()
 
 
 def _purity(batch):
