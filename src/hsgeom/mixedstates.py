@@ -140,8 +140,9 @@ def geometry(space: StateSpace) -> GeometrySummary:
     """Radii, gamma and chi coefficients of the state space."""
     n, d = space.n, space.dim
     # the volume over the unit D-ball's, one map, first: its Gamma key check
-    # refuses a large n before the trial division of sqrt((n-1)/n), which
-    # runs up to n
+    # refuses a large n before sqrt((n-1)/n) trial-divides n - 1 and n, up
+    # to sqrt(n); from 16 keys on (n >= 16 complex, n >= 25 real) its log10 is
+    # summed over its Gamma runs, with no prime found
     pairs, roots, radicand = _edge_pairs(space, 0)
     log_rho = root_map([*pairs, *pairs_power(ball_pairs(d), -1)], roots, radicand).log10() / d
     circum = exact_sqrt(Fraction(n - 1, n))

@@ -658,6 +658,18 @@ def test_small_answers_are_built_without_finding_a_prime(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_small_answers_take_their_logs_from_the_blocks(capsys, monkeypatch):
+    # their maps are too short for the Gamma runs to pay, so no call loads
+    # the series module or builds its constants
+    def unreachable(self, cofactor, runs):
+        raise AssertionError("a log was taken from the runs")
+
+    monkeypatch.setattr(exactnum.ExactValue, "_log_from_runs", unreachable)
+    for argv in _small_queries():
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv, module, name",
     [

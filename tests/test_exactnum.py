@@ -158,6 +158,24 @@ def test_squarefree_strips_powers_of_two_like_trial_division():
     assert exact_sqrt(Fraction(36481, 2**36480)) == ExactValue(1, Fraction(191, 2**18240), 1, 0)
 
 
+# a square times a squarefree part, so that both sides have square factors to strip
+_SQUARED = st.builds(operator.mul, st.integers(1, 10**4).map(lambda s: s * s), st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SQUARED, _SQUARED)
+@example(1, 1)
+@example(36481, 2**36480)
+def test_a_square_root_factors_numerator_and_denominator_apart(a, b):
+    # sqrt(a/b) = sqrt(a b)/b: the split of coprime a and b gives what
+    # factoring their product gives
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    s, r = _squarefree(a * b)
+    value = exact_sqrt(Fraction(a, b))
+    assert (value.q, value.r, value.p) == (Fraction(s, b), r, 0)
+
+
 def test_to_float_linear():
     v = PI * exact_sqrt(2) / 3
     assert v.to_float() == pytest.approx(PI_SQRT2_OVER_3, rel=1e-14)
