@@ -487,7 +487,8 @@ class ExactValue(Record):
             raise ZeroDivisionError("division by exact zero")
         # 1/sqrt(r) = sqrt(r)/r keeps the radicand unchanged.
         (a, b), fact, _, runs = self._parts
-        fact, runs = {j: -k for j, k in fact.items()}, tuple([(keys, -k) for keys, k in runs])
+        if fact:
+            fact, runs = {j: -k for j, k in fact.items()}, tuple([(keys, -k) for keys, k in runs])
         return ExactValue._from_parts(self.sign, self.r, -self.p, _times((b, a), (1, self.r)), fact, runs)
 
     def __truediv__(self, other) -> "ExactValue":
@@ -526,7 +527,8 @@ class ExactValue(Record):
             num, den = k * log2(a) + half * log2(self.r // s), k * log2(b) - half * log2(s)
             _refuse_too_large(num * (1 - 1e-9), den * (1 - 1e-9))
             cofactor = _times((a**k, b**k), (self.r**half, 1))
-        fact, runs = {j: e * k for j, e in fact.items()}, tuple([(keys, e * k) for keys, e in runs])
+        if fact:
+            fact, runs = {j: e * k for j, e in fact.items()}, tuple([(keys, e * k) for keys, e in runs])
         return ExactValue._from_parts(sign, r, self.p * k, cofactor, fact, runs)
 
     __pow__ = pow_int
@@ -685,7 +687,7 @@ def exact_sqrt(x) -> ExactValue:
         raise ValueError(f"square root of negative rational {Fraction(a, b)}")
     if a == 0:
         return ZERO
-    (s, r), (t, u) = _squarefree(a), _squarefree(b)
+    (s, r), (t, u) = _squarefree(a), _squarefree(b) if b > 1 else (1, 1)
     return ExactValue._from_parts(1, r * u, 0, (s, t * u), {})
 
 
