@@ -112,6 +112,10 @@ def _fixed_power(bases) -> tuple[int, int]:
     at most the largest power by the later squarings, so over n pairs m
     errs by under 4 (n + 1) max e 2^-_FIX, relative.
     """
+    if len(bases) == 1 and bases[0][1] == 1:  # a side of a value without a map or pi: its top bits
+        m = bases[0][0]
+        cut = max(m.bit_length() - _FIX, 0)
+        return m >> cut, cut
     m, s = 1, 0
     for b in reversed(range(max(e for _, e in bases).bit_length())):
         s *= 2

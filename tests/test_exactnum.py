@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from hsgeom import exactnum
 from hsgeom.exactnum import (
     _coprime_fraction,
+    _fixed_power,
     _squarefree,
     ExactValue,
     ONE,
@@ -174,6 +175,16 @@ def test_a_square_root_factors_numerator_and_denominator_apart(a, b):
     s, r = _squarefree(a * b)
     value = exact_sqrt(Fraction(a, b))
     assert (value.q, value.r, value.p) == (Fraction(s, b), r, 0)
+
+
+@given(st.integers(1, 2**600))
+@example(2**192 - 1)
+@example(2**192)
+@example(2**192 + 1)
+def test_one_factor_to_the_first_power_is_cut_as_the_powering_cuts_it(x):
+    # the one-factor shortcut of _fixed_power against its general loop,
+    # which a second factor 1 takes without changing m or s
+    assert _fixed_power([(x, 1)]) == _fixed_power([(x, 1), (1, 1)])
 
 
 def test_to_float_linear():
